@@ -5,9 +5,8 @@ the PRP and index-build kernels, fused vs reference, plus the plan
 cache), ``benchmarks/results/BENCH_search.json`` (end-to-end bulk
 load and search-round timings over the simulator) and
 ``benchmarks/results/BENCH_scan.json`` (the multi-needle scan
-automaton vs per-needle sweeps on the noisy sub-byte layout, plus
-vectorised-round vs per-message fan-out) — median ns/op and ops/s per
-bench, plus the fused-vs-reference speedup ratios.
+automaton vs per-needle sweeps on the noisy sub-byte layout) — median
+ns/op and ops/s per bench, plus the fused-vs-reference speedup ratios.
 
 Before timing anything, the harness proves the fast path is *safe*:
 fused and reference stores — the chunk index *and* the §8 word-search
@@ -57,7 +56,7 @@ from repro.core import (
     SchemeParameters,
 )
 from repro.core.compressed_index import CompressedScanMatcher
-from repro.core.kernels import clear_automaton_cache, clear_codec_cache
+from repro.core.kernels import clear_codec_cache
 from repro.core.scheme import BatchHitReporter
 from repro.core.automaton import plans_automaton
 from repro.core.search import (
@@ -68,7 +67,6 @@ from repro.core.search import (
 from repro.core.wordsearch import WordScanMatcher
 from repro.crypto import FeistelPRP
 from repro.data.phonebook import generate_directory
-from repro.net.simulator import Network
 from repro.sdds.haystack import BucketHaystack
 
 HERE = pathlib.Path(__file__).parent
@@ -92,7 +90,6 @@ GATED_RATIOS = {
     "wordstore_match_speedup": 1.3,
     "compressed_match_speedup": 3.0,
     "multi_needle_scan_speedup": 3.0,
-    "vectorised_round_speedup": 1.1,
 }
 #: Allowed relative growth of a gated peak-allocation figure.
 MEMORY_TOLERANCE = 0.50
@@ -105,8 +102,8 @@ GATED_MEMORY = (
 
 PATTERNS = ["SCHWARZ", "MARTINEZ", "WONG", "NGUYEN", "GARCIA"]
 
-#: The 16-pattern batch driving the multi-needle and vectorised-round
-#: benches — the Table-4 workload shape (many last-name queries in one
+#: The 16-pattern batch driving the multi-needle bench — the Table-4
+#: workload shape (many last-name queries in one
 #: round), sized so the per-(lane, length) needle census crosses the
 #: automaton's index threshold.
 SCAN_PATTERNS = [
@@ -415,7 +412,7 @@ def measure_matchers(directory):
 
 
 def measure_scan(directory):
-    """Multi-needle automaton + vectorised rounds for BENCH_scan.json.
+    """Multi-needle automaton vs per-needle sweeps for BENCH_scan.json.
 
     The matcher benches run on the noisy sub-byte Stage-2 layout
     (1-byte pieces over a 64-code domain, dispersal 2) — the geometry
@@ -431,16 +428,11 @@ def measure_scan(directory):
         4, n_codes=64, dispersal=2, master_key=b"perf-smoke"
     )
 
-    def build_store(network=None, bucket_capacity=capacity):
-        encoder = FrequencyEncoder.train(corpus, params.chunk_bytes, 64)
-        store = EncryptedSearchableStore(
-            params, encoder=encoder, network=network,
-            bucket_capacity=bucket_capacity,
-        )
-        store.bulk_load(texts)
-        return store
-
-    store = build_store()
+    encoder = FrequencyEncoder.train(corpus, params.chunk_bytes, 64)
+    store = EncryptedSearchableStore(
+        params, encoder=encoder, bucket_capacity=capacity
+    )
+    store.bulk_load(texts)
     records = {
         record.rid: record
         for record in store.index_file.all_records()
@@ -451,27 +443,17 @@ def measure_scan(directory):
         for pattern in SCAN_PATTERNS
     ]
 
-    def matcher(automaton):
-        return MultiPlanScanMatcher(
-            plans, store.decode_index_key,
-            BatchHitReporter(tagged=True), automaton=automaton,
-        )
-
-    automaton_matcher = matcher(True)
-    per_needle_matcher = matcher(False)
+    matcher = MultiPlanScanMatcher(
+        plans, store.decode_index_key, BatchHitReporter(tagged=True)
+    )
     # The automaton's gram indexes die with the haystack, so the build
     # peak is measured against a fresh one; the timed benches then run
     # warm — the steady state a bucket serves between mutations.
     memory = {
         "automaton_build_peak_bytes": _traced_peak(
-            lambda: automaton_matcher.match_bucket(
-                BucketHaystack(records)
-            )
+            lambda: matcher.match_bucket(BucketHaystack(records))
         ),
     }
-    if automaton_matcher.match_bucket(haystack) \
-            != per_needle_matcher.match_bucket(haystack):
-        raise SystemExit("scan fidelity failure: automaton != per-needle")
 
     # The gated pair times the *sweep phase* — gathering every plan's
     # hits over the bucket haystack — which is exactly the work the
@@ -490,6 +472,9 @@ def measure_scan(directory):
             for plan in plans
         ]
 
+    if sweep(compiled) != sweep(None):
+        raise SystemExit("scan fidelity failure: automaton != per-needle")
+
     benches = {
         "multi_needle_scan_automaton": _bench(
             lambda: sweep(compiled), ops=len(plans),
@@ -499,37 +484,10 @@ def measure_scan(directory):
         ),
     }
 
-    # Vectorised rounds: the same hot 16-pattern batch fanned out
-    # repeatedly (many clients asking the Table-4 questions).  On a
-    # vectorised network the buckets' scan memo answers repeats
-    # without re-matching; per-message dispatch recomputes every time.
-    fanouts = 4
-
-    def round_trips(vectorised):
-        hot = build_store(
-            network=Network(vectorised_rounds=vectorised),
-            bucket_capacity=32,
-        )
-        hot.search_batch(SCAN_PATTERNS, verify=False)  # warm haystacks
-        return _bench(
-            lambda: [
-                hot.search_batch(SCAN_PATTERNS, verify=False)
-                for _ in range(fanouts)
-            ],
-            ops=fanouts, repeats=3,
-        )
-
-    benches["vectorised_round_batch"] = round_trips(True)
-    benches["per_message_round_batch"] = round_trips(False)
-
     ratios = {
         "multi_needle_scan_speedup": (
             benches["multi_needle_scan_per_needle"]["median_ns_per_op"]
             / benches["multi_needle_scan_automaton"]["median_ns_per_op"]
-        ),
-        "vectorised_round_speedup": (
-            benches["per_message_round_batch"]["median_ns_per_op"]
-            / benches["vectorised_round_batch"]["median_ns_per_op"]
         ),
     }
     return benches, ratios, memory
@@ -598,7 +556,6 @@ def measure_search(directory):
 def run(equivalence=True):
     directory = generate_directory(max(RECORDS, 200), seed=2006)
     clear_codec_cache()
-    clear_automaton_cache()
     fidelity = check_equivalence(directory) if equivalence else None
     codec_benches, codec_ratios = measure_codec(directory)
     matcher_benches, matcher_ratios = measure_matchers(directory)

@@ -129,11 +129,6 @@ class EpisodeConfig:
     live_sites: int = 12
     #: Quiescence deadline per ``run()`` call on the live backend.
     live_run_timeout: float = 30.0
-    #: Deliver same-arrival batchable messages as vectorised rounds
-    #: (simulator backend).  Billing, fault rolls, and observer
-    #: callbacks stay per message, so a report is byte-identical with
-    #: the flag on or off — the chaos suite proves it.
-    vectorised_rounds: bool = True
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -374,14 +369,9 @@ def run_episode(
     chaos_net = Network(
         latency=JitterLatencyModel(seed=seed * 2 + 1, jitter=0.002),
         faults=FaultModel(seed=seed * 2 + 2),
-        vectorised_rounds=config.vectorised_rounds,
     )
     chaos = _build_store(config, chaos_net, policy)
-    twin = _build_store(
-        config,
-        Network(vectorised_rounds=config.vectorised_rounds),
-        RetryPolicy(),
-    )
+    twin = _build_store(config, Network(), RetryPolicy())
 
     tracer = Tracer(network=chaos_net, capacity=65536)
     with use_tracer(tracer):

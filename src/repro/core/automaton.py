@@ -29,23 +29,25 @@ routes each needle either to:
   bound index memory.
 
 Both routes produce **byte-identical** hit streams (same hits, same
-order) — the equivalence grid in ``tests/core/test_batched_scan.py``
-pins automaton ≡ per-needle ≡ scalar across every layout.
+order) — ``tests/core/test_automaton.py`` pins gram index ≡
+``find_all`` per needle, and the equivalence grid in
+``tests/core/test_batched_scan.py`` pins compiled ≡ per-needle ≡
+scalar across every layout.
 
-Compiled automata are cached process-wide in the kernel registry
-(:func:`repro.core.kernels.scan_automaton`, ``kernels.automaton.*``
-metrics); gram indexes live inside each haystack's view memo, so any
-record mutation drops them with the haystack itself
-(``lh.haystack.automaton.*`` metrics).
+An automaton is only a per-(lane, length) needle census, so each scan
+matcher compiles its own once and keeps it for the scan; gram indexes
+live inside each haystack's view memo, so any record mutation drops
+them with the haystack itself (``lh.haystack.automaton.*`` metrics).
 
 >>> from repro.sdds.haystack import BucketHaystack
 >>> hay = BucketHaystack.from_segments([(1, b"ABAB"), (2, b"ZZAB")])
 >>> automaton = ScanAutomaton([((0, 0), 2)] * INDEX_MIN_NEEDLES)
->>> list(automaton.lookup(hay, (0, 0), b"AB", 2))
+>>> automaton.lookup_grouped(hay, (0, 0), b"AB", 2)
+[(1, [0, 1]), (2, [1])]
+>>> list(hay.find_all(b"AB", 2))
 [(1, 0), (1, 1), (2, 1)]
->>> list(hay.find_all(b"AB", 2)) == list(
-...     automaton.lookup(hay, (0, 0), b"AB", 2))
-True
+>>> automaton.lookup_records(hay, b"ZZ", lane=(0, 0))
+[2]
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from repro.core.kernels import scan_automaton
 from repro.obs.metrics import inc as metric_inc
 from repro.obs.metrics import observe as metric_observe
 
@@ -208,25 +209,6 @@ class ScanAutomaton:
             and self._counts.get((lane, length), 0) >= INDEX_MIN_NEEDLES
         )
 
-    def lookup(
-        self,
-        haystack: "BucketHaystack",
-        lane: Hashable,
-        needle: bytes,
-        width: int,
-    ) -> Iterable[tuple[int, int]]:
-        """``(record key, chunk position)`` hits for one needle —
-        byte-identical stream to ``haystack.find_all(needle, width)``."""
-        if not self.uses_index(lane, len(needle), len(haystack.blob)):
-            return haystack.find_all(needle, width)
-        return [
-            (key, position)
-            for key, positions in gram_index(
-                haystack, len(needle), width
-            ).entries.get(needle, ())
-            for position in positions
-        ]
-
     def lookup_grouped(
         self,
         haystack: "BucketHaystack",
@@ -237,8 +219,9 @@ class ScanAutomaton:
         """The index's per-record hit groups ``[(record key, [chunk
         positions...])...]`` in blob order, or ``None`` when the
         routing says the per-needle fallback should run.  Flattening
-        the groups reproduces :meth:`lookup` exactly; consumers that
-        aggregate per record skip the per-hit Python loop."""
+        the groups reproduces ``haystack.find_all(needle, width)``
+        exactly; consumers that aggregate per record skip the per-hit
+        Python loop."""
         if not self.uses_index(lane, len(needle), len(haystack.blob)):
             return None
         return gram_index(haystack, len(needle), width).entries.get(
@@ -269,9 +252,8 @@ class ScanAutomaton:
 
 def plan_signature(plan) -> tuple:
     """Hashable canonical content of one :class:`SearchPlan` — the
-    automaton cache key component, and the scan-memo identity of the
-    matchers built over it (``needles`` is a dict, so the dataclass
-    itself is unhashable)."""
+    scan-memo identity of the matchers built over it (``needles`` is a
+    dict, so the dataclass itself is unhashable)."""
     return (
         plan.pattern,
         plan.piece_width,
@@ -283,7 +265,13 @@ def plan_signature(plan) -> tuple:
     )
 
 
-def _compile_plans(plans: Sequence) -> ScanAutomaton:
+def plans_automaton(plans: Sequence) -> ScanAutomaton:
+    """The automaton for a batched set of chunk-index plans.
+
+    Distinct ``(group, site, needle)`` triples are counted once — the
+    same needle shipped by two patterns costs one lookup, so it must
+    not inflate the lane census either.
+    """
     lanes: list[tuple[Hashable, int]] = []
     seen: set[tuple] = set()
     for plan in plans:
@@ -297,24 +285,7 @@ def _compile_plans(plans: Sequence) -> ScanAutomaton:
     return ScanAutomaton(lanes)
 
 
-def plans_automaton(plans: Sequence) -> ScanAutomaton:
-    """The (cached) automaton for a batched set of chunk-index plans.
-
-    Distinct ``(group, site, needle)`` triples are counted once — the
-    same needle shipped by two patterns costs one lookup, so it must
-    not inflate the lane census either.
-    """
-    key = ("plan",) + tuple(plan_signature(plan) for plan in plans)
-    return scan_automaton(key, lambda: _compile_plans(plans))
-
-
 def needles_automaton(needles: Sequence[bytes]) -> ScanAutomaton:
-    """The (cached) automaton for flat membership needles (compressed
-    index): every needle shares the single ``None`` lane."""
-    key = ("needles", tuple(needles))
-    return scan_automaton(
-        key,
-        lambda: ScanAutomaton(
-            (None, len(needle)) for needle in set(needles)
-        ),
-    )
+    """The automaton for flat membership needles (compressed index):
+    every distinct needle shares the single ``None`` lane."""
+    return ScanAutomaton((None, len(needle)) for needle in set(needles))

@@ -23,8 +23,9 @@ stage.  ``benchmarks/bench_index_designs.py`` measures the triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.core.automaton import needles_automaton
+from repro.core.automaton import ScanAutomaton, needles_automaton
 from repro.core.compression import PairCompressor
 from repro.core.errors import ConfigurationError
 from repro.core.kernels import fused_codec
@@ -45,24 +46,26 @@ class CompressedScanMatcher:
     also what degraded parity scans use); :meth:`match_bucket` runs
     each needle once over the bucket haystack, resuming after a
     record's first hit at the record's end — the same early exit.
-    With ``automaton`` on, membership lookups route through the
-    multi-needle gram index when its thresholds say the single sweep
-    wins (:mod:`repro.core.automaton`); candidate sets are identical
-    either way.
+    Membership lookups route through the multi-needle gram index when
+    its thresholds say the single sweep wins
+    (:mod:`repro.core.automaton`), else through
+    ``haystack.find_records``; candidate sets are identical either
+    way.
     """
 
     def __init__(self, needles: tuple[bytes, ...],
-                 batched: bool = True,
-                 automaton: bool = True) -> None:
+                 batched: bool = True) -> None:
         self.needles = needles
-        self.automaton = automaton
         if not batched:
             self.match_bucket = None  # type: ignore[assignment]
 
     def scan_key(self) -> tuple:
         """Value identity for the bucket scan memo."""
-        return ("csi", self.needles, self.match_bucket is None,
-                self.automaton)
+        return ("csi", self.needles, self.match_bucket is None)
+
+    @cached_property
+    def _automaton(self) -> ScanAutomaton:
+        return needles_automaton(self.needles)
 
     def __call__(self, record: Record):
         if any(needle in record.content for needle in self.needles):
@@ -70,15 +73,10 @@ class CompressedScanMatcher:
         return None
 
     def match_bucket(self, haystack: BucketHaystack):
-        compiled = (
-            needles_automaton(self.needles) if self.automaton else None
-        )
+        compiled = self._automaton
         matched = set()
         for needle in self.needles:
-            if compiled is not None:
-                matched.update(compiled.lookup_records(haystack, needle))
-            else:
-                matched.update(haystack.find_records(needle))
+            matched.update(compiled.lookup_records(haystack, needle))
         return [rid for rid in haystack.rids if rid in matched]
 
 
@@ -89,22 +87,28 @@ class MultiCompressedScanMatcher:
     ``needle_groups[index]`` is pattern ``index``'s encrypted
     edge-variant tuple.  Hits are ``(rid, (pattern indexes...))`` in
     record order, the per-record and per-bucket forms byte-identical —
-    and with ``automaton`` on, all groups' needles share each bucket's
-    gram index, so the haystack is swept once for the whole batch.
+    all groups' needles share each bucket's gram index, so the
+    haystack is swept once for the whole batch.
     """
 
     def __init__(self, needle_groups: tuple[tuple[bytes, ...], ...],
-                 batched: bool = True,
-                 automaton: bool = True) -> None:
+                 batched: bool = True) -> None:
         self.needle_groups = needle_groups
-        self.automaton = automaton
         if not batched:
             self.match_bucket = None  # type: ignore[assignment]
 
     def scan_key(self) -> tuple:
         """Value identity for the bucket scan memo."""
         return ("multi-csi", self.needle_groups,
-                self.match_bucket is None, self.automaton)
+                self.match_bucket is None)
+
+    @cached_property
+    def _automaton(self) -> ScanAutomaton:
+        return needles_automaton([
+            needle
+            for needles in self.needle_groups
+            for needle in needles
+        ])
 
     def __call__(self, record: Record):
         indexes = tuple(
@@ -117,22 +121,12 @@ class MultiCompressedScanMatcher:
         return (record.rid, indexes)
 
     def match_bucket(self, haystack: BucketHaystack):
-        flat = tuple(
-            needle
-            for needles in self.needle_groups
-            for needle in needles
-        )
-        compiled = needles_automaton(flat) if self.automaton else None
+        compiled = self._automaton
         per_group: list[set[int]] = []
         for needles in self.needle_groups:
             matched: set[int] = set()
             for needle in needles:
-                if compiled is not None:
-                    matched.update(
-                        compiled.lookup_records(haystack, needle)
-                    )
-                else:
-                    matched.update(haystack.find_records(needle))
+                matched.update(compiled.lookup_records(haystack, needle))
             per_group.append(matched)
         hits = []
         for rid in haystack.rids:
@@ -177,11 +171,7 @@ class CompressedSearchStore:
         bucket_capacity: int = 128,
         name: str = "csi",
         fast_path: bool = True,
-        automaton: bool = True,
     ) -> None:
-        # ``automaton=False`` pins batched scans to per-needle sweeps
-        # (equivalence ladder middle rung; see repro.core.automaton).
-        self.automaton = automaton
         self.compressor = PairCompressor.train(
             training_corpus, max_pairs=max_pairs, lossy_codes=lossy_codes
         )
@@ -278,8 +268,7 @@ class CompressedSearchStore:
         )
         before = self.network.stats.snapshot()
         matcher = CompressedScanMatcher(needles,
-                                        batched=self.fast_path,
-                                        automaton=self.automaton)
+                                        batched=self.fast_path)
         # Real serialized query size: a 1-byte variant count, then per
         # needle a 2-byte length prefix plus the needle bytes (the
         # variants have differing lengths, so bare concatenation would
@@ -331,8 +320,7 @@ class CompressedSearchStore:
         )
         before = self.network.stats.snapshot()
         matcher = MultiCompressedScanMatcher(
-            needle_groups, batched=self.fast_path,
-            automaton=self.automaton,
+            needle_groups, batched=self.fast_path
         )
         # Concatenation of the per-pattern query encodings (see
         # ``search``'s request_size note).

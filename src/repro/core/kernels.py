@@ -396,57 +396,3 @@ def clear_codec_cache() -> None:
     """Drop every cached codec (tests and memory-pressure hooks)."""
     _REGISTRY.clear()
 
-
-# ---------------------------------------------------------------------------
-# scan-automaton registry
-# ---------------------------------------------------------------------------
-
-#: Compiled multi-needle scan automata kept alive
-#: (:mod:`repro.core.automaton`).  An automaton holds needle routing
-#: tables, not haystack data, so entries are small (a few hundred
-#: bytes each); the capacity mainly bounds churn between many distinct
-#: batched query shapes.
-AUTOMATON_CACHE_CAPACITY = 256
-
-_AUTOMATA: OrderedDict[tuple, object] = OrderedDict()
-
-
-def scan_automaton(key: tuple, build) -> object:
-    """Fetch (or build and register) one compiled scan automaton.
-
-    Mirrors :func:`fused_codec`'s registry discipline — LRU with
-    ``move_to_end`` on hit, capacity eviction, and
-    ``kernels.automaton.hit`` / ``miss`` / ``build_seconds`` /
-    ``cached`` metrics — so ``python -m repro.obs.report`` can census
-    it next to the codec and plan caches.  ``key`` must be hashable
-    and fully determine ``build``'s output (needle sets, widths and
-    thresholds — see :func:`repro.core.automaton.plans_automaton`).
-    """
-    automaton = _AUTOMATA.get(key)
-    if automaton is not None:
-        _AUTOMATA.move_to_end(key)
-        metric_inc("kernels.automaton.hit")
-        return automaton
-    metric_inc("kernels.automaton.miss")
-    started = time.perf_counter()
-    automaton = build()
-    metric_observe(
-        "kernels.automaton.build_seconds",
-        time.perf_counter() - started,
-    )
-    _AUTOMATA[key] = automaton
-    while len(_AUTOMATA) > AUTOMATON_CACHE_CAPACITY:
-        _AUTOMATA.popitem(last=False)
-    metric_set_gauge("kernels.automaton.cached", len(_AUTOMATA))
-    return automaton
-
-
-def automaton_cache_size() -> int:
-    """Number of compiled automata currently resident."""
-    return len(_AUTOMATA)
-
-
-def clear_automaton_cache() -> None:
-    """Drop every cached automaton (tests and memory-pressure hooks)."""
-    _AUTOMATA.clear()
-    metric_set_gauge("kernels.codec.cached", 0)

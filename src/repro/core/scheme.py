@@ -143,6 +143,46 @@ class _BatchHit:
         return (2 if self.tagged else 0) + self.hit.wire_size
 
 
+@dataclass
+class _ScanRound:
+    """One parallel scan round as the client sees it: the filled
+    per-plan aggregators plus the marks that split a query's cost into
+    its scan and verification shares."""
+
+    network: Network
+    before: NetworkStats
+    started: float
+    after_scan: NetworkStats
+    aggregators: list[HitAggregator]
+
+    def results(
+        self, outcomes: list[tuple[str, set[int], set[int]]]
+    ) -> list[SearchResult]:
+        """One :class:`SearchResult` per ``(pattern, candidates,
+        matches)`` outcome.  Call once all shared work — scan round
+        *and* candidate fetches — is done: every result carries the
+        same totals, so batches account verification exactly like a
+        single-pattern search."""
+        stats = self.network.stats
+        cost = stats.diff(self.before)
+        elapsed = self.network.now - self.started
+        scan_cost = self.after_scan.diff(self.before)
+        verify_cost = stats.diff(self.after_scan)
+        return [
+            SearchResult(
+                pattern=pattern,
+                candidates=frozenset(candidates),
+                matches=frozenset(matches),
+                false_positives=frozenset(candidates - matches),
+                cost=cost,
+                elapsed=elapsed,
+                scan_cost=scan_cost,
+                verify_cost=verify_cost,
+            )
+            for pattern, candidates, matches in outcomes
+        ]
+
+
 class EncryptedSearchableStore:
     """The paper's complete scheme over simulated LH* files."""
 
@@ -160,17 +200,12 @@ class EncryptedSearchableStore:
         fast_path: bool = True,
         shrink: bool = False,
         merge_threshold: float = 0.4,
-        automaton: bool = True,
     ) -> None:
         self.params = params
         # ``fast_path=False`` pins the reference per-chunk codec — the
         # fused-kernel equivalence harness compares the two stores
         # byte-for-byte (streams, answers and wire costs must match).
         self.pipeline = IndexPipeline(params, encoder, fast_path=fast_path)
-        # ``automaton=False`` pins batched scans to the per-needle
-        # sweep (no multi-needle gram index) — the middle rung of the
-        # automaton ≡ per-needle ≡ scalar equivalence ladder.
-        self.automaton = automaton
         self.network = network or Network()
         keys = KeyHierarchy(params.master_key)
         self._keys = keys
@@ -419,19 +454,8 @@ class EncryptedSearchableStore:
             # The zero-extension only tiles one chunking exactly; the
             # all-groups threshold would reject true matches.
             plan = replace(plan, required_groups=1)
-        before = self.network.stats.snapshot()
-        started = self.network.now
-        matcher = PlanScanMatcher(
-            plan, self.key_codec,
-            batched=self.pipeline.fast_path,
-            automaton=self.automaton,
-        )
-        hits = self.index_file.scan(
-            matcher, request_size=plan.request_size()
-        )
-        after_scan = self.network.stats.snapshot()
-        aggregator = HitAggregator(plan)
-        aggregator.add_all(hits)
+        scan = self._scan_round([plan], multiplexed=False)
+        (aggregator,) = scan.aggregators
         candidates = aggregator.candidates()
         if anchor_start:
             group, alignment, position = self._start_anchor(plan)
@@ -456,28 +480,47 @@ class EncryptedSearchableStore:
                 matches.add(rid)
         else:
             matches = set(candidates)
-        return SearchResult(
-            pattern=pattern,
-            candidates=frozenset(candidates),
-            matches=frozenset(matches),
-            false_positives=frozenset(candidates - matches),
-            cost=self.network.stats.diff(before),
-            elapsed=self.network.now - started,
-            scan_cost=after_scan.diff(before),
-            verify_cost=self.network.stats.diff(after_scan),
-        )
+        return scan.results([(pattern, candidates, matches)])[0]
 
-    def _batch_matcher(self, plans) -> MultiPlanScanMatcher:
-        """One scan matcher multiplexing several query plans; reports
-        are :class:`_BatchHit`\\ s, demux-tagged only when the round
-        actually ships several patterns."""
-        return MultiPlanScanMatcher(
-            plans,
-            self.key_codec,
-            BatchHitReporter(tagged=len(plans) > 1),
-            batched=self.pipeline.fast_path,
-            automaton=self.automaton,
+    def _scan_round(
+        self, plans: list, multiplexed: bool = True
+    ) -> _ScanRound:
+        """Ship ``plans`` to every index site in one scan round and
+        aggregate the site reports per plan — the part ``search``,
+        ``search_all`` and ``search_batch`` share.
+
+        A multiplexed round reports :class:`_BatchHit`\\ s,
+        demux-tagged only when it actually ships several patterns; the
+        single-plan form of ``search`` reports bare :class:`SiteHit`\\ s.
+        """
+        fast_path = self.pipeline.fast_path
+        if multiplexed:
+            matcher = MultiPlanScanMatcher(
+                plans,
+                self.key_codec,
+                BatchHitReporter(tagged=len(plans) > 1),
+                batched=fast_path,
+            )
+        else:
+            (plan,) = plans
+            matcher = PlanScanMatcher(plan, self.key_codec,
+                                      batched=fast_path)
+        before = self.network.stats.snapshot()
+        started = self.network.now
+        replies = self.index_file.scan(
+            matcher,
+            request_size=sum(plan.request_size() for plan in plans),
         )
+        after_scan = self.network.stats.snapshot()
+        aggregators = [HitAggregator(plan) for plan in plans]
+        if multiplexed:
+            for reports in replies:
+                for report in reports:
+                    aggregators[report.index].add(report.hit)
+        else:
+            aggregators[0].add_all(replies)
+        return _ScanRound(self.network, before, started, after_scan,
+                          aggregators)
 
     def _start_anchor(self, plan) -> tuple[int, int, int]:
         """The (group, alignment, chunk position) pinning a record-start
@@ -532,21 +575,10 @@ class EncryptedSearchableStore:
             self.pipeline.plan_query(self._pattern_bytes(p))
             for p in patterns
         ]
-        before = self.network.stats.snapshot()
-        started = self.network.now
-
-        raw = self.index_file.scan(
-            self._batch_matcher(plans),
-            request_size=sum(plan.request_size() for plan in plans),
-        )
-        after_scan = self.network.stats.snapshot()
-        aggregators = [HitAggregator(plan) for plan in plans]
-        for reports in raw:
-            for report in reports:
-                aggregators[report.index].add(report.hit)
-        candidates = set.intersection(
-            *(aggregator.candidates() for aggregator in aggregators)
-        )
+        scan = self._scan_round(plans)
+        candidates = set.intersection(*(
+            aggregator.candidates() for aggregator in scan.aggregators
+        ))
         if verify:
             matches = {
                 rid
@@ -556,16 +588,9 @@ class EncryptedSearchableStore:
             }
         else:
             matches = set(candidates)
-        return SearchResult(
-            pattern=" AND ".join(patterns),
-            candidates=frozenset(candidates),
-            matches=frozenset(matches),
-            false_positives=frozenset(candidates - matches),
-            cost=self.network.stats.diff(before),
-            elapsed=self.network.now - started,
-            scan_cost=after_scan.diff(before),
-            verify_cost=self.network.stats.diff(after_scan),
-        )
+        return scan.results(
+            [(" AND ".join(patterns), candidates, matches)]
+        )[0]
 
     def search_batch(
         self, patterns: list[str], verify: bool = True
@@ -610,21 +635,10 @@ class EncryptedSearchableStore:
             self.pipeline.plan_query(self._pattern_bytes(p))
             for p in unique
         ]
-        before = self.network.stats.snapshot()
-        started = self.network.now
-
-        raw = self.index_file.scan(
-            self._batch_matcher(plans),
-            request_size=sum(plan.request_size() for plan in plans),
-        )
-        after_scan = self.network.stats.snapshot()
-        aggregators = [HitAggregator(plan) for plan in plans]
-        for reports in raw:
-            for report in reports:
-                aggregators[report.index].add(report.hit)
+        scan = self._scan_round(plans)
         outcomes: list[tuple[str, set[int], set[int]]] = []
         text_cache: dict[int, str | None] = {}
-        for pattern, aggregator in zip(unique, aggregators):
+        for pattern, aggregator in zip(unique, scan.aggregators):
             candidates = aggregator.candidates()
             if verify:
                 matches = set()
@@ -637,25 +651,8 @@ class EncryptedSearchableStore:
             else:
                 matches = set(candidates)
             outcomes.append((pattern, candidates, matches))
-        # Snapshot once all shared work — scan round *and* candidate
-        # fetches — is done, so batch results account verification
-        # exactly like single-pattern search() does.
-        cost = self.network.stats.diff(before)
-        scan_cost = after_scan.diff(before)
-        verify_cost = self.network.stats.diff(after_scan)
-        elapsed = self.network.now - started
         return {
-            pattern: SearchResult(
-                pattern=pattern,
-                candidates=frozenset(candidates),
-                matches=frozenset(matches),
-                false_positives=frozenset(candidates - matches),
-                cost=cost,
-                elapsed=elapsed,
-                scan_cost=scan_cost,
-                verify_cost=verify_cost,
-            )
-            for pattern, candidates, matches in outcomes
+            result.pattern: result for result in scan.results(outcomes)
         }
 
     # -- key rotation -----------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.automaton import plan_signature, plans_automaton
@@ -182,10 +183,12 @@ def bucket_plan_hits(
     once per record.  With an ``automaton``
     (:class:`repro.core.automaton.ScanAutomaton`) the needle lookups
     route through the multi-needle gram index where its thresholds say
-    the single sweep wins — the hit stream is byte-identical either
-    way.  Position lists come out ascending per record and alignment
-    keys keep the plan's needle iteration order, matching the
-    per-record :meth:`SearchPlan.match_site` path exactly.
+    the single sweep wins; without one every needle takes the
+    per-needle ``find_all`` sweep (the reference the equivalence tests
+    compare against) — the hit stream is byte-identical either way.
+    Position lists come out ascending per record and alignment keys
+    keep the plan's needle iteration order, matching the per-record
+    :meth:`SearchPlan.match_site` path exactly.
     """
     width = plan.piece_width
     partition = haystack.view(
@@ -240,11 +243,9 @@ class PlanScanMatcher:
         plan: SearchPlan,
         decode: Callable[[int], tuple[int, int, int]],
         batched: bool = True,
-        automaton: bool = True,
     ) -> None:
         self.plan = plan
         self.decode = decode
-        self.automaton = automaton
         if not batched:
             self.match_bucket = None  # type: ignore[assignment]
 
@@ -256,7 +257,12 @@ class PlanScanMatcher:
         if not isinstance(self.decode, IndexKeyCodec):
             return None
         return ("plan", plan_signature(self.plan), self.decode,
-                self.match_bucket is None, self.automaton)
+                self.match_bucket is None)
+
+    @cached_property
+    def _automaton(self) -> "ScanAutomaton":
+        # Compiled once per matcher: every bucket of a scan reuses it.
+        return plans_automaton([self.plan])
 
     def __call__(self, record: "Record") -> SiteHit | None:
         rid, group, site = self.decode(record.rid)
@@ -267,10 +273,8 @@ class PlanScanMatcher:
                        positions=positions)
 
     def match_bucket(self, haystack: "BucketHaystack") -> list[SiteHit]:
-        compiled = plans_automaton([self.plan]) if self.automaton \
-            else None
         per_record = bucket_plan_hits(self.plan, haystack, self.decode,
-                                      compiled)
+                                      self._automaton)
         hits = []
         for key in haystack.rids:
             positions = per_record.get(key)
@@ -296,12 +300,10 @@ class MultiPlanScanMatcher:
         decode: Callable[[int], tuple[int, int, int]],
         report: Callable[[int, SiteHit], object],
         batched: bool = True,
-        automaton: bool = True,
     ) -> None:
         self.plans = plans
         self.decode = decode
         self.report = report
-        self.automaton = automaton
         if not batched:
             self.match_bucket = None  # type: ignore[assignment]
 
@@ -319,8 +321,11 @@ class MultiPlanScanMatcher:
             self.decode,
             report_key(),
             self.match_bucket is None,
-            self.automaton,
         )
+
+    @cached_property
+    def _automaton(self) -> "ScanAutomaton":
+        return plans_automaton(self.plans)
 
     def __call__(self, record: "Record") -> list | None:
         rid, group, site = self.decode(record.rid)
@@ -336,8 +341,7 @@ class MultiPlanScanMatcher:
         return reports or None
 
     def match_bucket(self, haystack: "BucketHaystack") -> list[list]:
-        compiled = plans_automaton(self.plans) if self.automaton \
-            else None
+        compiled = self._automaton
         per_plan = [
             bucket_plan_hits(plan, haystack, self.decode, compiled)
             for plan in self.plans

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.errors import ConfigurationError, RecordNotFoundError
-from repro.core.kernels import scan_automaton
 from repro.crypto.keys import KeyHierarchy
 from repro.crypto.modes import CtrCipher
 from repro.crypto.swp import WORD_BYTES, SwpCipher, Trapdoor
@@ -103,12 +103,12 @@ class MultiWordScanMatcher:
     The batched form converts each record's cell blob to a big
     integer **once** and unmasks it per trapdoor
     (:meth:`repro.crypto.swp.SwpCipher.match_positions_multi`), with
-    the per-trapdoor HMAC key schedules compiled once per trapdoor set
-    and cached in the kernel automaton registry — K words cost one
-    scan round and one blob conversion instead of K of each.  Hits are
-    ``(rid, ((word index, positions), ...))``; the per-record and
-    per-bucket forms are byte-identical, and each word's positions are
-    exactly what a solo :class:`WordScanMatcher` reports.
+    the per-trapdoor HMAC key schedules compiled once per matcher — K
+    words cost one scan round and one blob conversion instead of K of
+    each.  Hits are ``(rid, ((word index, positions), ...))``; the
+    per-record and per-bucket forms are byte-identical, and each
+    word's positions are exactly what a solo :class:`WordScanMatcher`
+    reports.
     """
 
     def __init__(self, trapdoors: tuple[Trapdoor, ...],
@@ -122,16 +122,14 @@ class MultiWordScanMatcher:
         """Value identity for the bucket scan memo."""
         return ("multi-swp", self.trapdoors, self.fast_path)
 
+    @cached_property
     def _compiled_checks(self) -> list:
-        """The hoisted per-trapdoor HMAC closures, shared process-wide
-        per trapdoor set via the kernel automaton registry."""
-        return scan_automaton(
-            ("swp", self.trapdoors),
-            lambda: [
-                SwpCipher._hoisted_check(trapdoor.word_key)
-                for trapdoor in self.trapdoors
-            ],
-        )
+        """The hoisted per-trapdoor HMAC closures, built once and
+        shared by every bucket this matcher scans."""
+        return [
+            SwpCipher._hoisted_check(trapdoor.word_key)
+            for trapdoor in self.trapdoors
+        ]
 
     def _hits(self, cells: bytes | memoryview,
               checks: list | None = None) -> tuple:
@@ -164,7 +162,7 @@ class MultiWordScanMatcher:
         return (record.rid, reports)
 
     def match_bucket(self, haystack: BucketHaystack):
-        checks = self._compiled_checks()
+        checks = self._compiled_checks
         hits = []
         for rid, cells in haystack.segments():
             reports = self._hits(cells, checks)

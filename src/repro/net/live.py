@@ -827,6 +827,22 @@ class LiveNetwork:
         self.stats.partitioned_drops += delta.partitioned_drops
         self.stats.corrupted += delta.corrupted
 
+    def _site_census(self, key: tuple) -> dict:
+        """One site's census reply, its stats growth merged — and a
+        typed failure if any hosted node's handler has raised: the
+        reply that message owed will never come, so waiting out the
+        retry timers would only hide the site-side traceback."""
+        reply = self._roundtrip(key, {"ctrl": "census"})
+        self._merge_site_stats(key, reply["stats"])
+        if reply["handler_failures"]:
+            node, kind, error = reply["first_failure"]
+            raise LiveBackendError(
+                f"site {key!r}: node {node} failed handling {kind!r} "
+                f"with {error} ({reply['handler_failures']} handler "
+                f"failure(s); see the site log)"
+            )
+        return reply
+
     def _census(self) -> tuple[bool, tuple | None]:
         """One cluster-wide conservation census.
 
@@ -839,13 +855,12 @@ class LiveNetwork:
         timers = 0 if self._next_timer_due() is None else 1
         missing: set[int] = set()
         for key in list(self._conns):
-            reply = self._roundtrip(key, {"ctrl": "census"})
+            reply = self._site_census(key)
             sent += reply["sent"]
             delivered += reply["delivered"]
             buffered += reply["buffered"]
             timers += reply["timers"]
             missing.update(reply.get("missing") or ())
-            self._merge_site_stats(key, reply["stats"])
         if missing:
             # Some site parked frames for unprovisioned addresses:
             # grow the cluster and let the flushed frames settle.
@@ -862,9 +877,7 @@ class LiveNetwork:
         """Per-site metrics registries (for live tracing demos)."""
         result = {}
         for key in self._conns:
-            reply = self._roundtrip(key, {"ctrl": "census"})
-            self._merge_site_stats(key, reply["stats"])
-            result[key] = reply["metrics"]
+            result[key] = self._site_census(key)["metrics"]
         return result
 
     def dump_buckets(self, name: str) -> dict[int, dict]:
@@ -935,8 +948,7 @@ class LiveNetwork:
         # Merge the site's outstanding billing and conservation
         # counters before abandoning it (the census must keep
         # balancing without this site's row).
-        census = self._roundtrip(key, {"ctrl": "census"})
-        self._merge_site_stats(key, census["stats"])
+        census = self._site_census(key)
         self._reaped_sent += census["sent"]
         self._reaped_delivered += census["delivered"]
         conn = self._conns.pop(key)
@@ -977,8 +989,13 @@ class LiveNetwork:
             if due is not None:
                 # A local timer (e.g. a retry timeout) is armed: wait
                 # it out, but stay responsive to inbound data.
-                wait = min(max(due - self._mono(), 0.0), 0.05)
-                self._service(wait)
+                poll = 0.05
+                wait = min(max(due - self._mono(), 0.0), poll)
+                if not self._service(wait) and wait == poll:
+                    # A full poll of silence while a reply is owed:
+                    # ask the sites whether a handler failed before
+                    # retrying blind.
+                    self._census()
                 last_totals = None
                 continue
             quiescent, totals = self._census()

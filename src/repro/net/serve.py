@@ -629,6 +629,12 @@ class SiteServer:
         #: Conservation counters for the client's quiescence census.
         self.sent = 0
         self.delivered = 0
+        #: Handler exceptions :meth:`deliver` swallowed, and the first
+        #: one as ``(node id, message kind, exception)`` reprs — the
+        #: census reports both so the client fails fast instead of
+        #: waiting out its retry timers on a reply that cannot come.
+        self.handler_failures = 0
+        self.first_failure: tuple[str, str, str] | None = None
         #: Fault state installed by the ctrl plane (``fault_set``,
         #: ``partition``, ``delay``, ``drop``) — ``None`` until the
         #: client enables fault injection.
@@ -856,9 +862,13 @@ class SiteServer:
                                              message.size, 0.0)
         try:
             node.handle(message)
-        except Exception:
+        except Exception as exc:
             log.exception("node %r failed handling %r", dst,
                           message.kind)
+            self.handler_failures += 1
+            if self.first_failure is None:
+                self.first_failure = (repr(dst), message.kind,
+                                      repr(exc))
 
     # -- control plane ---------------------------------------------------
 
@@ -962,6 +972,8 @@ class SiteServer:
                 "stats": self.network.stats.snapshot(),
                 "metrics": self.metrics.to_dict(),
                 "missing": sorted(self._parked),
+                "handler_failures": self.handler_failures,
+                "first_failure": self.first_failure,
             }
         if ctrl == "dump":
             return self._ctrl_dump(payload["name"])

@@ -184,33 +184,12 @@ class Node:
     ``network.send(...)``.  A node's identifier may be any hashable.
     """
 
-    #: Message kinds this node lets the network deliver in vectorised
-    #: rounds (one :meth:`handle_batch` call per destination for a
-    #: same-arrival slice) instead of one :meth:`handle` dispatch per
-    #: message.  A kind may only be declared batchable when handling
-    #: it never crashes, detaches or partitions nodes — the round
-    #: dispatcher gates every message *before* the round's handlers
-    #: run (see :meth:`Network.run`).  Empty by default: plain nodes
-    #: keep strict per-message dispatch.
-    BATCHABLE_KINDS: frozenset = frozenset()
-
     def __init__(self, node_id: Hashable) -> None:
         self.node_id = node_id
         self.network: "Network | None" = None
 
     def handle(self, message: Message) -> None:
         raise NotImplementedError
-
-    def handle_batch(self, messages: list[Message]) -> None:
-        """Handle one vectorised round's worth of same-kind messages.
-
-        The default simply loops :meth:`handle` — semantics are
-        *defined* to be identical to per-message dispatch; subclasses
-        may override to share work across the batch (and must keep
-        per-message replies and billing unchanged).
-        """
-        for message in messages:
-            self.handle(message)
 
     def send(
         self,
@@ -236,16 +215,8 @@ class Network:
         latency: LatencyModel | None = None,
         faults: "FaultModel | None" = None,
         crashes: "CrashFaultModel | None" = None,
-        vectorised_rounds: bool = True,
     ) -> None:
         self.latency = latency or LatencyModel()
-        #: Deliver same-arrival slices of batchable messages (see
-        #: :attr:`Node.BATCHABLE_KINDS`) as per-destination batches —
-        #: one handler invocation per bucket per round instead of one
-        #: per message.  Billing, fault rolls, gate checks and
-        #: observer callbacks stay per message, in pop order; ``False``
-        #: pins strict per-message dispatch (the A/B reference).
-        self.vectorised_rounds = vectorised_rounds
         #: Optional fault injector (see :mod:`repro.net.faults`).
         #: ``None`` — and a model with zero rates — means perfectly
         #: reliable delivery, bit-identical to the historic behaviour.
@@ -630,100 +601,11 @@ class Network:
                 self.observer.on_deliver(
                     item.kind, item.size, self.now - item.send_time
                 )
-            node = self.nodes[item.dst]
-            if (
-                self.vectorised_rounds
-                and item.kind in node.BATCHABLE_KINDS
-                and self._queue
-                and self._queue[0][0] == arrival
-            ):
-                round_delivered, round_processed = self._finish_round(
-                    arrival, item, max_events - processed - 1
-                )
-                delivered += round_delivered
-                processed += round_processed
-            else:
-                node.handle(item)
-                delivered += 1
+            self.nodes[item.dst].handle(item)
+            delivered += 1
             processed += 1
         self.delivered += delivered
         return delivered
-
-    def _finish_round(
-        self, arrival: float, first: Message, budget: int
-    ) -> tuple[int, int]:
-        """Deliver one vectorised round headed by ``first``.
-
-        Collects the contiguous run of same-arrival *batchable*
-        messages from the queue top — stopping at a timer, a
-        non-batchable message, or an arrival-time change — applying
-        the exact per-message sequence of the scalar loop to each in
-        pop order: fault-schedule advance, partition / crash /
-        checksum gates, billing and observer callbacks.  Survivors are
-        then grouped per (destination, kind) in first-appearance order
-        and delivered via one :meth:`Node.handle_batch` call each.
-
-        Within one destination, messages keep their pop order, and
-        destinations are handled in the order they first appear — so
-        for the common fan-out shape (each destination once per
-        slice, e.g. one client's scan broadcast) the handler
-        execution order is *identical* to per-message dispatch.
-        Batchable handlers never crash, detach or partition nodes
-        (:attr:`Node.BATCHABLE_KINDS`), so gating before the round's
-        handlers run is equivalent to the scalar loop's gate-then-
-        handle interleaving.
-
-        Returns ``(delivered, extra processed)`` — the head message
-        counts as processed in the caller.
-        """
-        survivors = [first]
-        extra_processed = 0
-        queue = self._queue
-        while queue and extra_processed < budget:
-            when, __, item = queue[0]
-            if when != arrival or isinstance(item, Timer):
-                break
-            node = self.nodes.get(item.dst)
-            if node is None or item.kind not in node.BATCHABLE_KINDS:
-                break
-            heapq.heappop(queue)
-            extra_processed += 1
-            if self.crashes is not None:
-                self.crashes.advance(self, arrival)
-            for schedule in self.schedules:
-                schedule.advance(self, arrival)
-            if (item.src, item.dst) in self._partitions:
-                self.stats.partitioned_drops += 1
-                if self.observer is not None:
-                    self.observer.on_drop(item.kind, item.size)
-                continue
-            if item.dst in self._crashed or item.dst not in self.nodes:
-                self.stats.crashed_drops += 1
-                if self.observer is not None:
-                    self.observer.on_drop(item.kind, item.size)
-                continue
-            if item.checksum and item.checksum != wire_checksum(
-                item.kind, item.payload, item.size
-            ):
-                self.stats.corrupted += 1
-                if self.observer is not None:
-                    self.observer.on_drop(item.kind, item.size)
-                continue
-            if self.observer is not None:
-                self.observer.on_deliver(
-                    item.kind, item.size, self.now - item.send_time
-                )
-            survivors.append(item)
-        batches: dict[tuple[Hashable, str], list[Message]] = {}
-        for message in survivors:
-            batches.setdefault(
-                (message.dst, message.kind), []
-            ).append(message)
-        delivered = 0
-        for (dst, __), messages in batches.items():
-            self.nodes[dst].handle_batch(messages)
-            delivered += len(messages)
-        return delivered, extra_processed
 
     def reset_clock(self) -> None:
         """Rewind the clock (between benchmark operations)."""

@@ -143,10 +143,10 @@ def cache_breakdown(
     ``metrics`` is the mapping produced by
     :meth:`repro.obs.metrics.MetricsRegistry.to_dict` (or parsed from
     its JSON dump): the ``kernels.codec.*``, ``kernels.plan.*``,
-    ``kernels.automaton.*``, ``lh.haystack.*`` and
-    ``lh.haystack.automaton.*`` instruments feed rows of hits, misses,
-    hit rate, builds and build seconds.  Caches that never ran render as zero
-    rows, so the table shape is stable.  For bucket haystacks a
+    ``lh.haystack.*`` and ``lh.haystack.automaton.*`` instruments
+    feed rows of hits, misses, hit rate, builds and build seconds.
+    Caches that never ran render as zero rows, so the table shape is
+    stable.  For bucket haystacks a
     "miss" is a (re)build — the cache is dropped whenever the bucket's
     records change, so the hit rate is the fraction of batched scans
     served without re-concatenating.
@@ -157,7 +157,6 @@ def cache_breakdown(
         return entry.get("value", 0) if entry else 0
 
     build = metrics.get("kernels.codec.build_seconds") or {}
-    automaton_build = metrics.get("kernels.automaton.build_seconds") or {}
     gram_build = metrics.get("lh.haystack.automaton.build_seconds") or {}
     table = _table(
         title,
@@ -180,14 +179,6 @@ def cache_breakdown(
             "bucket haystacks",
             _value("lh.haystack.hit"), _value("lh.haystack.build"),
             _value("lh.haystack.build"), 0.0, None,
-        ),
-        (
-            "scan automata",
-            _value("kernels.automaton.hit"),
-            _value("kernels.automaton.miss"),
-            automaton_build.get("count", 0),
-            automaton_build.get("sum", 0.0),
-            _value("kernels.automaton.cached"),
         ),
         (
             "gram indexes",

@@ -146,12 +146,6 @@ class LHStarBucket(Node):
     it merged into.
     """
 
-    #: Scan requests are safe to deliver as a vectorised round: the
-    #: handler only matches and sends (never crashes, detaches or
-    #: partitions a node), so grouping same-arrival scans per bucket
-    #: preserves per-message billing and fault accounting exactly.
-    BATCHABLE_KINDS = frozenset({"scan"})
-
     #: Bound on the bucket-level scan-result memo (distinct matcher
     #: values remembered per haystack build).
     MATCH_MEMO_LIMIT = 16
@@ -194,9 +188,9 @@ class LHStarBucket(Node):
         # Bucket-level scan-result memo: matcher value identity
         # (``matcher.scan_key()``) -> hits against the *current*
         # haystack.  Matchers are pure functions of (value, records),
-        # so identical queries arriving in one vectorised round — or
-        # across rounds while the records are unchanged — reuse the
-        # computed hits.  Dropped with the haystack on any mutation.
+        # so identical queries reuse the computed hits while the
+        # records are unchanged.  Dropped with the haystack on any
+        # mutation.
         self._match_memo: OrderedDict[Hashable, list] = OrderedDict()
 
     # -- batched-scan haystack -------------------------------------------
@@ -503,13 +497,10 @@ class LHStarBucket(Node):
         # Scan-result memo: matchers exposing ``scan_key()`` (a value
         # identity) are pure functions of (key, resident records), so
         # repeats of the same query against an unchanged bucket —
-        # the common shape of a vectorised round fanning one hot query
-        # out for many clients — reuse the computed hits verbatim.
-        memo_key = None
-        if self.network is not None and self.network.vectorised_rounds:
-            scan_key = getattr(matcher, "scan_key", None)
-            if scan_key is not None:
-                memo_key = scan_key()
+        # one hot query fanned out for many clients — reuse the
+        # computed hits verbatim.
+        scan_key = getattr(matcher, "scan_key", None)
+        memo_key = scan_key() if scan_key is not None else None
         if memo_key is not None and memo_key in self._match_memo:
             self._match_memo.move_to_end(memo_key)
             hits = self._match_memo[memo_key]
@@ -1095,12 +1086,6 @@ class LHStarClient(Node):
     surfaces as :class:`~repro.net.faults.RetryExhaustedError` from
     ``take_reply``/``take_scan``.
     """
-
-    #: Scan replies only fold hits into client-side state (and cancel
-    #: timers) — they never crash, detach or partition a node — so a
-    #: burst arriving together may be delivered as one vectorised
-    #: round without observable difference.
-    BATCHABLE_KINDS = frozenset({"scan_reply"})
 
     def __init__(self, file: "LHStarFile", client_index: int = 0) -> None:
         super().__init__(file.client_id(client_index))

@@ -80,14 +80,10 @@ class TestPayloadShape:
         for name in (
             "multi_needle_scan_automaton",
             "multi_needle_scan_per_needle",
-            "vectorised_round_batch",
-            "per_message_round_batch",
         ):
             assert scan["benches"][name]["median_ns_per_op"] > 0
-        for name in (
-            "multi_needle_scan_speedup", "vectorised_round_speedup",
-        ):
-            assert scan["ratios"][name] > 0
+        assert set(scan["ratios"]) == {"multi_needle_scan_speedup"}
+        assert scan["ratios"]["multi_needle_scan_speedup"] > 0
         assert scan["memory"]["automaton_build_peak_bytes"] > 0
 
     def test_fidelity_holds(self, payloads):

@@ -2,7 +2,7 @@
 
 The gram index must be a *drop-in* for the per-needle sweeps: same
 hits, same order, for every needle — plus the routing thresholds, the
-kernel-registry LRU, and the memory accounting the census reports.
+once-per-matcher compile, and the memory accounting the census reports.
 """
 
 import pytest
@@ -16,12 +16,6 @@ from repro.core.automaton import (
     needles_automaton,
     plan_signature,
     plans_automaton,
-)
-from repro.core.kernels import (
-    AUTOMATON_CACHE_CAPACITY,
-    automaton_cache_size,
-    clear_automaton_cache,
-    scan_automaton,
 )
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sdds.haystack import BucketHaystack
@@ -46,13 +40,29 @@ def indexed_automaton(length):
     return ScanAutomaton([(None, length)] * INDEX_MIN_NEEDLES)
 
 
+def flat_hits(automaton, haystack, needle, width):
+    """``lookup_grouped`` flattened to ``find_all``'s hit stream; the
+    fallback route (``None``) *is* ``find_all``."""
+    grouped = automaton.lookup_grouped(haystack, None, needle, width)
+    if grouped is None:
+        return list(haystack.find_all(needle, width))
+    return [
+        (key, position)
+        for key, positions in grouped
+        for position in positions
+    ]
+
+
 class TestGramIndexEquivalence:
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("needle", NEEDLES)
     def test_lookup_matches_find_all(self, needle, width):
         automaton = indexed_automaton(len(needle))
         assert automaton.uses_index(None, len(needle), len(hay().blob))
-        assert list(automaton.lookup(hay(), None, needle, width)) == list(
+        assert automaton.lookup_grouped(
+            hay(), None, needle, width
+        ) is not None
+        assert flat_hits(automaton, hay(), needle, width) == list(
             hay().find_all(needle, width)
         ), (needle, width)
 
@@ -68,16 +78,21 @@ class TestGramIndexEquivalence:
         # no cross-segment gram; neither does rid 11's lone "A" with
         # anything after it.
         automaton = indexed_automaton(2)
-        assert list(automaton.lookup(hay(), None, b"DZ", 1)) == []
-        assert list(automaton.lookup(hay(), None, b"DA", 1)) == []
+        assert automaton.lookup_grouped(hay(), None, b"DZ", 1) == []
+        assert automaton.lookup_grouped(hay(), None, b"DA", 1) == []
+        assert list(automaton.lookup_records(hay(), b"DZ")) == []
 
     def test_fallback_and_index_agree_below_threshold(self):
         sparse = ScanAutomaton([(None, 2)])  # 1 needle: fallback
         dense = indexed_automaton(2)
         assert not sparse.uses_index(None, 2, len(hay().blob))
         for needle in (b"AB", b"CD", b"XY"):
-            assert list(sparse.lookup(hay(), None, needle, 1)) == list(
-                dense.lookup(hay(), None, needle, 1)
+            assert sparse.lookup_grouped(hay(), None, needle, 1) is None
+            assert flat_hits(sparse, hay(), needle, 1) == flat_hits(
+                dense, hay(), needle, 1
+            ), needle
+            assert list(sparse.lookup_records(hay(), needle)) == list(
+                dense.lookup_records(hay(), needle)
             ), needle
 
 
@@ -108,27 +123,6 @@ class TestRouting:
 
 
 class TestCaches:
-    def test_kernel_registry_lru_and_metrics(self):
-        clear_automaton_cache()
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            first = scan_automaton(("t", 1), lambda: object())
-            again = scan_automaton(("t", 1), lambda: object())
-        assert first is again
-        assert registry.counter("kernels.automaton.miss").value == 1
-        assert registry.counter("kernels.automaton.hit").value == 1
-        assert registry.histogram(
-            "kernels.automaton.build_seconds"
-        ).count == 1
-        # Eviction: oldest entries leave at capacity.
-        for extra in range(AUTOMATON_CACHE_CAPACITY):
-            scan_automaton(("t", "fill", extra), lambda: object())
-        assert automaton_cache_size() == AUTOMATON_CACHE_CAPACITY
-        refreshed = scan_automaton(("t", 1), lambda: object())
-        assert refreshed is not first  # evicted, rebuilt
-        clear_automaton_cache()
-        assert automaton_cache_size() == 0
-
     def test_gram_index_memo_and_metrics(self):
         haystack = hay()
         registry = MetricsRegistry()
@@ -151,13 +145,54 @@ class TestCaches:
         assert index.memory_bytes() > 0
         assert haystack.memory_bytes() >= base + index.memory_bytes()
 
-    def test_plans_and_needles_automata_cached_by_value(self):
-        clear_automaton_cache()
-        a = needles_automaton((b"AB", b"CD"))
-        b = needles_automaton((b"AB", b"CD"))
-        c = needles_automaton((b"AB",))
-        assert a is b
-        assert c is not a
+    def test_matchers_compile_their_automaton_once(self, monkeypatch):
+        """One compile per matcher instance, shared by every bucket it
+        scans — and none at all until a bucket-level scan asks."""
+        from repro.core import compressed_index, search
+
+        compiles = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(needles):
+                compiles.append(name)
+                return real(needles)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(search, "plans_automaton")
+        counting(compressed_index, "needles_automaton")
+        plan = search.SearchPlan(
+            pattern=b"AB", needles={(0, 0): (b"AB",)},
+            piece_width=1, sites=1, group_count=1,
+            alignments=(0,), required_groups=1,
+        )
+        codec = search.IndexKeyCodec(site_bits=0, group_bits=0)
+        matchers = [
+            search.PlanScanMatcher(plan, codec),
+            search.MultiPlanScanMatcher(
+                [plan], codec, lambda index, hit: (index, hit)
+            ),
+            compressed_index.CompressedScanMatcher((b"AB", b"CD")),
+            compressed_index.MultiCompressedScanMatcher(
+                ((b"AB",), (b"CD",))
+            ),
+        ]
+        assert compiles == []
+        for matcher in matchers:
+            first = matcher.match_bucket(hay())
+            assert matcher.match_bucket(hay()) == first
+        assert sorted(compiles) == [
+            "needles_automaton", "needles_automaton",
+            "plans_automaton", "plans_automaton",
+        ]
+
+    def test_needles_automaton_counts_distinct_needles(self):
+        repeated = needles_automaton(
+            (b"AB",) * INDEX_MIN_NEEDLES
+        )
+        assert not repeated.uses_index(None, 2, 100)
 
     def test_plan_signature_is_hashable_and_value_stable(self):
         from repro.core.search import SearchPlan
@@ -174,4 +209,7 @@ class TestCaches:
         )
         assert plan_signature(plan) == plan_signature(twin)
         assert hash(plan_signature(plan)) == hash(plan_signature(twin))
-        assert plans_automaton([plan]) is plans_automaton([twin])
+        # Needles repeated across plans count once in the lane census.
+        assert not plans_automaton(
+            [plan, twin] * INDEX_MIN_NEEDLES
+        ).uses_index((0, 0), 1, 100)

@@ -19,7 +19,9 @@ from repro.core import (
     FrequencyEncoder,
     SchemeParameters,
 )
-from repro.core.search import PlanScanMatcher
+from repro.core.automaton import plans_automaton
+from repro.core.search import PlanScanMatcher, bucket_plan_hits
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import LHStarFile
 from repro.sdds.records import Record
@@ -51,7 +53,7 @@ GRID = [
 ]
 
 
-def build_store(make, fast_path, bucket_capacity=8, automaton=True):
+def build_store(make, fast_path, bucket_capacity=8):
     params, n_codes = make()
     encoder = (
         FrequencyEncoder.train(
@@ -63,7 +65,7 @@ def build_store(make, fast_path, bucket_capacity=8, automaton=True):
     )
     store = EncryptedSearchableStore(
         params, encoder=encoder, bucket_capacity=bucket_capacity,
-        fast_path=fast_path, automaton=automaton,
+        fast_path=fast_path,
     )
     for rid, text in enumerate(TEXTS):
         store.put(rid, text)
@@ -217,84 +219,89 @@ class TestCompressedEquivalence:
 
 
 class TestAutomatonEquivalence:
-    """Three-rung ladder: automaton ≡ per-needle ≡ scalar.
+    """Fast path (batched scans through the compiled automaton, which
+    picks gram index or per-needle sweep per lane) ≡ scalar reference.
 
-    ``automaton=False`` pins batched scans to the per-needle sweeps
-    (the middle rung); ``fast_path=False`` pins the scalar per-record
-    loop.  Answers and wire costs must be byte-identical across all
-    three on every layout, for single searches and ``search_batch``.
+    ``fast_path=False`` pins the scalar per-record loop.  Answers and
+    wire costs must be byte-identical on every layout, for single
+    searches and ``search_batch``; the per-needle sweep keeps its own
+    direct check at function level (``bucket_plan_hits`` without an
+    automaton).
     """
 
-    def _ladder(self, make):
+    def _pair(self, make):
         return (
-            build_store(make, fast_path=True, automaton=True),
-            build_store(make, fast_path=True, automaton=False),
+            build_store(make, fast_path=True),
             build_store(make, fast_path=False),
         )
 
     @pytest.mark.parametrize("make", GRID)
     def test_search_grid(self, make):
-        automaton, per_needle, scalar = self._ladder(make)
-        minimum = automaton.params.min_query_length
-        patterns = [p for p in PATTERNS if len(p) >= minimum]
-        assert patterns, "grid entry left no searchable pattern"
-        for pattern in patterns:
-            a, b, c = (
-                store.search(pattern)
-                for store in (automaton, per_needle, scalar)
-            )
-            assert a.candidates == b.candidates == c.candidates, pattern
-            assert a.matches == b.matches == c.matches, pattern
-            assert a.cost.bytes == b.cost.bytes == c.cost.bytes, pattern
-            assert a.cost.messages == b.cost.messages == (
-                c.cost.messages
-            ), pattern
-        assert automaton.network.stats.bytes == (
-            per_needle.network.stats.bytes
-        ) == scalar.network.stats.bytes
+        fast, scalar = self._pair(make)
+        assert_stores_agree(fast, scalar)
+        assert fast.network.stats.bytes == scalar.network.stats.bytes
 
     @pytest.mark.parametrize("make", GRID)
     def test_search_batch_grid(self, make):
-        automaton, per_needle, scalar = self._ladder(make)
-        minimum = automaton.params.min_query_length
+        fast, scalar = self._pair(make)
+        minimum = fast.params.min_query_length
         patterns = [p for p in PATTERNS if len(p) >= minimum]
         results = [
-            store.search_batch(patterns)
-            for store in (automaton, per_needle, scalar)
+            store.search_batch(patterns) for store in (fast, scalar)
         ]
         for pattern in patterns:
-            a, b, c = (per_store[pattern] for per_store in results)
-            assert a.candidates == b.candidates == c.candidates, pattern
-            assert a.matches == b.matches == c.matches, pattern
-            assert a.cost.bytes == b.cost.bytes == c.cost.bytes, pattern
-            assert a.cost.messages == b.cost.messages == (
-                c.cost.messages
-            ), pattern
+            a, b = (per_store[pattern] for per_store in results)
+            assert a.candidates == b.candidates, pattern
+            assert a.matches == b.matches, pattern
+            assert a.cost.bytes == b.cost.bytes, pattern
+            assert a.cost.messages == b.cost.messages, pattern
+
+    @pytest.mark.parametrize("make", GRID)
+    def test_per_needle_sweep_matches_compiled_automaton(self, make):
+        """``bucket_plan_hits`` without an automaton (every needle a
+        ``find_all`` sweep) ≡ with the compiled one, over a batch large
+        enough that lanes cross the gram-index threshold."""
+        store = build_store(make, fast_path=True, bucket_capacity=1024)
+        minimum = store.params.min_query_length
+        plans = [
+            store.pipeline.plan_query(p.encode("ascii"))
+            for p in PATTERNS if len(p) >= minimum
+        ]
+        compiled = plans_automaton(plans)
+        haystack = BucketHaystack({
+            record.rid: record
+            for record in store.index_file.all_records()
+        })
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            for plan in plans:
+                assert bucket_plan_hits(
+                    plan, haystack, store.key_codec, compiled
+                ) == bucket_plan_hits(
+                    plan, haystack, store.key_codec, automaton=None
+                ), plan.pattern
+        # Both routes really ran: the compiled side built gram indexes.
+        assert registry.counter("lh.haystack.automaton.build").value > 0
 
     def test_mutations_invalidate_gram_indexes(self):
         """The gram index lives in the haystack's view memo, so any
         record mutation must drop it with the haystack."""
-        make = GRID[1]
-        automaton, per_needle, scalar = self._ladder(make)
-        for store in (automaton, per_needle, scalar):
+        fast, scalar = self._pair(GRID[1])
+        for store in (fast, scalar):
             store.search_batch(["SCHWARZ ", "WITOLD 12"])  # indexes built
             store.put(99, "FRESH RECORD ONE")
             store.put(0, "REPLACED CONTENT")
             store.delete(1)
         patterns = ["SCHWARZ ", "FRESH RE", "REPLACED", "WITOLD 12"]
-        assert_stores_agree(automaton, per_needle, patterns)
-        assert_stores_agree(automaton, scalar, patterns)
+        assert_stores_agree(fast, scalar, patterns)
 
     def test_compressed_ladder_and_batch(self):
         corpus = [t.encode("ascii") for t in TEXTS]
         stores = [
             CompressedSearchStore(b"csi-auto", corpus,
                                   bucket_capacity=4,
-                                  fast_path=fast_path,
-                                  automaton=automaton)
-            for fast_path, automaton in (
-                (True, True), (True, False), (False, True),
-            )
+                                  fast_path=fast_path)
+            for fast_path in (True, False)
         ]
         for store in stores:
             for rid, text in enumerate(TEXTS):
@@ -305,16 +312,14 @@ class TestAutomatonEquivalence:
         ]
         batches = [store.search_batch(patterns) for store in stores]
         for pattern in patterns:
-            a, b, c = (per_store[pattern] for per_store in singles)
-            assert a.candidates == b.candidates == c.candidates, pattern
-            assert a.matches == b.matches == c.matches, pattern
-            assert a.cost.bytes == b.cost.bytes == c.cost.bytes, pattern
-            x, y, z = (per_store[pattern] for per_store in batches)
-            assert x.candidates == y.candidates == z.candidates, pattern
-            assert x.matches == y.matches == z.matches, pattern
-            assert x.candidates == a.candidates, pattern
-            assert x.matches == a.matches, pattern
-            assert x.cost.bytes == y.cost.bytes == z.cost.bytes, pattern
+            a, b = (per_store[pattern] for per_store in singles)
+            assert a.candidates == b.candidates, pattern
+            assert a.matches == b.matches, pattern
+            assert a.cost.bytes == b.cost.bytes, pattern
+            x, y = (per_store[pattern] for per_store in batches)
+            assert x.candidates == y.candidates == a.candidates, pattern
+            assert x.matches == y.matches == a.matches, pattern
+            assert x.cost.bytes == y.cost.bytes, pattern
 
     def test_word_store_batch_matches_singles(self):
         stores = [
@@ -414,7 +419,7 @@ class TestMergeInvalidation:
     def test_multi_needle_automaton_across_split_and_merge(self):
         """Enough same-length needles to engage the gram index, swept
         across splits and merges: the index must die with each stale
-        haystack, matching the per-needle and scalar rungs exactly."""
+        haystack, matching the scalar per-record matcher exactly."""
         from repro.core.compressed_index import (
             MultiCompressedScanMatcher,
         )
@@ -424,7 +429,6 @@ class TestMergeInvalidation:
         )  # 5 needles of one length on the shared lane: index engaged
         ladder = [
             MultiCompressedScanMatcher(groups),
-            MultiCompressedScanMatcher(groups, automaton=False),
             MultiCompressedScanMatcher(groups, batched=False),
         ]
         file = LHStarFile(name="auto-churn", bucket_capacity=4,
@@ -435,12 +439,12 @@ class TestMergeInvalidation:
             sorted(file.scan(matcher, request_size=16))
             for matcher in ladder
         ]
-        assert first[0] == first[1] == first[2]
+        assert first[0] == first[1]
         for rid in range(24):        # force merges
             file.delete(rid)
         after = [
             sorted(file.scan(matcher, request_size=16))
             for matcher in ladder
         ]
-        assert after[0] == after[1] == after[2]
+        assert after[0] == after[1]
         assert [rid for rid, _groups in after[0]] == list(range(24, 32))

@@ -16,6 +16,10 @@ and routing helpers at the top run everywhere.
 
 from __future__ import annotations
 
+import contextlib
+import signal
+import time
+
 import pytest
 
 from repro.core import EncryptedSearchableStore, SchemeParameters
@@ -105,6 +109,40 @@ class TestClusterConfig:
         assert peer_of(("coordinator", "f")) == ("coordinator",)
         assert peer_of(("client", "f", 0)) is None
         assert peer_of("opaque") is None
+
+
+class TestSiteHandlerFailures:
+    """``SiteServer.deliver`` swallows handler exceptions to keep the
+    site serving; it must count them and keep the first one for the
+    census (in-process, no sockets)."""
+
+    def test_deliver_records_first_failure_for_the_census(self):
+        from repro.net.serve import SiteServer
+        from repro.net.simulator import Message, Node
+
+        class Exploding(Node):
+            def handle(self, message):
+                raise KeyError(message.payload["n"])
+
+        server = SiteServer(
+            "bucket", 0, ClusterConfig("127.0.0.1", 9000, [9001])
+        )
+        node = server.network.attach(Exploding(("bucket", "f", 0)))
+        census = server._dispatch_ctrl("census", {}, None)
+        assert census["handler_failures"] == 0
+        assert census["first_failure"] is None
+        for n, kind in enumerate(["scan", "lookup"]):
+            server.deliver(Message(
+                src=("client", "f", 0), dst=node.node_id, kind=kind,
+                payload={"n": n},
+            ))
+        census = server._dispatch_ctrl("census", {}, None)
+        assert census["handler_failures"] == 2
+        assert census["first_failure"] == (
+            repr(node.node_id), "scan", "KeyError(0)"
+        )
+        # Failed deliveries still count: the census stays conserved.
+        assert census["delivered"] == 2
 
 
 @pytest.mark.parametrize(
@@ -360,6 +398,78 @@ class TestStartupHardening:
         for proc in spawned:
             assert proc.poll() is not None, "orphan site process"
         assert not cluster._procs
+
+
+@contextlib.contextmanager
+def one_bucket_cluster(seconds=30):
+    """A one-bucket live cluster under a hard deadline: SIGALRM aborts
+    a hung episode, and the ``with`` tears the site processes down on
+    every exit path — cheap and safe enough to run in tier-1."""
+    from repro.net.live import LiveCluster
+
+    def expired(signum, frame):
+        raise TimeoutError(f"live smoke exceeded {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    procs = []
+    try:
+        with LiveCluster(buckets=1) as cluster:
+            procs = list(cluster._procs.values())
+            yield cluster
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for proc in procs:
+            assert proc.poll() is not None, "orphan site process"
+
+
+class TestLiveScanSmoke:
+    """Tier-1 (not behind ``REPRO_LIVE_TESTS``): one real scan round
+    over sockets, so a break of the live search path cannot hide
+    behind the opt-in suites again."""
+
+    @staticmethod
+    def episode(network):
+        store = EncryptedSearchableStore(
+            SchemeParameters.full(4), network=network,
+            bucket_capacity=64, name="smoke",
+        )
+        for rid in range(3):
+            store.put(rid, TEXTS[rid])
+        result = store.search("alpha")
+        return (sorted(result.candidates), sorted(result.matches),
+                result.cost, network.stats.snapshot())
+
+    def test_one_bucket_scan_matches_simulator(self):
+        with one_bucket_cluster() as cluster:
+            live_answer = self.episode(cluster.connect(run_timeout=10))
+        assert live_answer == self.episode(Network())
+        assert live_answer[1] == [0]
+        assert live_answer[3].by_kind["scan"] > 0
+
+    def test_site_handler_failure_surfaces_fast(self):
+        """A matcher that raises inside the bucket process must come
+        back as a typed error naming site, kind and exception — not as
+        a quiescence timeout after the retry timers ran out."""
+        from repro.core.compressed_index import CompressedScanMatcher
+        from repro.net.live import LiveBackendError
+        from repro.sdds.lhstar import LHStarFile
+
+        with one_bucket_cluster() as cluster:
+            network = cluster.connect(run_timeout=20)
+            file = LHStarFile(name="boom", network=network,
+                              bucket_capacity=64)
+            file.insert(1, b"payload")
+            started = time.monotonic()
+            with pytest.raises(LiveBackendError) as raised:
+                # An empty needle is rejected by the haystack sweep.
+                file.scan(CompressedScanMatcher((b"",)), request_size=1)
+            assert time.monotonic() - started < 5
+        message = str(raised.value)
+        assert "('bucket', 0)" in message
+        assert "'scan'" in message
+        assert "ValueError" in message
 
 
 @live

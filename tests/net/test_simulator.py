@@ -254,6 +254,24 @@ class TestStats:
         net.stats.reset()
         assert net.stats.messages == 0
 
+    def test_equality_is_field_wise(self):
+        """Sim-vs-live parity suites compare whole stats objects: every
+        billed field must take part, not object identity."""
+        from dataclasses import asdict, replace
+
+        from repro.net.stats import NetworkStats
+
+        assert NetworkStats() == NetworkStats()
+        for name, value in asdict(NetworkStats()).items():
+            if isinstance(value, int):
+                assert replace(NetworkStats(), **{name: 1}) != (
+                    NetworkStats()
+                ), name
+        billed = NetworkStats()
+        billed.record("scan", 8)
+        assert billed != NetworkStats()
+        assert billed == billed.snapshot()
+
 
 class TestLatencyModel:
     def test_formula(self):
