@@ -9,6 +9,11 @@ only client actors locally; ``attach`` of a bucket or coordinator
 turns into an (unbilled) control message to the hosting site, and the
 local protocol object stays behind as an inert shadow.
 
+Billing, fault rolls and the delivery checks are not re-implemented
+here: :class:`LiveNetwork` is a carrier over the simulator's
+:class:`~repro.net.simulator.Transport` gate, exactly like the
+simulated ``Network`` and the sites' ``SiteNetwork``.
+
 ``run()`` keeps the simulator's run-to-quiescence meaning over real
 sockets: pump connections, fire due wall-clock timers, dispatch
 inbound messages — and, once locally idle, take a cluster-wide census
@@ -66,9 +71,11 @@ from repro.net.simulator import (
     Message,
     Node,
     Timer,
-    wire_checksum,
+    Transport,
 )
 from repro.net.stats import NetworkStats
+from repro.sdds.lhstar import LHStarBucket, LHStarCoordinator, LHStarFile
+from repro.sdds.lhstar_rs import LHStarRSFile, ParityBucket
 
 
 class LiveBackendError(ReproError, RuntimeError):
@@ -136,91 +143,59 @@ def _dial(host: str, port: int,
             time.sleep(0.1)
 
 
-class _LiveFaultModel:
+class _LiveFaultModel(FaultModel):
     """The client-side face of cluster-wide fault injection.
 
-    Holds a real seeded :class:`~repro.net.faults.FaultModel` for
-    messages the *client* sends (applied in :meth:`LiveNetwork.send`
-    with the simulator's exact ordering), and re-broadcasts every rate
-    change to all sites through the unbilled ``fault_set`` control
-    verb — each site salts the same seed with its index, so streams
-    are deterministic per (seed, site) and a nemesis retuning
+    A seeded :class:`~repro.net.faults.FaultModel` for the messages
+    the *client* sends, which re-broadcasts every rate change to all
+    sites through the unbilled ``fault_set`` control verb — each site
+    salts the same seed with its index, so streams are deterministic
+    per (seed, site) and a nemesis retuning
     ``network.faults.loss_rate`` works unchanged on sockets."""
 
+    _RATES = frozenset({"loss_rate", "duplication_rate",
+                        "corruption_rate"})
+
     def __init__(self, network: "LiveNetwork", seed: int) -> None:
-        self._network = network
+        super().__init__(seed=seed * 2003 + 1)
+        #: The *cluster* seed — what ``fault_set`` broadcasts.
         self.seed = seed
-        self._local = FaultModel(seed=seed * 2003 + 1)
+        self._network = network
 
-    def _rate(name: str):  # noqa: N805 - property factory
-        def get(self) -> float:
-            return getattr(self._local, name)
-
-        def set(self, value: float) -> None:
-            setattr(self._local, name, value)
+    def __setattr__(self, name: str, value: Any) -> None:
+        super().__setattr__(name, value)
+        if name in self._RATES and "_network" in self.__dict__:
             self._network._broadcast_faults()
 
-        return property(get, set)
 
-    loss_rate = _rate("loss_rate")
-    duplication_rate = _rate("duplication_rate")
-    corruption_rate = _rate("corruption_rate")
-    del _rate
-
-    @property
-    def reliable_kinds(self):
-        return self._local.reliable_kinds
-
-    def applies(self, kind: str) -> bool:
-        return self._local.applies(kind)
-
-    def drops(self) -> bool:
-        return self._local.drops()
-
-    def duplicates(self) -> bool:
-        return self._local.duplicates()
-
-    def corrupts(self) -> bool:
-        return self._local.corrupts()
-
-    def corrupt_bit(self) -> int:
-        return self._local.corrupt_bit()
-
-
-class LiveNetwork:
+class LiveNetwork(Transport):
     """The client-process half of the live transport.
 
-    Implements the simulator's :class:`Network` surface for locally
+    The shared gate over client sockets: ``nodes`` holds the locally
     attached client nodes; bucket and coordinator attachment is
-    forwarded to the hosting processes."""
+    forwarded to the hosting processes, and crash flags, partitions
+    and fault rates are mirrored to every site over the control
+    plane."""
 
     def __init__(self, config: ClusterConfig,
                  run_timeout: float = DEFAULT_RUN_TIMEOUT) -> None:
+        super().__init__()  # no fault model until enable_faults()
         self.config = config
         self.run_timeout = run_timeout
-        self.stats = NetworkStats()
-        self.observer: Any | None = None
-        #: Locally hosted nodes (clients).  Shadow ids of remotely
-        #: hosted nodes are tracked separately.
-        self.nodes: dict[Hashable, Node] = {}
+        #: Ids of remotely hosted nodes attached through this network.
         self._shadows: set[Hashable] = set()
+        #: Arrivals consumed here (handled or billed as dropped).
         self.delivered = 0
-        self.now = 0.0
         #: Latency model; assigning one (the nemesis swaps in a spiked
         #: model) broadcasts its ``extra`` as a sender-side hold to
         #: every site through the ``delay`` control verb.
         self._latency: Any = LatencyModel()
-        #: Fault injection, off until :meth:`enable_faults`.
-        self.faults: _LiveFaultModel | None = None
         #: Optional :class:`~repro.net.faults.CrashFaultModel`,
         #: advanced inside :meth:`run` like the simulator does.
         self.crashes = None
         #: Attached schedules (the chaos nemesis appends itself);
         #: advanced inside :meth:`run` on the wall clock.
         self.schedules: list[Any] = []
-        #: Severed directed links, checked for client-bound arrivals;
-        #: sites hold the same set for their own deliveries.
-        self._partitions: set[tuple] = set()
         #: LH*_RS layout per file name (group_size, parity_count),
         #: learned at attach time; places parity ids on host sites.
         self._rs_params: dict[str, tuple[int, int]] = {}
@@ -233,7 +208,6 @@ class LiveNetwork:
         self._timers: list[tuple[float, int, Timer]] = []
         self._sequence = itertools.count()
         self._tokens = itertools.count(1)
-        self._crashed: set[Hashable] = set()
         #: Last stats snapshot census saw per site, for delta merging.
         self._site_baseline: dict[tuple, NetworkStats] = {}
         #: Bucket addresses whose sites were decommissioned (reaped):
@@ -361,29 +335,8 @@ class LiveNetwork:
                 continue
             self._connect_peer(("bucket", index))
 
-    @staticmethod
-    def _file_params(file: Any) -> dict:
-        from repro.sdds.lhstar_rs import LHStarRSFile
-
-        rs = None
-        if isinstance(file, LHStarRSFile):
-            rs = {"group_size": file.group_size,
-                  "parity_count": file.parity_count}
-        return {
-            "name": file.name,
-            "bucket_capacity": file.bucket_capacity,
-            "shrink": file.shrink,
-            "split_policy": file.split_policy,
-            "load_factor_threshold": file.load_factor_threshold,
-            "merge_threshold": file.merge_threshold,
-            "retry_policy": file.retry_policy,
-            "rs": rs,
-        }
-
     def _register_rs(self, file: Any) -> None:
-        from repro.sdds.lhstar_rs import LHStarRSFile
-
-        if not isinstance(file, LHStarRSFile):
+        if file.rs is None:
             return
         if file.parity_count > file.group_size:
             raise LiveUnsupportedError(
@@ -392,21 +345,11 @@ class LiveNetwork:
                                       file.parity_count)
 
     def attach(self, node: Node) -> Node:
-        from repro.sdds.lhstar import (
-            LHStarBucket,
-            LHStarCoordinator,
-            LHStarFile,
-        )
-        from repro.sdds.lhstar_rs import LHStarRSFile, ParityBucket
-
         node_id = node.node_id
         family = node_id[0] if (isinstance(node_id, tuple)
                                 and node_id) else None
         if family == "client":
-            if node_id in self.nodes:
-                raise ValueError(f"duplicate node id {node_id!r}")
-            node.network = self
-            self.nodes[node_id] = node
+            super().attach(node)
             for key in list(self._conns):
                 self._roundtrip(key, {"ctrl": "register_client",
                                       "node": node_id})
@@ -424,7 +367,7 @@ class LiveNetwork:
                 "address": node.address,
                 "level": node.level,
                 "pending": node.pending,
-                **self._file_params(file),
+                **file.params(),
             })
             node.network = self
             self._shadows.add(node_id)
@@ -442,7 +385,7 @@ class LiveNetwork:
                 "ctrl": "create_parity",
                 "group": node.group,
                 "index": node.index,
-                **self._file_params(file),
+                **file.params(),
             })
             node.network = self
             self._shadows.add(node_id)
@@ -460,7 +403,7 @@ class LiveNetwork:
             self._register_rs(file)
             self._roundtrip(("coordinator",), {
                 "ctrl": "create_coordinator",
-                **self._file_params(file),
+                **file.params(),
             })
             node.network = self
             self._shadows.add(node_id)
@@ -470,13 +413,10 @@ class LiveNetwork:
             f"{UNSUPPORTED_SCOPE['node_family']}")
 
     def detach(self, node_id: Hashable) -> None:
-        if node_id in self.nodes:
-            self.nodes.pop(node_id).network = None
-            return
         if node_id in self._shadows:
             self._shadows.discard(node_id)
-            return
-        raise UnknownNodeError(f"unknown node {node_id!r}")
+        else:
+            super().detach(node_id)
 
     def __contains__(self, node_id: Hashable) -> bool:
         return node_id in self.nodes or node_id in self._shadows
@@ -525,101 +465,40 @@ class LiveNetwork:
         self._crashed.discard(node_id)
         return bool(reply["was_crashed"])
 
-    def is_crashed(self, node_id: Hashable) -> bool:
-        return node_id in self._crashed
-
     # -- partitions ------------------------------------------------------
 
     def partition(self, group_a: Any, group_b: Any,
-                  symmetric: bool = True) -> None:
-        """Sever directed links cluster-wide (simulator semantics:
-        the message is billed at send and dies, as
-        ``partitioned_drops``, at the delivering site)."""
-        from repro.net.simulator import Network
-
-        links = []
-        for a in Network._as_group(group_a):
-            for b in Network._as_group(group_b):
-                if a == b:
-                    continue
-                links.append((a, b))
-                if symmetric:
-                    links.append((b, a))
-        self._partitions.update(links)
+                  symmetric: bool = True) -> list[tuple]:
+        """Sever directed links cluster-wide: the gate of whichever
+        process delivers a message drops it as ``partitioned_drops``,
+        so every site mirrors this network's table."""
+        links = super().partition(group_a, group_b, symmetric)
         self._broadcast({"ctrl": "partition",
                          "links": [list(link) for link in links]})
+        return links
 
     def heal(self, group_a: Any | None = None,
              group_b: Any | None = None,
-             symmetric: bool = True) -> None:
-        from repro.net.simulator import Network
-
-        if group_a is None and group_b is None:
-            self._partitions.clear()
+             symmetric: bool = True) -> list[tuple] | None:
+        links = super().heal(group_a, group_b, symmetric)
+        if links is None:
             self._broadcast({"ctrl": "heal", "all": True})
-            return
-        if group_a is None or group_b is None:
-            raise ValueError("heal takes no groups or both groups")
-        links = []
-        for a in Network._as_group(group_a):
-            for b in Network._as_group(group_b):
-                links.append((a, b))
-                if symmetric:
-                    links.append((b, a))
-        self._partitions.difference_update(links)
-        self._broadcast({"ctrl": "heal",
-                         "links": [list(link) for link in links]})
-
-    def is_partitioned(self, src: Hashable, dst: Hashable) -> bool:
-        return (src, dst) in self._partitions
+        else:
+            self._broadcast({"ctrl": "heal",
+                             "links": [list(link) for link in links]})
+        return links
 
     # -- messaging -------------------------------------------------------
 
     def send(self, src: Hashable, dst: Hashable, kind: str,
              payload: dict | None = None, size: int = 64,
              hops: int = 0) -> Message:
-        """Bill, apply client-side faults, and ship one message.
-        Billing happens here, at the declared size — the same
-        accounting point (and the same fault ordering) as the
-        simulator.  A dropped message is billed but never shipped."""
-        payload = payload or {}
-        self.stats.record(kind, size)
-        if self.observer is not None:
-            self.observer.on_send(kind, size)
-        faults = self.faults
-        copies = 1
-        base_checksum = 0
-        if faults is not None and faults.applies(kind):
-            if faults.drops():
-                self.stats.dropped += 1
-                if self.observer is not None:
-                    self.observer.on_drop(kind, size)
-                return Message(src=src, dst=dst, kind=kind,
-                               payload=payload, size=size, hops=hops,
-                               send_time=self.now,
-                               arrival_time=float("inf"))
-            if faults.duplicates():
-                copies = 2
-            if faults.corruption_rate > 0:
-                base_checksum = wire_checksum(kind, payload, size)
-        first: Message | None = None
-        for copy in range(copies):
-            if copy:
-                self.stats.record(kind, size)
-                self.stats.duplicated += 1
-                if self.observer is not None:
-                    self.observer.on_send(kind, size)
-            checksum = base_checksum
-            if base_checksum and faults.corrupts():
-                checksum ^= 1 << faults.corrupt_bit()
-                if checksum == 0:
-                    checksum = 0xFFFFFFFF
-            message = Message(src=src, dst=dst, kind=kind,
-                              payload=payload, size=size, hops=hops,
-                              send_time=self.now, checksum=checksum)
+        """Bill and roll client-side faults at the gate, then ship
+        each copy.  A dropped message is billed but never shipped."""
+        first, copies = self._outgoing(
+            src, dst, kind, payload or {}, size, hops)
+        for message in copies:
             self._ship(message)
-            if first is None:
-                first = message
         return first
 
     def _ship(self, message: Message) -> None:
@@ -742,37 +621,14 @@ class LiveNetwork:
         return self._timers[0][0]
 
     def _dispatch_inbox(self) -> bool:
-        progress = False
+        progress = bool(self._inbox)
         while self._inbox:
             message = self._inbox.pop(0)
-            progress = True
             self.now = max(self.now, self._mono())
-            if (message.src, message.dst) in self._partitions:
-                # Same rule the sites apply: the link was severed when
-                # the message would have arrived.
-                self.stats.partitioned_drops += 1
-                if self.observer is not None:
-                    self.observer.on_drop(message.kind, message.size)
-                self.delivered += 1
-                continue
-            node = self.nodes.get(message.dst)
-            if node is None:
-                # Meanwhile-detached client: the message crossed the
-                # wire and dies here, billed like the simulator.
-                self.stats.crashed_drops += 1
-                self.delivered += 1
-                continue
-            if message.checksum and message.checksum != wire_checksum(
-                    message.kind, message.payload, message.size):
-                self.stats.corrupted += 1
-                self.delivered += 1
-                continue
+            node = self._admit(message)
             self.delivered += 1
-            if self.observer is not None:
-                self.observer.on_deliver(
-                    message.kind, message.size,
-                    self.now - message.send_time)
-            node.handle(message)
+            if node is not None:
+                node.handle(message)
         return progress
 
     def _service(self, timeout: float) -> bool:
@@ -814,18 +670,8 @@ class LiveNetwork:
         local stats object (additive, so the client's own billing —
         including its direct ``retries`` bumps — is preserved)."""
         baseline = self._site_baseline.get(key)
-        delta = snapshot.diff(baseline) if baseline else snapshot
+        self.stats.add(snapshot.diff(baseline) if baseline else snapshot)
         self._site_baseline[key] = snapshot
-        self.stats.messages += delta.messages
-        self.stats.bytes += delta.bytes
-        self.stats.by_kind.update(delta.by_kind)
-        self.stats.bytes_by_kind.update(delta.bytes_by_kind)
-        self.stats.dropped += delta.dropped
-        self.stats.duplicated += delta.duplicated
-        self.stats.retries += delta.retries
-        self.stats.crashed_drops += delta.crashed_drops
-        self.stats.partitioned_drops += delta.partitioned_drops
-        self.stats.corrupted += delta.corrupted
 
     def _site_census(self, key: tuple) -> dict:
         """One site's census reply, its stats growth merged — and a

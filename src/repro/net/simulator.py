@@ -1,7 +1,10 @@
 """The discrete-event message-passing core.
 
 Protocol actors subclass :class:`Node` and exchange :class:`Message`
-objects through a :class:`Network`.  Delivery is deterministic: events
+objects through a :class:`Network`.  What a message is billed and
+whether it survives is decided by :class:`Transport`, the gate the
+socket backends (:mod:`repro.net.live`, :mod:`repro.net.serve`) share
+with this simulator.  Delivery is deterministic: events
 are ordered by (arrival time, sequence number), and the latency model
 is a pure function of message size.  Running the loop to quiescence
 (:meth:`Network.run`) executes a whole protocol exchange; the simulated
@@ -65,10 +68,11 @@ def _stable_bytes(value: Any) -> bytes:
 def wire_checksum(kind: str, payload: dict[str, Any], size: int) -> int:
     """The lightweight wire checksum of one message (CRC-32).
 
-    Stamped by :meth:`Network.send` whenever payload corruption is
-    possible and re-computed at delivery: a mismatch means the payload
-    was damaged in flight, and the receiver discards the message (the
-    sender's timeout/retry path redelivers).  Never zero — zero is the
+    Stamped by :meth:`Transport._outgoing` whenever payload corruption
+    is possible and re-computed by :meth:`Transport._admit` at
+    delivery: a mismatch means the payload was damaged in flight, and
+    the receiver discards the message (the sender's timeout/retry path
+    redelivers).  Never zero — zero is the
     "not stamped" sentinel on :class:`Message`.
     """
     return zlib.crc32(_stable_bytes((kind, size, payload))) or 1
@@ -186,7 +190,7 @@ class Node:
 
     def __init__(self, node_id: Hashable) -> None:
         self.node_id = node_id
-        self.network: "Network | None" = None
+        self.network: "Transport | None" = None
 
     def handle(self, message: Message) -> None:
         raise NotImplementedError
@@ -207,49 +211,39 @@ class Node:
         )
 
 
-class Network:
-    """The event loop: attach nodes, send messages, run to quiescence."""
+class Transport:
+    """The one delivery gate under every backend.
 
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        faults: "FaultModel | None" = None,
-        crashes: "CrashFaultModel | None" = None,
-    ) -> None:
-        self.latency = latency or LatencyModel()
+    Owns what decides a message's fate — the node table, the billed
+    :class:`~repro.net.stats.NetworkStats`, the observer, the fault
+    model, crash flags with their frozen timers, and the partition
+    table — and the two halves of the gate: :meth:`_outgoing` (bill
+    and roll send-side faults) and :meth:`_admit` (partition, dead
+    destination and checksum checks at delivery).  :class:`Network`,
+    :class:`repro.net.live.LiveNetwork` and
+    :class:`repro.net.serve.SiteNetwork` are carriers: they only move
+    what :meth:`_outgoing` hands them (event heap, client sockets, site
+    routing) and feed arrivals to :meth:`_admit`, so billing and fault
+    semantics are the same code on the simulator and on sockets.
+    """
+
+    def __init__(self, faults: "FaultModel | None" = None) -> None:
         #: Optional fault injector (see :mod:`repro.net.faults`).
         #: ``None`` — and a model with zero rates — means perfectly
         #: reliable delivery, bit-identical to the historic behaviour.
         self.faults = faults
-        #: Optional crash schedule (see
-        #: :class:`repro.net.faults.CrashFaultModel`).  Consulted
-        #: lazily by :meth:`run` as the clock advances, so crash and
-        #: restore events interleave with the workload instead of
-        #: being drained up front by the first run-to-quiescence.
-        self.crashes = crashes
-        #: Additional lazily-advanced fault schedules (duck-typed:
-        #: ``advance(network, until)``), consulted exactly like
-        #: :attr:`crashes` before each queued event — this is where a
-        #: :class:`repro.chaos.nemesis.Nemesis` plugs in.
-        self.schedules: list[Any] = []
         #: Optional observability hook (duck-typed; see
         #: :class:`repro.obs.metrics.NetworkMetricsObserver`): called
         #: as ``on_send(kind, size)`` for every message charged to the
-        #: wire, ``on_drop(kind, size)`` when the fault model eats one,
-        #: and ``on_deliver(kind, size, latency)`` on delivery.  The
-        #: hot paths guard every call with a ``None`` check, so an
-        #: unobserved network pays nothing.
+        #: wire, ``on_drop(kind, size)`` when a fault, a severed link
+        #: or a dead destination eats one, and
+        #: ``on_deliver(kind, size, latency)`` on delivery.  Every call
+        #: is guarded by a ``None`` check, so an unobserved network
+        #: pays nothing.
         self.observer: Any | None = None
         self.nodes: dict[Hashable, Node] = {}
         self.stats = NetworkStats()
         self.now = 0.0
-        self._queue: list[tuple[float, int, Message]] = []
-        self._sequence = itertools.count()
-        self.delivered: int = 0
-        # Pairwise FIFO (TCP semantics): two messages on the same
-        # (src, dst) link are never reordered, whatever the latency
-        # model says.  Cross-link reordering remains free.
-        self._link_clock: dict[tuple[Hashable, Hashable], float] = {}
         #: Node ids currently crashed (see :meth:`crash`).
         self._crashed: set[Hashable] = set()
         #: Timers frozen while their owner is down, re-armed on restore.
@@ -272,22 +266,14 @@ class Network:
     def detach(self, node_id: Hashable) -> None:
         if node_id not in self.nodes:
             raise UnknownNodeError(f"unknown node {node_id!r}")
-        node = self.nodes.pop(node_id)
-        node.network = None
-        # Purge per-link FIFO state: a detached node's links are gone,
-        # and a later re-attach under the same id must start fresh
-        # rather than inherit a stale FIFO floor.
-        for link in [
-            link for link in self._link_clock if node_id in link
-        ]:
-            del self._link_clock[link]
+        self.nodes.pop(node_id).network = None
         # A detached node is gone for good: forget its crash flag and
         # drop its frozen timers (their callbacks reference the dead
         # node's state).
         self._crashed.discard(node_id)
         self._frozen_timers.pop(node_id, None)
-        # Partitions are per-link too: a re-attach under the same id
-        # must not inherit a stale severed link.
+        # Partitions are per-link: a re-attach under the same id must
+        # not inherit a stale severed link.
         if self._partitions:
             self._partitions = {
                 link for link in self._partitions
@@ -297,7 +283,7 @@ class Network:
     def __contains__(self, node_id: Hashable) -> bool:
         return node_id in self.nodes
 
-    # -- crash faults ---------------------------------------------------------
+    # -- crash flags and frozen timers ----------------------------------------
 
     def crash(self, node_id: Hashable) -> None:
         """Mark ``node_id`` as crashed.
@@ -305,38 +291,32 @@ class Network:
         The node stays attached (its identity and address survive),
         but messages addressed to it are dropped at delivery time —
         billed as :attr:`~repro.net.stats.NetworkStats.crashed_drops`
-        — and its pending timers are frozen until :meth:`restore`.
+        — and its pending timers are frozen until the carrier's ``restore``.
         Crashing an already-crashed node is a no-op.
         """
         if node_id not in self.nodes:
             raise UnknownNodeError(f"unknown node {node_id!r}")
         self._crashed.add(node_id)
 
-    def restore(self, node_id: Hashable) -> bool:
-        """Bring a crashed node back up.
-
-        Frozen timers owned by the node are re-armed, due no earlier
-        than now (a timeout that "expired" during the outage fires
-        immediately after the reboot).  Returns ``False`` when the
-        node was not crashed or no longer exists.
-        """
-        if node_id not in self._crashed:
-            return False
-        self._crashed.discard(node_id)
-        frozen = self._frozen_timers.pop(node_id, [])
-        if node_id not in self.nodes:
-            return False
-        for timer in frozen:
-            if timer.cancelled:
-                continue
-            timer.when = max(timer.when, self.now)
-            heapq.heappush(
-                self._queue, (timer.when, next(self._sequence), timer)
-            )
-        return True
-
     def is_crashed(self, node_id: Hashable) -> bool:
         return node_id in self._crashed
+
+    def _freeze(self, timer: Timer) -> bool:
+        """Park a due timer whose owner is down; :meth:`_thaw` hands
+        it back.  Returns whether the timer was frozen."""
+        if timer.owner is None or timer.owner not in self._crashed:
+            return False
+        self._frozen_timers.setdefault(timer.owner, []).append(timer)
+        return True
+
+    def _thaw(self, node_id: Hashable) -> list[Timer]:
+        """Clear ``node_id``'s crash flag and return its frozen timers
+        that are still armed, for the carrier to re-arm due now (a
+        timeout that "expired" during the outage fires right after
+        the reboot)."""
+        self._crashed.discard(node_id)
+        return [timer for timer in self._frozen_timers.pop(node_id, ())
+                if not timer.cancelled]
 
     # -- partitions -----------------------------------------------------------
 
@@ -359,12 +339,25 @@ class Network:
             return [group]
         return list(group)
 
+    def _links(
+        self, group_a: Any, group_b: Any, symmetric: bool
+    ) -> list[tuple[Hashable, Hashable]]:
+        links = []
+        for a in self._as_group(group_a):
+            for b in self._as_group(group_b):
+                if a == b:
+                    continue
+                links.append((a, b))
+                if symmetric:
+                    links.append((b, a))
+        return links
+
     def partition(
         self,
         group_a: Any,
         group_b: Any,
         symmetric: bool = True,
-    ) -> None:
+    ) -> list[tuple[Hashable, Hashable]]:
         """Sever the links between ``group_a`` and ``group_b``.
 
         Each argument is a single node id or a collection of node ids
@@ -376,42 +369,204 @@ class Network:
         With ``symmetric=False`` only the a→b direction is severed
         (asymmetric partitions: b can still reach a).  Partitioning is
         idempotent and does not require the ids to be attached.
+        Returns the severed directed links.
         """
-        for a in self._as_group(group_a):
-            for b in self._as_group(group_b):
-                if a == b:
-                    continue
-                self._partitions.add((a, b))
-                if symmetric:
-                    self._partitions.add((b, a))
+        links = self._links(group_a, group_b, symmetric)
+        self._partitions.update(links)
+        return links
 
     def heal(
         self,
         group_a: Any | None = None,
         group_b: Any | None = None,
         symmetric: bool = True,
-    ) -> None:
+    ) -> list[tuple[Hashable, Hashable]] | None:
         """Restore severed links.
 
-        With no arguments every partition heals.  With both groups the
-        exact links :meth:`partition` severed are restored (again
-        direction-aware under ``symmetric=False``).  Healing a link
-        that was never severed is a no-op.
+        With no arguments every partition heals (and ``None`` is
+        returned).  With both groups the exact links :meth:`partition`
+        severed are restored (again direction-aware under
+        ``symmetric=False``) and returned.  Healing a link that was
+        never severed is a no-op.
         """
         if group_a is None and group_b is None:
             self._partitions.clear()
-            return
+            return None
         if group_a is None or group_b is None:
             raise ValueError("heal takes no groups or both groups")
-        for a in self._as_group(group_a):
-            for b in self._as_group(group_b):
-                self._partitions.discard((a, b))
-                if symmetric:
-                    self._partitions.discard((b, a))
+        links = self._links(group_a, group_b, symmetric)
+        self._partitions.difference_update(links)
+        return links
 
     def is_partitioned(self, src: Hashable, dst: Hashable) -> bool:
         """Whether the directed link ``src``→``dst`` is severed."""
         return (src, dst) in self._partitions
+
+    # -- the gate -------------------------------------------------------------
+
+    def _outgoing(
+        self,
+        src: Hashable,
+        dst: Hashable,
+        kind: str,
+        payload: dict[str, Any],
+        size: int,
+        hops: int,
+    ) -> tuple[Message, Iterable[Message]]:
+        """Send-side gate: bill one message and roll its faults.
+
+        Returns ``(first, copies)``: the copies the carrier must ship
+        — none when the fault model dropped the message (charged to
+        the sender, never delivered), two when it duplicated it (the
+        copy hits the wire and is billed too) — and the message
+        ``send`` returns: the first copy, or an undeliverable husk
+        (``arrival_time = inf``) when dropped.
+        """
+        stats = self.stats
+        stats.record(kind, size)
+        observer = self.observer
+        if observer is not None:
+            observer.on_send(kind, size)
+        faults = self.faults
+        if faults is None or not faults.applies(kind):
+            message = Message(src, dst, kind, payload, size, hops,
+                              self.now)
+            return message, (message,)
+        if faults.drops():
+            stats.dropped += 1
+            if observer is not None:
+                observer.on_drop(kind, size)
+            return Message(src, dst, kind, payload, size, hops,
+                           self.now, float("inf")), ()
+        copies = [Message(src, dst, kind, payload, size, hops, self.now)]
+        if faults.duplicates():
+            stats.record(kind, size)
+            stats.duplicated += 1
+            if observer is not None:
+                observer.on_send(kind, size)
+            copies.append(
+                Message(src, dst, kind, payload, size, hops, self.now))
+        if faults.corruption_rate > 0:
+            # Stamp the wire checksum only when corruption is
+            # possible: a zero corruption rate stays byte-identical
+            # to the historic behaviour (no draws, no hashing).
+            stamp = wire_checksum(kind, payload, size)
+            for message in copies:
+                message.checksum = stamp
+                if faults.corrupts():
+                    # A payload bit flipped in flight: model it by
+                    # damaging the stamp instead of the (Python-object)
+                    # payload, so delivery-time verification fails
+                    # exactly as it would for a real flipped byte.  A
+                    # flip that collides with the stamp must not revert
+                    # to the "not stamped" sentinel.
+                    message.checksum = (
+                        stamp ^ (1 << faults.corrupt_bit())
+                    ) or 0xFFFFFFFF
+        return copies[0], copies
+
+    def _admit(self, message: Message) -> Node | None:
+        """Delivery-side gate: the node that must handle ``message``,
+        or ``None`` after billing why it died on arrival."""
+        dst = message.dst
+        if (message.src, dst) in self._partitions:
+            # The link was severed at the instant the message would
+            # have arrived: the datagram dies on the cut cable.
+            self.stats.partitioned_drops += 1
+        elif dst in self._crashed:
+            self.stats.crashed_drops += 1
+        elif dst not in self.nodes:
+            return self._unknown_destination(message)
+        elif message.checksum and message.checksum != wire_checksum(
+            message.kind, message.payload, message.size
+        ):
+            # The stamp no longer matches the payload: corruption in
+            # flight.  The receiver discards the message and the
+            # sender's timeout/retry path pays for the redelivery —
+            # corruption degrades cost, never correctness.
+            self.stats.corrupted += 1
+        else:
+            if self.observer is not None:
+                self.observer.on_deliver(
+                    message.kind, message.size,
+                    self.now - message.send_time,
+                )
+            return self.nodes[dst]
+        if self.observer is not None:
+            self.observer.on_drop(message.kind, message.size)
+        return None
+
+    def _unknown_destination(self, message: Message) -> None:
+        """``message`` arrived for a node this transport does not
+        hold (detached meanwhile): it crossed the wire and dies at
+        the dead host's door, like one for a crashed node.  Billed so
+        no recovery byte goes missing from the accounting."""
+        self.stats.crashed_drops += 1
+        if self.observer is not None:
+            self.observer.on_drop(message.kind, message.size)
+
+
+class Network(Transport):
+    """The event loop: attach nodes, send messages, run to quiescence."""
+
+    def __init__(
+        self,
+        latency: LatencyModel | None = None,
+        faults: "FaultModel | None" = None,
+        crashes: "CrashFaultModel | None" = None,
+    ) -> None:
+        super().__init__(faults)
+        self.latency = latency or LatencyModel()
+        #: Optional crash schedule (see
+        #: :class:`repro.net.faults.CrashFaultModel`).  Consulted
+        #: lazily by :meth:`run` as the clock advances, so crash and
+        #: restore events interleave with the workload instead of
+        #: being drained up front by the first run-to-quiescence.
+        self.crashes = crashes
+        #: Additional lazily-advanced fault schedules (duck-typed:
+        #: ``advance(network, until)``), consulted exactly like
+        #: :attr:`crashes` before each queued event — this is where a
+        #: :class:`repro.chaos.nemesis.Nemesis` plugs in.
+        self.schedules: list[Any] = []
+        self._queue: list[tuple[float, int, Message]] = []
+        self._sequence = itertools.count()
+        self.delivered: int = 0
+        # Pairwise FIFO (TCP semantics): two messages on the same
+        # (src, dst) link are never reordered, whatever the latency
+        # model says.  Cross-link reordering remains free.
+        self._link_clock: dict[tuple[Hashable, Hashable], float] = {}
+
+    def detach(self, node_id: Hashable) -> None:
+        super().detach(node_id)
+        # Purge per-link FIFO state: a detached node's links are gone,
+        # and a later re-attach under the same id must start fresh
+        # rather than inherit a stale FIFO floor.
+        for link in [
+            link for link in self._link_clock if node_id in link
+        ]:
+            del self._link_clock[link]
+
+    # -- crash faults ---------------------------------------------------------
+
+    def restore(self, node_id: Hashable) -> bool:
+        """Bring a crashed node back up.
+
+        Frozen timers owned by the node are re-armed, due no earlier
+        than now (a timeout that "expired" during the outage fires
+        immediately after the reboot).  Returns ``False`` when the
+        node was not crashed or no longer exists.
+        """
+        if node_id not in self._crashed:
+            return False
+        frozen = self._thaw(node_id)
+        if node_id not in self.nodes:
+            return False
+        for timer in frozen:
+            timer.when = max(timer.when, self.now)
+            heapq.heappush(
+                self._queue, (timer.when, next(self._sequence), timer)
+            )
+        return True
 
     # -- messaging ------------------------------------------------------------
 
@@ -434,73 +589,18 @@ class Network:
         """
         if dst not in self.nodes:
             raise UnknownNodeError(f"unknown destination node {dst!r}")
-        payload = payload or {}
-        self.stats.record(kind, size)
-        observer = self.observer
-        if observer is not None:
-            observer.on_send(kind, size)
-        copies = 1
-        base_checksum = 0
-        faults = self.faults
-        if faults is not None and faults.applies(kind):
-            if faults.drops():
-                self.stats.dropped += 1
-                if observer is not None:
-                    observer.on_drop(kind, size)
-                return Message(
-                    src=src, dst=dst, kind=kind, payload=payload,
-                    size=size, hops=hops, send_time=self.now,
-                    arrival_time=float("inf"),
-                )
-            if faults.duplicates():
-                copies = 2
-            if faults.corruption_rate > 0:
-                # Stamp the wire checksum only when corruption is
-                # possible: a zero corruption rate stays byte-identical
-                # to the historic behaviour (no draws, no hashing).
-                base_checksum = wire_checksum(kind, payload, size)
-        first: Message | None = None
-        for copy in range(copies):
-            if copy:
-                self.stats.record(kind, size)
-                self.stats.duplicated += 1
-                if observer is not None:
-                    observer.on_send(kind, size)
-            checksum = base_checksum
-            if base_checksum and faults.corrupts():
-                # A payload bit flipped in flight: model it by damaging
-                # the stamp instead of the (Python-object) payload, so
-                # delivery-time verification fails exactly as it would
-                # for a real flipped payload byte.
-                checksum ^= 1 << faults.corrupt_bit()
-                if checksum == 0:
-                    # The flip collided with the stamp: keep the copy
-                    # visibly damaged rather than reverting to the
-                    # "not stamped" sentinel.
-                    checksum = 0xFFFFFFFF
+        first, copies = self._outgoing(
+            src, dst, kind, payload or {}, size, hops)
+        link = (src, dst)
+        for message in copies:
             arrival = self.now + self.latency.latency(size)
-            link = (src, dst)
             floor = self._link_clock.get(link)
             if floor is not None and arrival <= floor:
                 arrival = floor + 1e-12
-            self._link_clock[link] = arrival
-            message = Message(
-                src=src,
-                dst=dst,
-                kind=kind,
-                payload=payload,
-                size=size,
-                hops=hops,
-                send_time=self.now,
-                arrival_time=arrival,
-                checksum=checksum,
-            )
+            self._link_clock[link] = message.arrival_time = arrival
             heapq.heappush(
-                self._queue,
-                (message.arrival_time, next(self._sequence), message),
+                self._queue, (arrival, next(self._sequence), message)
             )
-            if first is None:
-                first = message
         return first
 
     def schedule(
@@ -555,12 +655,9 @@ class Network:
                     # advancing the clock — the happy path stays
                     # bit-identical to a timerless run.
                     continue
-                if item.owner is not None and item.owner in self._crashed:
-                    # The owner is down: freeze the timer; restore()
-                    # re-arms it.  No clock advance, no event charged.
-                    self._frozen_timers.setdefault(item.owner, []).append(
-                        item
-                    )
+                if self._freeze(item):
+                    # The owner is down; restore() re-arms the timer.
+                    # No clock advance, no event charged.
                     continue
                 self.now = max(self.now, arrival)
                 item.fired = True
@@ -568,41 +665,10 @@ class Network:
                 processed += 1
                 continue
             self.now = max(self.now, arrival)
-            if (item.src, item.dst) in self._partitions:
-                # The link was severed at the instant the message would
-                # have arrived: the datagram dies on the cut cable.
-                self.stats.partitioned_drops += 1
-                if self.observer is not None:
-                    self.observer.on_drop(item.kind, item.size)
-                processed += 1
-                continue
-            if item.dst in self._crashed or item.dst not in self.nodes:
-                # Dead (or meanwhile detached) destination: the message
-                # crossed the wire and dies here.  Bill it so no
-                # recovery byte goes missing from the accounting.
-                self.stats.crashed_drops += 1
-                if self.observer is not None:
-                    self.observer.on_drop(item.kind, item.size)
-                processed += 1
-                continue
-            if item.checksum and item.checksum != wire_checksum(
-                item.kind, item.payload, item.size
-            ):
-                # The stamp no longer matches the payload: corruption
-                # in flight.  The receiver discards the message and the
-                # sender's timeout/retry path pays for the redelivery —
-                # corruption degrades cost, never correctness.
-                self.stats.corrupted += 1
-                if self.observer is not None:
-                    self.observer.on_drop(item.kind, item.size)
-                processed += 1
-                continue
-            if self.observer is not None:
-                self.observer.on_deliver(
-                    item.kind, item.size, self.now - item.send_time
-                )
-            self.nodes[item.dst].handle(item)
-            delivered += 1
+            node = self._admit(item)
+            if node is not None:
+                node.handle(item)
+                delivered += 1
             processed += 1
         self.delivered += delivered
         return delivered

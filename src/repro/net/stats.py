@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
 
 
 @dataclass
@@ -52,20 +53,19 @@ class NetworkStats:
         self.by_kind[kind] += 1
         self.bytes_by_kind[kind] += size
 
+    # snapshot / diff / add / reset go by field, so a counter added
+    # above is carried by all of them (and by the wire codec, which
+    # ships :meth:`values`) without being named anywhere else.
+
+    def values(self) -> tuple:
+        """Every counter, in declaration order (see ``FIELDS``)."""
+        return _VALUES(self)
+
     def snapshot(self) -> "NetworkStats":
         """An independent copy of the current totals."""
-        return NetworkStats(
-            messages=self.messages,
-            bytes=self.bytes,
-            by_kind=Counter(self.by_kind),
-            bytes_by_kind=Counter(self.bytes_by_kind),
-            dropped=self.dropped,
-            duplicated=self.duplicated,
-            retries=self.retries,
-            crashed_drops=self.crashed_drops,
-            partitioned_drops=self.partitioned_drops,
-            corrupted=self.corrupted,
-        )
+        return NetworkStats(*[
+            Counter(value) if isinstance(value, Counter) else value
+            for value in _VALUES(self)])
 
     def diff(self, older: "NetworkStats") -> "NetworkStats":
         """Totals accumulated since ``older`` was snapshotted.
@@ -73,8 +73,7 @@ class NetworkStats:
         The canonical way to cost one operation — snapshot, run,
         diff — used by every search entry point, the obs tracer's
         spans and the benches, instead of subtracting counter fields
-        by hand (which silently missed ``dropped``/``duplicated``/
-        ``retries`` whenever a new counter was added):
+        by hand:
 
         >>> stats = NetworkStats()
         >>> before = stats.snapshot()
@@ -83,33 +82,30 @@ class NetworkStats:
         >>> delta.messages, delta.bytes, dict(delta.by_kind)
         (2, 160, {'lookup': 1, 'reply': 1})
         """
-        return NetworkStats(
-            messages=self.messages - older.messages,
-            bytes=self.bytes - older.bytes,
-            by_kind=self.by_kind - older.by_kind,
-            bytes_by_kind=self.bytes_by_kind - older.bytes_by_kind,
-            dropped=self.dropped - older.dropped,
-            duplicated=self.duplicated - older.duplicated,
-            retries=self.retries - older.retries,
-            crashed_drops=self.crashed_drops - older.crashed_drops,
-            partitioned_drops=(
-                self.partitioned_drops - older.partitioned_drops
-            ),
-            corrupted=self.corrupted - older.corrupted,
-        )
+        return NetworkStats(*map(sub, _VALUES(self), _VALUES(older)))
 
     def delta(self, earlier: "NetworkStats") -> "NetworkStats":
         """Backward-compatible alias of :meth:`diff`."""
         return self.diff(earlier)
 
+    def add(self, delta: "NetworkStats") -> None:
+        """Fold ``delta`` into these totals in place (the live client
+        merges each site's growth since the last census this way)."""
+        for name, mine, more in zip(FIELDS, _VALUES(self),
+                                    _VALUES(delta)):
+            if isinstance(mine, Counter):
+                mine.update(more)
+            else:
+                setattr(self, name, mine + more)
+
     def reset(self) -> None:
-        self.messages = 0
-        self.bytes = 0
-        self.by_kind.clear()
-        self.bytes_by_kind.clear()
-        self.dropped = 0
-        self.duplicated = 0
-        self.retries = 0
-        self.crashed_drops = 0
-        self.partitioned_drops = 0
-        self.corrupted = 0
+        for name, value in zip(FIELDS, _VALUES(self)):
+            if isinstance(value, Counter):
+                value.clear()
+            else:
+                setattr(self, name, 0)
+
+
+#: The counters of :class:`NetworkStats`, in declaration order.
+FIELDS = tuple(spec.name for spec in fields(NetworkStats))
+_VALUES = attrgetter(*FIELDS)

@@ -35,6 +35,7 @@ True
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -302,6 +303,7 @@ def _build_registry() -> None:
     )
     from repro.crypto.swp import Trapdoor
     from repro.net.faults import RetryPolicy
+    from repro.net.stats import FIELDS as STATS_FIELDS
     from repro.net.stats import NetworkStats
     from repro.sdds.lhstar import RidScanMatcher
     from repro.sdds.records import Record
@@ -329,25 +331,17 @@ def _build_registry() -> None:
         return (list(m.plans), m.decode, m.report.tagged, _batched(m))
 
     def pack_stats(s: NetworkStats) -> tuple:
-        return (
-            s.messages, s.bytes, dict(s.by_kind),
-            dict(s.bytes_by_kind), s.dropped, s.duplicated, s.retries,
-            s.crashed_drops, s.partitioned_drops, s.corrupted,
-        )
+        # Per-kind counters travel as plain dicts (wire type 13).
+        return tuple([
+            dict(value) if isinstance(value, Counter) else value
+            for value in s.values()])
 
-    def unpack_stats(fields: tuple) -> NetworkStats:
-        from collections import Counter
-
-        (messages, nbytes, by_kind, bytes_by_kind, dropped,
-         duplicated, retries, crashed, partitioned, corrupted) = fields
-        return NetworkStats(
-            messages=messages, bytes=nbytes,
-            by_kind=Counter(by_kind),
-            bytes_by_kind=Counter(bytes_by_kind),
-            dropped=dropped, duplicated=duplicated, retries=retries,
-            crashed_drops=crashed, partitioned_drops=partitioned,
-            corrupted=corrupted,
-        )
+    def unpack_stats(values: tuple) -> NetworkStats:
+        if len(values) != len(STATS_FIELDS):
+            raise WireDecodeError("malformed NetworkStats tuple")
+        return NetworkStats(*[
+            Counter(value) if isinstance(value, dict) else value
+            for value in values])
 
     table: list[tuple[int, type, Callable, Callable]] = [
         (1, Record,

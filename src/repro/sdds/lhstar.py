@@ -30,7 +30,7 @@ from typing import Any, Callable, Hashable
 
 from repro.errors import BucketUnavailableError, InsertFailedError
 from repro.net.faults import RetryExhaustedError, RetryPolicy
-from repro.net.simulator import Message, Network, Node, Timer
+from repro.net.simulator import Message, Network, Node, Timer, Transport
 from repro.obs.metrics import inc as metric_inc
 from repro.obs.metrics import observe as metric_observe
 from repro.obs.metrics import set_gauge as metric_set_gauge
@@ -572,6 +572,7 @@ class LHStarBucket(Node):
         new_address = message.payload["new_address"]
         new_level = message.payload["new_level"]
         self.level = new_level
+        metric_observe("lh.bucket_load", len(self.records))
         moving = [
             record
             for record in self.records.values()
@@ -1032,7 +1033,6 @@ class LHStarCoordinator(Node):
         metric_inc("lh.merge")
         metric_set_gauge(f"lh.buckets.{self.file.name}",
                          self.bucket_count)
-        self.file.retire_bucket(last)
         self.send(
             self.file.bucket_id(last),
             "merge",
@@ -1052,10 +1052,6 @@ class LHStarCoordinator(Node):
         obs_emit("lh.split", file=self.file.name, bucket=splitter,
                  new=new_address, level=new_level)
         metric_inc("lh.split")
-        metric_observe(
-            "lh.bucket_load",
-            len(self.file.buckets[splitter].records),
-        )
         self.file.create_bucket(new_address, new_level, pending=True)
         self.n += 1
         if self.n == (1 << self.i):
@@ -1550,19 +1546,32 @@ class LHStarClient(Node):
         return hits
 
 
-class LHStarFile:
-    """Synchronous facade over one LH* file on a simulated network.
+class FileView:
+    """What a protocol actor needs of its file, in any process.
 
-    >>> file = LHStarFile()
-    >>> file.insert(7, b"hello\\x00")
-    >>> file.lookup(7)
-    b'hello\\x00'
+    The creation parameters (validated once, here), the node
+    identifiers, the bookkeeping and crash-recovery hooks with their
+    plain-LH* defaults, and bucket hosting over :attr:`buckets`.
+    :class:`LHStarFile` adds the coordinator, the clients and the
+    synchronous operations; the site processes of the live backend
+    (:mod:`repro.net.serve`) rebuild a view from :meth:`params` and
+    run the same actors against it.
     """
+
+    #: The creation parameters, in the order :meth:`params` ships them.
+    PARAMETERS = ("name", "bucket_capacity", "shrink", "split_policy",
+                  "load_factor_threshold", "merge_threshold",
+                  "retry_policy", "rs")
+
+    #: LH*_RS layout (``{"group_size": m, "parity_count": k}``), or
+    #: ``None`` for plain LH* (see
+    #: :class:`repro.sdds.lhstar_rs.ParityBookkeeping`).
+    rs: dict[str, int] | None = None
 
     def __init__(
         self,
-        name: str = "lh",
-        network: Network | None = None,
+        name: str,
+        network: Transport,
         bucket_capacity: int = 64,
         split_policy: str = "uncontrolled",
         load_factor_threshold: float = 0.8,
@@ -1586,7 +1595,7 @@ class LHStarFile:
                 "threshold or the file would thrash"
             )
         self.name = name
-        self.network = network or Network()
+        self.network = network
         #: Timeout/retry discipline for this file's clients; ``None``
         #: disables retransmission entirely (pre-robustness behaviour).
         self.retry_policy = retry_policy
@@ -1602,13 +1611,16 @@ class LHStarFile:
         #: coordinator; counting from billed messages makes that work
         #: identically when the coordinator is a remote process.
         self.tracks_load = shrink or split_policy == "load_factor"
-        self.buckets: dict[int, LHStarBucket] = {}
-        self.coordinator = LHStarCoordinator(self)
-        self.network.attach(self.coordinator)
-        self.create_bucket(0, 0)
-        self.clients: list[LHStarClient] = []
-        self.client = self.new_client()
         self.record_count = 0
+        #: The buckets this process hosts, by address (the coordinator
+        #: site hosts none and keeps the set of created addresses).
+        self.buckets: dict[int, LHStarBucket] = {}
+
+    def params(self) -> dict[str, Any]:
+        """The creation parameters another process needs to rebuild
+        this view — shipped verbatim in the ``create_*`` control verbs
+        of the live backend."""
+        return {key: getattr(self, key) for key in self.PARAMETERS}
 
     # -- identifiers -----------------------------------------------------------
 
@@ -1622,7 +1634,7 @@ class LHStarFile:
     def coordinator_id(self) -> Hashable:
         return ("coordinator", self.name)
 
-    # -- topology management -----------------------------------------------------
+    # -- bucket hosting --------------------------------------------------------
 
     def create_bucket(
         self, address: int, level: int, pending: bool = False
@@ -1642,9 +1654,116 @@ class LHStarFile:
         self.network.attach(bucket)
         return bucket
 
-    def retire_bucket(self, address: int) -> None:
-        """Bookkeeping hook when a merge retires a bucket (overridden
-        by the parity layer)."""
+    def spawn_spare(self, address: int, level: int) -> LHStarBucket:
+        """Replace a dead bucket's node with a fresh *pending* spare.
+
+        The spare takes over the network identity — in-flight and
+        future messages reach it and are buffered — and waits for the
+        reconstructed records to arrive as a ``recover_install``
+        shipment, exactly like a split target waits for its initial
+        ``split_records``.  The retired / merge-target flags persist
+        across the swap.
+        """
+        old = self.buckets.get(address)
+        spare = LHStarBucket(self, address, level, pending=True)
+        if old is not None:
+            spare.retired = old.retired
+            spare.merge_target = old.merge_target
+        if spare.node_id in self.network:
+            self.network.detach(spare.node_id)
+        self.buckets[address] = spare
+        self.network.attach(spare)
+        return spare
+
+    # -- bookkeeping hooks (overridden by LH*_RS) ------------------------------
+
+    def on_store(self, address: int, record: Record, old: Record | None) -> None:
+        if old is None:
+            self.record_count += 1
+
+    def on_remove(self, address: int, record: Record) -> None:
+        self.record_count -= 1
+
+    def on_move(self, old: int, new: int, record: Record) -> None:
+        """A record left ``old`` toward ``new`` (split, merge or
+        misfit re-ship); parity layers release its source-side state
+        here.  The record still counts toward the file — arrival is
+        registered by :meth:`on_absorb` at the destination."""
+
+    def on_absorb(self, address: int, record: Record, old: Record | None) -> None:
+        """A shipped record was stored at ``address``; parity layers
+        register it here.  Split from :meth:`on_move` so that source
+        and destination bookkeeping can live on *different sites*:
+        the source releases, the destination assigns — neither needs
+        the other's rank tables."""
+
+    # -- crash-recovery hooks (overridden by LH*_RS) ---------------------------
+
+    def begin_recovery(self, address: int, level: int) -> bool:
+        """Coordinator callback when ``address`` is declared dead.
+
+        Returns whether the file can reconstruct the bucket's records
+        (and serve degraded reads meanwhile).  Plain LH* has no
+        parity: the data is unavailable until the node reboots.
+        """
+        return False
+
+    def finish_recovery(self, address: int) -> None:
+        """Coordinator callback when the spare reports itself
+        installed (parity layers close their recovery span here)."""
+
+    def recovery_group(self, address: int) -> list[int]:
+        """The addresses whose failures interact with ``address``'s —
+        the bucket group of the parity layer; just the bucket itself
+        in plain LH*."""
+        return [address]
+
+    def degraded_read_target(self, address: int) -> Hashable | None:
+        """The node serving degraded reads for dead ``address``
+        (the group's first parity bucket in LH*_RS; none here)."""
+        return None
+
+    def degraded_dead_set(
+        self, address: int, dead: dict[int, tuple[int, bool]]
+    ) -> list[int]:
+        """The dead addresses a degraded read of ``address`` must
+        solve around: itself and its down :meth:`recovery_group`
+        members."""
+        members = self.recovery_group(address)
+        return sorted({m for m in members if m in dead} | {address})
+
+
+class LHStarFile(FileView):
+    """Synchronous facade over one LH* file on a simulated network.
+
+    >>> file = LHStarFile()
+    >>> file.insert(7, b"hello\\x00")
+    >>> file.lookup(7)
+    b'hello\\x00'
+    """
+
+    def __init__(
+        self,
+        name: str = "lh",
+        network: Network | None = None,
+        bucket_capacity: int = 64,
+        split_policy: str = "uncontrolled",
+        load_factor_threshold: float = 0.8,
+        shrink: bool = False,
+        merge_threshold: float = 0.4,
+        retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
+    ) -> None:
+        super().__init__(
+            name, network or Network(), bucket_capacity, split_policy,
+            load_factor_threshold, shrink, merge_threshold, retry_policy,
+        )
+        self.coordinator = LHStarCoordinator(self)
+        self.network.attach(self.coordinator)
+        self.create_bucket(0, 0)
+        self.clients: list[LHStarClient] = []
+        self.client = self.new_client()
+
+    # -- topology management -----------------------------------------------------
 
     def decommission_bucket(self, address: int) -> None:
         """Reap a retired tombstone after its image catch-up window:
@@ -1721,80 +1840,6 @@ class LHStarFile:
     @property
     def bucket_count(self) -> int:
         return len(self.buckets)
-
-    # -- bookkeeping hooks (overridden by LH*_RS) ------------------------------
-
-    def on_store(self, address: int, record: Record, old: Record | None) -> None:
-        if old is None:
-            self.record_count += 1
-
-    def on_remove(self, address: int, record: Record) -> None:
-        self.record_count -= 1
-
-    def on_move(self, old: int, new: int, record: Record) -> None:
-        """A record left ``old`` toward ``new`` (split, merge or
-        misfit re-ship); parity layers release its source-side state
-        here.  The record still counts toward the file — arrival is
-        registered by :meth:`on_absorb` at the destination."""
-
-    def on_absorb(self, address: int, record: Record, old: Record | None) -> None:
-        """A shipped record was stored at ``address``; parity layers
-        register it here.  Split from :meth:`on_move` so that source
-        and destination bookkeeping can live on *different sites*:
-        the source releases, the destination assigns — neither needs
-        the other's rank tables."""
-
-    # -- crash-recovery hooks (overridden by LH*_RS) ---------------------------
-
-    def begin_recovery(self, address: int, level: int) -> bool:
-        """Coordinator callback when ``address`` is declared dead.
-
-        Returns whether the file can reconstruct the bucket's records
-        (and serve degraded reads meanwhile).  Plain LH* has no
-        parity: the data is unavailable until the node reboots.
-        """
-        return False
-
-    def finish_recovery(self, address: int) -> None:
-        """Coordinator callback when the spare reports itself
-        installed (parity layers close their recovery span here)."""
-
-    def recovery_group(self, address: int) -> list[int]:
-        """The addresses whose failures interact with ``address``'s —
-        the bucket group of the parity layer; just the bucket itself
-        in plain LH*."""
-        return [address]
-
-    def degraded_read_target(self, address: int) -> Hashable | None:
-        """The node serving degraded reads for dead ``address``
-        (the group's first parity bucket in LH*_RS; none here)."""
-        return None
-
-    def degraded_dead_set(
-        self, address: int, dead: dict[int, tuple[int, bool]]
-    ) -> list[int]:
-        """The dead addresses a degraded read of ``address`` must
-        solve around (its down group members, in the parity layer)."""
-        return [address]
-
-    def spawn_spare(self, address: int, level: int) -> LHStarBucket:
-        """Replace a dead bucket's node with a fresh *pending* spare.
-
-        The spare takes over the network identity — in-flight and
-        future messages reach it and are buffered — and waits for the
-        reconstructed records to arrive as a ``recover_install``
-        shipment, exactly like a split target waits for its initial
-        ``split_records``.
-        """
-        old = self.buckets[address]
-        if old.node_id in self.network:
-            self.network.detach(old.node_id)
-        spare = LHStarBucket(self, address, level, pending=True)
-        spare.retired = old.retired
-        spare.merge_target = old.merge_target
-        self.buckets[address] = spare
-        self.network.attach(spare)
-        return spare
 
     # -- synchronous operations ----------------------------------------------
 

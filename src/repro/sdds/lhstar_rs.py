@@ -277,13 +277,13 @@ class ParityBucket(Node):
             if offset in dead_offsets:
                 continue
             address = group_base + offset
-            if address not in self.file.buckets:
-                continue
             entries = {
                 r: meta[r][0][offset] for r in ranks
                 if meta[r][0][offset] is not None
             }
             if not entries:
+                # Nothing of this member in the wanted ranks — which
+                # covers addresses never created or already reaped.
                 continue
             gather.expected += 1
             gather.waiting_offsets.add(offset)
@@ -567,28 +567,22 @@ class ParityBucket(Node):
         )
 
 
-class LHStarRSFile(LHStarFile):
-    """An LH* file with per-group Reed-Solomon parity buckets.
+class ParityBookkeeping:
+    """The parity side of a :class:`~repro.sdds.lhstar.FileView`.
 
-    ``group_size`` is the paper's ``m`` (data buckets per group) and
-    ``parity_count`` its ``k`` (simultaneously recoverable buckets).
-
-    >>> file = LHStarRSFile(group_size=4, parity_count=2)
-    >>> file.insert(11, b"payload\\x00")
-    >>> sorted(file.recover_buckets([0])[0]) == [
-    ...     rid for rid in file.buckets[0].records]
-    True
+    A mixin over any file view: the group layout and its Cauchy
+    generator, the per-bucket rank tables, the Δ-record traffic behind
+    the four bookkeeping hooks, and the crash-recovery hooks.  Rank
+    tables live wherever the data bucket is hosted, so
+    :class:`LHStarRSFile` on the simulator and the site views of the
+    live backend (:mod:`repro.net.serve`) run this one definition;
+    only :meth:`~repro.sdds.lhstar.FileView.spawn_spare` — the one
+    step of :meth:`begin_recovery` that creates a node — differs by
+    role.
     """
 
-    def __init__(
-        self,
-        name: str = "lhrs",
-        network: Network | None = None,
-        bucket_capacity: int = 64,
-        group_size: int = 4,
-        parity_count: int = 2,
-        **file_options,
-    ) -> None:
+    def __init__(self, *args: Any, group_size: int, parity_count: int,
+                 **kwargs: Any) -> None:
         if group_size < 2:
             raise ValueError("group size must be at least 2")
         if parity_count < 1:
@@ -596,16 +590,22 @@ class LHStarRSFile(LHStarFile):
         self.group_size = group_size
         self.parity_count = parity_count
         self.generator = generator_matrix(group_size, parity_count)
-        self.parity_buckets: dict[tuple[int, int], ParityBucket] = {}
-        # Rank bookkeeping per data bucket address.
+        # Rank bookkeeping per hosted data bucket address, created on
+        # first use.  Tables outlive a spare swap: the parity buckets
+        # still hold the dead bucket's contributions under the
+        # original ranks, and the reconstructed records are
+        # re-installed without re-emitting.
         self._ranks: dict[int, dict[int, int]] = {}
         self._free_ranks: dict[int, list[int]] = {}
         self._next_rank: dict[int, int] = {}
         # Open lh.recover spans, one per bucket under reconstruction.
         self._recovery_spans: dict[int, Any] = {}
-        super().__init__(name=name, network=network,
-                         bucket_capacity=bucket_capacity,
-                         **file_options)
+        super().__init__(*args, **kwargs)
+
+    @property
+    def rs(self) -> dict[str, int]:
+        return {"group_size": self.group_size,
+                "parity_count": self.parity_count}
 
     # -- identifiers ---------------------------------------------------------
 
@@ -618,34 +618,18 @@ class LHStarRSFile(LHStarFile):
     def offset_of(self, address: int) -> int:
         return address % self.group_size
 
-    # -- topology -------------------------------------------------------------
-
-    def create_bucket(self, address: int, level: int,
-                      pending: bool = False):
-        bucket = super().create_bucket(address, level, pending=pending)
-        self._ranks[address] = {}
-        self._free_ranks[address] = []
-        self._next_rank[address] = 0
-        group = self.group_of(address)
-        for index in range(self.parity_count):
-            if (group, index) not in self.parity_buckets:
-                parity = ParityBucket(self, group, index)
-                self.parity_buckets[(group, index)] = parity
-                self.network.attach(parity)
-        return bucket
-
     # -- rank management ---------------------------------------------------------
 
     def _assign_rank(self, address: int, rid: int) -> int:
-        ranks = self._ranks[address]
+        ranks = self._ranks.setdefault(address, {})
         if rid in ranks:
             return ranks[rid]
-        free = self._free_ranks[address]
+        free = self._free_ranks.setdefault(address, [])
         if free:
             rank = heapq.heappop(free)
         else:
-            rank = self._next_rank[address]
-            self._next_rank[address] += 1
+            rank = self._next_rank.get(address, 0)
+            self._next_rank[address] = rank + 1
         ranks[rid] = rank
         return rank
 
@@ -681,14 +665,20 @@ class LHStarRSFile(LHStarFile):
                 size=HEADER_SIZE + len(delta),
             )
 
-    # -- LHStarFile hooks -----------------------------------------------------
+    # -- FileView hooks ---------------------------------------------------------
 
-    def on_store(self, address: int, record: Record, old: Record | None) -> None:
-        super().on_store(address, record, old)
+    def _register(self, address: int, record: Record,
+                  old: Record | None) -> None:
+        """``record`` now sits at ``address`` (over ``old``): give it
+        a rank and fold the content difference into the parity."""
         rank = self._assign_rank(address, record.rid)
         delta = _xor(record.content, old.content if old else b"")
         self._send_delta(address, rank, record.rid, delta,
                          len(record.content))
+
+    def on_store(self, address: int, record: Record, old: Record | None) -> None:
+        super().on_store(address, record, old)
+        self._register(address, record, old)
 
     def on_remove(self, address: int, record: Record) -> None:
         super().on_remove(address, record)
@@ -712,12 +702,9 @@ class LHStarRSFile(LHStarFile):
 
     def on_absorb(self, address: int, record: Record, old: Record | None) -> None:
         super().on_absorb(address, record, old)
-        rank = self._assign_rank(address, record.rid)
-        delta = _xor(record.content, old.content if old else b"")
-        self._send_delta(address, rank, record.rid, delta,
-                         len(record.content))
+        self._register(address, record, old)
 
-    # -- online crash recovery (LHStarFile hooks) -----------------------------
+    # -- online crash recovery (FileView hooks) ---------------------------------
 
     def recovery_group(self, address: int) -> list[int]:
         base = self.group_of(address) * self.group_size
@@ -729,23 +716,20 @@ class LHStarRSFile(LHStarFile):
     def degraded_read_target(self, address: int) -> Hashable:
         return self.parity_id(self.group_of(address), 0)
 
-    def degraded_dead_set(
-        self, address: int, dead: dict[int, tuple[int, bool]]
-    ) -> list[int]:
-        members = self.recovery_group(address)
-        return sorted({m for m in members if m in dead} | {address})
-
     def begin_recovery(self, address: int, level: int) -> bool:
         """Launch the online reconstruction of a dead bucket.
 
         Spawns a pending spare under the dead bucket's network
-        identity and asks the group's first parity bucket to gather
-        survivor contents and sibling parity payloads, solve the
-        erasure system, and ship the result as ``recover_install``.
-        Returns False — unrecoverable — when the group already has
-        more failures than parity.
+        identity (:meth:`~repro.sdds.lhstar.FileView.spawn_spare`,
+        unbilled — a local swap, or a control verb to the hosting
+        site) and asks the group's first parity bucket, over the
+        billed data plane, to gather survivor contents and sibling
+        parity payloads, solve the erasure system, and ship the
+        result as ``recover_install``.  Returns False — unrecoverable
+        — when the group already has more failures than parity.
         """
-        dead = self.degraded_dead_set(address, self.coordinator.dead)
+        coordinator = self.network.nodes[self.coordinator_id]
+        dead = self.degraded_dead_set(address, coordinator.dead)
         if len(dead) > self.parity_count:
             obs_emit("lh.recover_refused", file=self.name,
                      bucket=address, dead=dead)
@@ -770,6 +754,48 @@ class LHStarRSFile(LHStarFile):
         span = self._recovery_spans.pop(address, None)
         if span is not None:
             span.__exit__(None, None, None)
+
+
+class LHStarRSFile(ParityBookkeeping, LHStarFile):
+    """An LH* file with per-group Reed-Solomon parity buckets.
+
+    ``group_size`` is the paper's ``m`` (data buckets per group) and
+    ``parity_count`` its ``k`` (simultaneously recoverable buckets).
+
+    >>> file = LHStarRSFile(group_size=4, parity_count=2)
+    >>> file.insert(11, b"payload\\x00")
+    >>> sorted(file.recover_buckets([0])[0]) == [
+    ...     rid for rid in file.buckets[0].records]
+    True
+    """
+
+    def __init__(
+        self,
+        name: str = "lhrs",
+        network: Network | None = None,
+        bucket_capacity: int = 64,
+        group_size: int = 4,
+        parity_count: int = 2,
+        **file_options,
+    ) -> None:
+        self.parity_buckets: dict[tuple[int, int], ParityBucket] = {}
+        super().__init__(name=name, network=network,
+                         bucket_capacity=bucket_capacity,
+                         group_size=group_size,
+                         parity_count=parity_count, **file_options)
+
+    # -- topology -------------------------------------------------------------
+
+    def create_bucket(self, address: int, level: int,
+                      pending: bool = False):
+        bucket = super().create_bucket(address, level, pending=pending)
+        group = self.group_of(address)
+        for index in range(self.parity_count):
+            if (group, index) not in self.parity_buckets:
+                parity = ParityBucket(self, group, index)
+                self.parity_buckets[(group, index)] = parity
+                self.network.attach(parity)
+        return bucket
 
     def crash_gate(self, limit: int | None = None):
         """A veto callable for :class:`~repro.net.faults.CrashFaultModel`.

@@ -429,8 +429,30 @@ class TestLiveScanSmoke:
     over sockets, so a break of the live search path cannot hide
     behind the opt-in suites again."""
 
-    @staticmethod
-    def episode(network):
+    class ClientSide:
+        """Recording observer, narrowed to what a client process
+        sees of the gate: its own sends and what it is handed."""
+
+        SENT = ("insert", "lookup", "scan")
+        HANDED = ("reply", "scan_reply")
+
+        def __init__(self):
+            self.events = []
+
+        def on_send(self, kind, size):
+            if kind in self.SENT:
+                self.events.append(("send", kind, size))
+
+        def on_drop(self, kind, size):
+            self.events.append(("drop", kind, size))
+
+        def on_deliver(self, kind, size, latency):
+            if kind in self.HANDED:
+                self.events.append(("deliver", kind, size))
+
+    @classmethod
+    def episode(cls, network):
+        network.observer = cls.ClientSide()
         store = EncryptedSearchableStore(
             SchemeParameters.full(4), network=network,
             bucket_capacity=64, name="smoke",
@@ -439,7 +461,8 @@ class TestLiveScanSmoke:
             store.put(rid, TEXTS[rid])
         result = store.search("alpha")
         return (sorted(result.candidates), sorted(result.matches),
-                result.cost, network.stats.snapshot())
+                result.cost, network.stats.snapshot(),
+                sorted(network.observer.events))
 
     def test_one_bucket_scan_matches_simulator(self):
         with one_bucket_cluster() as cluster:
@@ -447,6 +470,10 @@ class TestLiveScanSmoke:
         assert live_answer == self.episode(Network())
         assert live_answer[1] == [0]
         assert live_answer[3].by_kind["scan"] > 0
+        # The client carrier ran the shared gate: every request it
+        # billed and every reply it was handed, as on the simulator.
+        sent = sum(1 for event in live_answer[4] if event[0] == "send")
+        assert 0 < sent == len(live_answer[4]) - sent
 
     def test_site_handler_failure_surfaces_fast(self):
         """A matcher that raises inside the bucket process must come

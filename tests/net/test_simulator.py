@@ -272,6 +272,40 @@ class TestStats:
         assert billed != NetworkStats()
         assert billed == billed.snapshot()
 
+    def test_every_field_survives_every_operation(self):
+        """snapshot / diff / add / reset and the wire codec go by
+        ``dataclasses.fields``: a counter added to ``NetworkStats``
+        must be carried by all of them without being listed again."""
+        from collections import Counter
+        from dataclasses import fields
+
+        from repro.net import wire
+        from repro.net.stats import NetworkStats
+
+        def filled(scale):
+            stats = NetworkStats()
+            for n, spec in enumerate(fields(NetworkStats), start=1):
+                value = getattr(stats, spec.name)
+                setattr(stats, spec.name,
+                        Counter({"k": n * scale})
+                        if isinstance(value, Counter) else n * scale)
+            return stats
+
+        once, twice = filled(1), filled(2)
+        assert once != NetworkStats()
+        copy = once.snapshot()
+        assert copy == once
+        copy.by_kind["k"] += 1
+        assert copy != once  # independent counters
+        assert twice.diff(once) == once
+        assert once.diff(NetworkStats()) == once
+        total = once.snapshot()
+        total.add(once)
+        assert total == twice
+        assert wire.decode_value(wire.encode_value(once)) == once
+        total.reset()
+        assert total == NetworkStats()
+
 
 class TestLatencyModel:
     def test_formula(self):

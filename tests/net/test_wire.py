@@ -286,6 +286,25 @@ class TestTypedObjects:
         assert back == stats
         assert back.diff(NetworkStats()).messages == 2
 
+    def test_network_stats_layout_is_pinned(self):
+        """Wire type 13 is a positional tuple in field order; a site
+        one release older must still decode it."""
+        from collections import Counter
+
+        stats = NetworkStats(
+            messages=3, bytes=200,
+            by_kind=Counter({"lookup": 2, "reply": 1}),
+            bytes_by_kind=Counter({"lookup": 128, "reply": 72}),
+            dropped=4, duplicated=5, retries=6, crashed_drops=7,
+            partitioned_drops=8, corrupted=9,
+        )
+        assert encode_value(stats).hex() == (
+            "4f0d740000000a690103690200c8640000000273000000066c6f6f6b"
+            "757069010273000000057265706c796901016400000002730000000"
+            "66c6f6f6b75706902008073000000057265706c7969014869010469"
+            "0105690106690107690108690109"
+        )
+
 
 # -- whole messages, one per protocol kind -----------------------------------
 

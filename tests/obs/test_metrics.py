@@ -133,6 +133,51 @@ class TestLHStarInstrumentation:
         gauge = registry.gauge(f"lh.buckets.{file.name}")
         assert gauge.value == file.live_bucket_count
 
+    def test_bucket_load_is_seen_by_the_splitting_bucket(
+        self, monkeypatch
+    ):
+        """``lh.bucket_load`` is observed where the records are: the
+        split-pointer bucket reports how many it holds just before
+        the split moves any — so a bucket *process* reports it too."""
+        from repro.sdds.lhstar import LHStarBucket
+
+        held = []
+        split = LHStarBucket._handle_split
+
+        def spy(bucket, message):
+            held.append(len(bucket.records))
+            split(bucket, message)
+
+        monkeypatch.setattr(LHStarBucket, "_handle_split", spy)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            file = LHStarFile(bucket_capacity=4)
+            for key in range(40):
+                file.insert(key, b"payload\x00")
+        load = registry.histogram("lh.bucket_load")
+        assert load.count == len(held) == (
+            registry.counter("lh.split").value)
+        assert (load.total, load.minimum, load.maximum) == (
+            sum(held), min(held), max(held))
+        assert load.minimum > 0
+
+    @pytest.mark.live
+    def test_live_bucket_site_reports_its_own_load(self):
+        """The coordinator site cannot see bucket memory (it used to
+        report a load of 0); the splitting bucket's site can."""
+        from repro.net.live import LiveCluster
+
+        with LiveCluster(buckets=4) as cluster:
+            network = cluster.connect()
+            file = LHStarFile(name="ld", network=network,
+                              bucket_capacity=4)
+            for key in range(12):
+                file.insert(key, b"payload\x00")
+            metrics = network.remote_metrics()
+        load = metrics[("bucket", 0)]["lh.bucket_load"]
+        assert load["count"] > 0 and load["min"] > 0
+        assert "lh.bucket_load" not in metrics[("coordinator",)]
+
     def test_retry_and_dedup_metrics_under_faults(self):
         registry = MetricsRegistry()
         net = UnreliableNetwork(seed=3, loss_rate=0.15,
