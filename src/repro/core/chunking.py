@@ -235,19 +235,18 @@ class StorageLayout:
 
     @property
     def min_query_length(self) -> int:
-        """Shortest supported pattern: s + alignments − 1.
+        """Shortest supported pattern: s + stride − 1.
 
-        Reproduces the paper's minima: full scheme s (alignments = s
-        gives s + s − 1? No — the *last* alignment only needs one
-        complete chunk, so a length-s pattern works only for alignment
-        0; the paper indeed restricts full-scheme queries to length
-        >= s and simply skips empty alignments).  For reduced layouts
-        every alignment must produce a chunk, giving s+1 for 4-of-8
-        and s+3 for 2-of-8 — the paper's numbers.
+        An occurrence is seen only through alignments whose first chunk
+        starts on a stored chunk boundary, and boundaries of the stored
+        chunkings together come every ``stride`` symbols: the pattern
+        must populate ``stride`` consecutive alignments, the last of
+        which needs ``stride − 1`` symbols before its one complete
+        chunk.  Reproduces the paper's minima: s for the full scheme
+        (longer patterns simply populate more alignments), s+1 for
+        4-of-8 and s+3 for 2-of-8.
         """
-        if self.alignments == self.chunk_size:
-            return self.chunk_size
-        return self.chunk_size + self.alignments - 1
+        return self.chunk_size + self.stride - 1
 
     def check_query_length(self, length: int) -> None:
         if length < self.min_query_length:
@@ -264,6 +263,16 @@ class StorageLayout:
         return [
             a for a in range(self.alignments) if length - a >= self.chunk_size
         ]
+
+    def chunk_origins(self, drop_partial: bool) -> tuple[int, ...]:
+        """The symbol index at which stream chunk 0 of each stored
+        chunking begins: its offset — or one chunk before it, when a
+        padded head chunk is stored ahead of the first complete one."""
+        return tuple(
+            offset - self.chunk_size if offset and not drop_partial
+            else offset
+            for offset in self.offsets
+        )
 
     def storage_blowup(self) -> float:
         """Index storage per record, in multiples of the record size

@@ -14,11 +14,11 @@ An :class:`EncryptedSearchableStore` owns
 
 ``search()`` runs the paper's protocol: chunk/encode/encrypt/disperse
 the pattern once per chunking, ship all needles to all index sites in
-one parallel scan round, intersect per-group hit offsets, threshold
-across groups, then fetch and decrypt the candidates from the record
-store and (optionally) verify — measuring precision on the way.  The
-scheme guarantees 100 % recall; the false-positive count is the
-quantity the paper's Tables 4/5 study.
+one parallel scan round, intersect per-group hit offsets, keep the
+records where enough groups agree on one pattern start, then fetch and
+decrypt the candidates from the record store and (optionally) verify —
+measuring precision on the way.  The scheme guarantees 100 % recall;
+the false-positive count is the quantity the paper's Tables 4/5 study.
 
 Both files can live on one shared simulated network so message
 counters reflect the whole deployment.
@@ -512,7 +512,12 @@ class EncryptedSearchableStore:
             request_size=sum(plan.request_size() for plan in plans),
         )
         after_scan = self.network.stats.snapshot()
-        aggregators = [HitAggregator(plan) for plan in plans]
+        layout = self.params.layout
+        origins = layout.chunk_origins(self.params.drop_partial_chunks)
+        aggregators = [
+            HitAggregator(plan, layout.chunk_size, origins)
+            for plan in plans
+        ]
         if multiplexed:
             for reports in replies:
                 for report in reports:
@@ -536,12 +541,10 @@ class EncryptedSearchableStore:
         instead of silently filtering out every true match.
         """
         layout = self.params.layout
+        origins = layout.chunk_origins(self.params.drop_partial_chunks)
         for group, offset in enumerate(layout.offsets):
             if offset in plan.alignments:
-                position = (
-                    0 if offset == 0 or self.params.drop_partial_chunks
-                    else 1
-                )
+                position = (offset - origins[group]) // layout.chunk_size
                 return group, offset, position
         raise ConfigurationError(
             "layout cannot express a start anchor: no stored chunking "
@@ -790,6 +793,8 @@ class EncryptedSearchableStore:
             f"streams, {plan.request_size()} bytes per site",
             f"  candidate rule: >= {plan.required_groups} of "
             f"{plan.group_count} chunking groups"
+            + (" agreeing on one pattern start"
+               if plan.required_groups > 1 else "")
             + (f", all {plan.sites} dispersal sites at one offset"
                if plan.sites > 1 else ""),
         ]

@@ -6,7 +6,8 @@ at a fixed byte width, an occurrence of the needle bytes at byte
 offset ``b`` is a chunk-aligned hit iff ``b % width == 0``; the chunk
 position is then ``b // width``.
 
-Aggregation implements the paper's two-level rule:
+Aggregation is a three-level rule; the first two are the paper's, the
+third follows from chunk positions the sites already report:
 
 1. **within a chunking group** (Figure 3): all ``k`` dispersal sites
    must hit *at the same offset* — set intersection of per-site
@@ -15,7 +16,14 @@ Aggregation implements the paper's two-level rule:
    ``required_groups`` groups report a hit — ``s`` of ``s`` for the
    full layout of section 2.3 ("all sites indeed report a hit"), any
    single group for the reduced layouts of section 2.5 ("only one
-   site will report a hit").
+   site will report a hit");
+3. **at one place in the record**: those groups must agree on where
+   the pattern starts.  A hit of alignment ``a`` at chunk position
+   ``c`` of a chunking whose stream chunk 0 begins at symbol ``o``
+   puts the start at symbol ``p = o + c·s − a``; a true occurrence at
+   ``p`` makes every populated alignment hit, each in a different
+   group, at that same ``p`` — groups hitting at unrelated places no
+   longer add up to a candidate.
 """
 
 from __future__ import annotations
@@ -367,10 +375,17 @@ class MultiPlanScanMatcher:
 
 
 class HitAggregator:
-    """Client-side combination of site reports into candidate RIDs."""
+    """Client-side combination of site reports into candidate RIDs.
 
-    def __init__(self, plan: SearchPlan) -> None:
+    ``origins`` is the client's own layout geometry
+    (:meth:`repro.core.chunking.StorageLayout.chunk_origins`).
+    """
+
+    def __init__(self, plan: SearchPlan, chunk_size: int,
+                 origins: tuple[int, ...]) -> None:
         self.plan = plan
+        self.chunk_size = chunk_size
+        self.origins = origins
         # rid -> group -> site -> alignment -> positions
         self._reports: dict[
             int, dict[int, dict[int, dict[int, list[int]]]]
@@ -383,38 +398,58 @@ class HitAggregator:
         for hit in hits:
             self.add(hit)
 
+    def _common(
+        self, sites: dict[int, dict[int, list[int]]], alignment: int
+    ) -> Iterable[int]:
+        """Within-group rule: the chunk positions of one alignment on
+        which every dispersal site of the group agrees."""
+        if len(sites) < self.plan.sites:
+            return ()
+        common: Iterable[int] = sites[0].get(alignment, ())
+        for site in range(1, self.plan.sites):
+            if not common:
+                break
+            common = set(common).intersection(
+                sites[site].get(alignment, ())
+            )
+        return common
+
     def _group_hit(
         self, sites: dict[int, dict[int, list[int]]]
     ) -> bool:
-        """Within-group rule: some alignment matches at a common
-        position on every dispersal site."""
-        if len(sites) < self.plan.sites:
-            return False
-        for alignment in self.plan.alignments:
-            common: set[int] | None = None
-            for site in range(self.plan.sites):
-                positions = sites[site].get(alignment)
-                if not positions:
-                    common = None
-                    break
-                if common is None:
-                    common = set(positions)
-                else:
-                    common &= set(positions)
-                if not common:
-                    break
-            if common:
-                return True
-        return False
+        """Some alignment passes the within-group rule."""
+        return any(
+            self._common(sites, alignment)
+            for alignment in self.plan.alignments
+        )
 
     def candidates(self) -> set[int]:
-        """RIDs passing the across-groups threshold."""
+        """RIDs for which ``required_groups`` groups agree on one
+        pattern start."""
+        required = self.plan.required_groups
+        alignments = self.plan.alignments
+        size = self.chunk_size
         result = set()
         for rid, groups in self._reports.items():
-            hitting = sum(
-                1 for sites in groups.values() if self._group_hit(sites)
-            )
-            if hitting >= self.plan.required_groups:
+            # Within one group distinct alignments give distinct
+            # starts (they differ by less than a chunk), so each vote
+            # for a start comes from a different group.
+            votes: dict[int, int] = {}
+            best = 0
+            pending = len(groups)
+            for group, sites in groups.items():
+                if best + pending < required:
+                    break  # the groups left cannot make up the votes
+                pending -= 1
+                origin = self.origins[group]
+                for alignment in alignments:
+                    shift = origin - alignment
+                    for position in self._common(sites, alignment):
+                        start = shift + position * size
+                        count = votes[start] = votes.get(start, 0) + 1
+                        if count > best:
+                            best = count
+            if best >= required:
                 result.add(rid)
         return result
 
@@ -434,15 +469,4 @@ class HitAggregator:
         alignment — used by anchored queries that must pin a hit to a
         specific offset (e.g. position 0 for start-anchored search)."""
         sites = self._reports.get(rid, {}).get(group)
-        if not sites or len(sites) < self.plan.sites:
-            return set()
-        common: set[int] | None = None
-        for site in range(self.plan.sites):
-            positions = sites[site].get(alignment)
-            if not positions:
-                return set()
-            if common is None:
-                common = set(positions)
-            else:
-                common &= set(positions)
-        return common or set()
+        return set(self._common(sites, alignment)) if sites else set()

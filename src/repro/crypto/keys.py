@@ -14,7 +14,7 @@ Derivation uses HKDF with explicit context labels.
 
 from __future__ import annotations
 
-from repro.crypto.prf import hkdf_derive
+from repro.crypto.prf import hkdf_expand, hkdf_extract
 
 
 class KeyHierarchy:
@@ -32,12 +32,13 @@ class KeyHierarchy:
             raise ValueError("master secret must be non-empty")
         if key_length not in (16, 24, 32):
             raise ValueError("key length must be an AES key size")
-        self._master = bytes(master)
+        # Extract once: every sub-key is an expand of this one PRK.
+        self._prk = hkdf_extract(bytes(master))
         self.key_length = key_length
 
     def _derive(self, label: bytes, length: int | None = None) -> bytes:
-        return hkdf_derive(
-            self._master, b"repro/" + label, length or self.key_length
+        return hkdf_expand(
+            self._prk, b"repro/" + label, length or self.key_length
         )
 
     def record_store_key(self) -> bytes:

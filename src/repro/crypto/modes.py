@@ -108,16 +108,21 @@ class CtrCipher:
     def _keystream(self, nonce: bytes, nblocks: int) -> bytes:
         if len(nonce) != 8:
             raise ValueError("CTR nonce must be 8 bytes")
-        stream = bytearray()
-        for counter in range(nblocks):
-            block = nonce + counter.to_bytes(8, "big")
-            stream.extend(self._aes.encrypt_block(block))
-        return bytes(stream)
+        encrypt_block = self._aes.encrypt_block
+        return b"".join(
+            encrypt_block(nonce + counter.to_bytes(8, "big"))
+            for counter in range(nblocks)
+        )
 
     def encrypt(self, plaintext: bytes, nonce: bytes) -> bytes:
-        nblocks = (len(plaintext) + 15) // 16
-        stream = self._keystream(nonce, nblocks)
-        return bytes(a ^ b for a, b in zip(plaintext, stream))
+        length = len(plaintext)
+        stream = self._keystream(nonce, (length + 15) // 16)
+        # One big-integer XOR; the shift drops the unused tail of the
+        # last keystream block.
+        return (
+            int.from_bytes(plaintext, "big")
+            ^ int.from_bytes(stream, "big") >> 8 * (len(stream) - length)
+        ).to_bytes(length, "big")
 
     # CTR decryption is the same XOR with the same keystream.
     decrypt = encrypt

@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.aes import AES
-from repro.crypto.prf import hkdf_derive, hmac_sha256
+from repro.crypto.prf import _IPAD, _OPAD, hkdf_derive, hmac_sha256
 
 #: Fixed word-slot width in bytes (the SWP block).
 WORD_BYTES = 16
@@ -128,8 +128,8 @@ class SwpCipher:
         if len(word_key) > _HMAC_BLOCK:
             word_key = hashlib.sha256(word_key).digest()
         padded = word_key.ljust(_HMAC_BLOCK, b"\x00")
-        inner_base = hashlib.sha256(bytes(b ^ 0x36 for b in padded))
-        outer_base = hashlib.sha256(bytes(b ^ 0x5C for b in padded))
+        inner_base = hashlib.sha256(padded.translate(_IPAD))
+        outer_base = hashlib.sha256(padded.translate(_OPAD))
 
         def check(s: bytes) -> bytes:
             inner = inner_base.copy()

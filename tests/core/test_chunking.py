@@ -146,6 +146,25 @@ class TestStorageLayout:
         assert layout.alignments == 4
         assert layout.min_query_length == 11  # "now s+3"
 
+    def test_single_chunking_needs_every_alignment(self):
+        """One stored chunking has a boundary only every s symbols, so
+        only a pattern that populates all s alignments (length 2s − 1)
+        is sure to put a complete chunk on one.  The minimum used to
+        read s here, and searches for shorter patterns silently missed
+        occurrences off the chunk grid."""
+        layout = StorageLayout.reduced(4, 1)
+        assert layout.alignments == 4
+        assert layout.min_query_length == 7
+        with pytest.raises(QueryTooShortError):
+            layout.query_alignments(6)
+
+    def test_chunk_origins(self):
+        """Where stream chunk 0 of each chunking begins: a padded head
+        chunk pushes the origin one chunk before the offset."""
+        layout = StorageLayout.full(4)
+        assert layout.chunk_origins(drop_partial=False) == (0, -3, -2, -1)
+        assert layout.chunk_origins(drop_partial=True) == (0, 1, 2, 3)
+
     def test_sites_must_divide_chunk_size(self):
         with pytest.raises(ConfigurationError):
             StorageLayout.reduced(8, 3)

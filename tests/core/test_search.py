@@ -72,59 +72,90 @@ class TestMatchSite:
         assert plan.request_size() == 8  # 2*2*2 needles of 1 byte
 
 
+def make_aggregator(plan, chunk_size=4):
+    """Geometry of a full layout without partial chunks: chunking
+    ``g`` starts its stream chunk 0 at symbol ``g``."""
+    return HitAggregator(
+        plan, chunk_size, tuple(range(plan.group_count))
+    )
+
+
 class TestAggregation:
     def test_group_requires_all_sites_same_position(self):
         plan = make_plan(sites=2, groups=1, alignments=(0,), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [3, 5]}))
         agg.add(SiteHit(rid=1, group=0, site=1, positions={0: [5, 9]}))
         assert agg.candidates() == {1}  # intersect at 5
 
     def test_group_rejects_disjoint_positions(self):
         plan = make_plan(sites=2, groups=1, alignments=(0,), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [3]}))
         agg.add(SiteHit(rid=1, group=0, site=1, positions={0: [4]}))
         assert agg.candidates() == set()
 
     def test_group_rejects_missing_site(self):
         plan = make_plan(sites=2, groups=1, alignments=(0,), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [3]}))
         assert agg.candidates() == set()
 
     def test_alignments_do_not_mix(self):
         """Sites must agree per alignment, not across alignments."""
         plan = make_plan(sites=2, groups=1, alignments=(0, 1), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [3]}))
         agg.add(SiteHit(rid=1, group=0, site=1, positions={1: [3]}))
         assert agg.candidates() == set()
 
     def test_required_groups_threshold(self):
-        plan = make_plan(sites=1, groups=2, alignments=(0,), required=2)
-        agg = HitAggregator(plan)
+        # A pattern starting at symbol 4 (s = 4): alignment 0 lands on
+        # chunk 1 of the offset-0 chunking, alignment 1 on chunk 1 of
+        # the offset-1 chunking (4 + 1 = 1 + 1·4).
+        plan = make_plan(sites=1, groups=2, alignments=(0, 1), required=2)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [1]}))
         assert agg.candidates() == set()  # only 1 of 2 groups
-        agg.add(SiteHit(rid=1, group=1, site=0, positions={0: [7]}))
+        agg.add(SiteHit(rid=1, group=1, site=0, positions={1: [1]}))
+        assert agg.candidates() == {1}
+
+    def test_groups_must_agree_on_one_pattern_start(self):
+        """Enough groups hitting is not enough: group 0 places the
+        pattern at symbol 4, group 1 at symbol 28."""
+        plan = make_plan(sites=1, groups=2, alignments=(0, 1), required=2)
+        agg = make_aggregator(plan)
+        agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [1]}))
+        agg.add(SiteHit(rid=1, group=1, site=0, positions={1: [7]}))
+        assert agg.group_hits(1) == [0, 1]
+        assert agg.candidates() == set()
+
+    def test_padded_head_chunk_shifts_the_origin(self):
+        """With a stored partial head chunk, the offset-1 chunking's
+        stream chunk 0 begins at symbol 1 − s, so the same occurrence
+        sits one chunk position later."""
+        plan = make_plan(sites=1, groups=2, alignments=(0, 1), required=2)
+        agg = HitAggregator(plan, 4, (0, -3))
+        agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [1]}))
+        agg.add(SiteHit(rid=1, group=1, site=0, positions={1: [2]}))
         assert agg.candidates() == {1}
 
     def test_or_rule(self):
         plan = make_plan(sites=1, groups=2, alignments=(0,), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=5, group=1, site=0, positions={0: [0]}))
         assert agg.candidates() == {5}
 
     def test_multiple_rids_independent(self):
         plan = make_plan(sites=1, groups=1, alignments=(0,), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [0]}))
         agg.add(SiteHit(rid=2, group=0, site=0, positions={0: [1]}))
         assert agg.candidates() == {1, 2}
 
     def test_group_hits_diagnostics(self):
         plan = make_plan(sites=1, groups=2, alignments=(0,), required=1)
-        agg = HitAggregator(plan)
+        agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=1, site=0, positions={0: [0]}))
         assert agg.group_hits(1) == [1]
         assert agg.group_hits(99) == []

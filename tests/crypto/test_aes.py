@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.aes import AES
 
+from .reference_aes import ReferenceAES
+
 PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 VECTORS = [
@@ -66,6 +68,26 @@ class TestInterface:
         a = AES(bytes(16)).encrypt_block(bytes(16))
         b = AES(bytes(15) + b"\x01").encrypt_block(bytes(16))
         assert a != b
+
+
+@given(
+    st.binary(min_size=16, max_size=16),
+    st.sampled_from([16, 24, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+)
+def test_property_ttable_round_equals_spec_round(block, key):
+    """The T-table rounds are the FIPS-197 rounds, for every key size."""
+    assert AES(key).encrypt_block(block) == (
+        ReferenceAES(key).encrypt_block(block)
+    )
+
+
+@pytest.mark.parametrize("key_hex,ct_hex", VECTORS)
+def test_reference_round_passes_fips197(key_hex, ct_hex):
+    """The oracle is itself pinned to the standard's vectors."""
+    aes = ReferenceAES(bytes.fromhex(key_hex))
+    assert aes.encrypt_block(PLAINTEXT) == bytes.fromhex(ct_hex)
 
 
 @given(
