@@ -1,11 +1,16 @@
 """Component microbenchmarks (proper pytest-benchmark timing runs)."""
 
+import pathlib
 import random
+import sys
 
 from repro.core import Disperser, FrequencyEncoder, IndexPipeline, \
     SchemeParameters
 from repro.core.search import aligned_find
 from repro.crypto import AES, FeistelPRP
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
+from tests.oracle import reference_paths  # noqa: E402
 
 
 def test_aes_block(benchmark):
@@ -48,13 +53,12 @@ def test_encoder_throughput(benchmark, directory):
     )
 
 
-def _build_pipeline(directory, fast_path):
+def _build_pipeline(directory):
     sample = directory.sample(100, seed=2)
     corpus = [e.name.encode("ascii") for e in sample]
     params = SchemeParameters.full(4, n_codes=64, dispersal=2)
     pipeline = IndexPipeline(
-        params, FrequencyEncoder.train(corpus, 4, 64),
-        fast_path=fast_path,
+        params, FrequencyEncoder.train(corpus, 4, 64)
     )
     texts = [e.record_text.encode("ascii") + b"\x00" for e in sample]
     return pipeline, texts
@@ -62,7 +66,7 @@ def _build_pipeline(directory, fast_path):
 
 def test_index_pipeline_build(benchmark, directory):
     """The fused fast path (default): table-driven index build."""
-    pipeline, texts = _build_pipeline(directory, fast_path=True)
+    pipeline, texts = _build_pipeline(directory)
     pipeline.warm()  # codec tables built outside the timed region
     benchmark(
         lambda: [pipeline.build_index_streams(t) for t in texts]
@@ -70,11 +74,13 @@ def test_index_pipeline_build(benchmark, directory):
 
 
 def test_index_pipeline_build_reference(benchmark, directory):
-    """The per-chunk reference path, for the speedup comparison."""
-    pipeline, texts = _build_pipeline(directory, fast_path=False)
-    benchmark(
-        lambda: [pipeline.build_index_streams(t) for t in texts]
-    )
+    """The per-chunk reference path (``tests/oracle.py``), for the
+    speedup comparison."""
+    with reference_paths():
+        pipeline, texts = _build_pipeline(directory)
+        benchmark(
+            lambda: [pipeline.build_index_streams(t) for t in texts]
+        )
 
 
 def test_aligned_find_large_haystack(benchmark):

@@ -57,7 +57,6 @@ from repro.core import (
 )
 from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.kernels import clear_codec_cache
-from repro.core.scheme import BatchHitReporter
 from repro.core.automaton import plans_automaton
 from repro.core.search import (
     MultiPlanScanMatcher,
@@ -70,6 +69,11 @@ from repro.data.phonebook import generate_directory
 from repro.sdds.haystack import BucketHaystack
 
 HERE = pathlib.Path(__file__).parent
+# The reference side of every comparison is reached through the test
+# suite's oracle (``tests/oracle.py``) — ``src/`` has no switch.
+sys.path.insert(0, str(HERE.parent))
+from tests.oracle import both, reference_paths  # noqa: E402
+
 RESULTS_DIR = HERE / "results"
 BASELINE_DIR = HERE / "baselines"
 
@@ -141,7 +145,7 @@ def _bench(fn, ops, repeats=REPEATS):
 # -- fidelity -----------------------------------------------------------------
 
 
-def _workload(directory, fast_path):
+def _workload(directory):
     """One deterministic store workload; returns comparable artefacts."""
     sample = directory.sample(RECORDS, seed=7)
     corpus = [e.name.encode("ascii") for e in sample]
@@ -150,7 +154,7 @@ def _workload(directory, fast_path):
     )
     encoder = FrequencyEncoder.train(corpus, params.chunk_bytes, 64)
     store = EncryptedSearchableStore(
-        params, encoder=encoder, bucket_capacity=32, fast_path=fast_path
+        params, encoder=encoder, bucket_capacity=32
     )
     store.bulk_load({e.rid: e.record_text for e in sample})
     answers = {
@@ -176,8 +180,8 @@ def _wire(store):
             dict(stats.bytes_by_kind))
 
 
-def _word_workload(texts, fast_path):
-    store = EncryptedWordStore(b"perf-smoke-words", fast_path=fast_path)
+def _word_workload(texts):
+    store = EncryptedWordStore(b"perf-smoke-words")
     for rid, text in texts.items():
         store.put(rid, text)
     answers = {
@@ -188,10 +192,8 @@ def _word_workload(texts, fast_path):
     return answers, _wire(store)
 
 
-def _compressed_workload(texts, corpus, fast_path):
-    store = CompressedSearchStore(
-        b"perf-smoke-csi", corpus, fast_path=fast_path
-    )
+def _compressed_workload(texts, corpus):
+    store = CompressedSearchStore(b"perf-smoke-csi", corpus)
     for rid, text in texts.items():
         store.put(rid, text)
     answers = {
@@ -208,22 +210,18 @@ def _compressed_workload(texts, corpus, fast_path):
 def check_equivalence(directory):
     """Fused and reference stores must be indistinguishable — the
     chunk index and both §8 stores."""
-    fused = _workload(directory, fast_path=True)
-    reference = _workload(directory, fast_path=False)
+    fused, plain = both(lambda: _workload(directory))
     sample = directory.sample(min(RECORDS, 80), seed=11)
     texts = {e.rid: e.record_text for e in sample}
     corpus = [e.name.encode("ascii") for e in sample]
+    words = both(lambda: _word_workload(texts))
+    compressed = both(lambda: _compressed_workload(texts, corpus))
     return {
-        "index_bytes_identical": fused[0] == reference[0],
-        "search_answers_identical": fused[1] == reference[1],
-        "wire_costs_identical": fused[2] == reference[2],
-        "wordstore_identical": (
-            _word_workload(texts, True) == _word_workload(texts, False)
-        ),
-        "compressed_identical": (
-            _compressed_workload(texts, corpus, True)
-            == _compressed_workload(texts, corpus, False)
-        ),
+        "index_bytes_identical": fused[0] == plain[0],
+        "search_answers_identical": fused[1] == plain[1],
+        "wire_costs_identical": fused[2] == plain[2],
+        "wordstore_identical": words[0] == words[1],
+        "compressed_identical": compressed[0] == compressed[1],
     }
 
 
@@ -242,18 +240,16 @@ def measure_codec(directory):
     params = SchemeParameters.full(4, n_codes=64, dispersal=2)
     texts = [e.record_text.encode("ascii") + b"\x00" for e in sample]
 
-    def pipeline(fast_path):
+    def pipeline():
         return IndexPipeline(
             params,
             FrequencyEncoder.train(corpus, params.chunk_bytes, 64),
-            fast_path=fast_path,
         )
 
-    fused_pipeline = pipeline(True)
+    fused_pipeline = pipeline()
     fused_pipeline.warm()
-    reference_pipeline = pipeline(False)
 
-    plan_pipeline = pipeline(True)
+    plan_pipeline = pipeline()
     plan_pipeline.warm()
     pattern = b"SCHWARZ "
     plan_pipeline.plan_query(pattern)  # prime the LRU
@@ -265,11 +261,6 @@ def measure_codec(directory):
         ),
         "prp_encrypt_stream": _bench(
             lambda: fused_prp.encrypt_stream(values), ops=len(values)
-        ),
-        "index_build_reference": _bench(
-            lambda: [reference_pipeline.build_index_streams(t)
-                     for t in texts],
-            ops=len(texts),
         ),
         "index_build_fused": _bench(
             lambda: [fused_pipeline.build_index_streams(t)
@@ -283,6 +274,13 @@ def measure_codec(directory):
             lambda: plan_pipeline.plan_query(pattern), ops=1
         ),
     }
+    with reference_paths():
+        reference_pipeline = pipeline()
+        benches["index_build_reference"] = _bench(
+            lambda: [reference_pipeline.build_index_streams(t)
+                     for t in texts],
+            ops=len(texts),
+        )
     ratios = {
         "prp_speedup": (
             benches["prp_encrypt_reference"]["median_ns_per_op"]
@@ -330,10 +328,7 @@ def measure_matchers(directory):
     }
     chunk_haystack = BucketHaystack(chunk_records)
     plan = chunk_store.pipeline.plan_query(b"SCHWARZ ")
-    plan_fused = PlanScanMatcher(plan, chunk_store.decode_index_key)
-    plan_scalar = PlanScanMatcher(
-        plan, chunk_store.decode_index_key, batched=False
-    )
+    plan_matcher = PlanScanMatcher(plan, chunk_store.decode_index_key)
 
     word_store = EncryptedWordStore(
         b"perf-smoke-words", bucket_capacity=capacity
@@ -346,8 +341,7 @@ def measure_matchers(directory):
     }
     word_haystack = BucketHaystack(word_records)
     trapdoor = word_store._swp.trapdoor("SCHWARZ")
-    word_fused = WordScanMatcher(trapdoor)
-    word_scalar = WordScanMatcher(trapdoor, fast_path=False)
+    word_matcher = WordScanMatcher(trapdoor)
 
     csi_store = CompressedSearchStore(
         b"perf-smoke-csi", corpus, bucket_capacity=capacity
@@ -363,8 +357,7 @@ def measure_matchers(directory):
         csi_store._encrypt_stream(variant)
         for variant in csi_store.compressor.pattern_variants(b"SCHWARZ")
     )
-    csi_fused = CompressedScanMatcher(needles)
-    csi_scalar = CompressedScanMatcher(needles, batched=False)
+    csi_matcher = CompressedScanMatcher(needles)
 
     def scalar_pass(matcher, records):
         return [
@@ -374,30 +367,35 @@ def measure_matchers(directory):
 
     benches = {
         "batched_scan_fused": _bench(
-            lambda: plan_fused.match_bucket(chunk_haystack),
-            ops=len(chunk_records),
-        ),
-        "batched_scan_reference": _bench(
-            lambda: scalar_pass(plan_scalar, chunk_records),
+            lambda: plan_matcher.match_bucket(chunk_haystack),
             ops=len(chunk_records),
         ),
         "wordstore_match_fused": _bench(
-            lambda: word_fused.match_bucket(word_haystack),
-            ops=len(word_records),
-        ),
-        "wordstore_match_reference": _bench(
-            lambda: scalar_pass(word_scalar, word_records),
+            lambda: word_matcher.match_bucket(word_haystack),
             ops=len(word_records),
         ),
         "compressed_match_fused": _bench(
-            lambda: csi_fused.match_bucket(csi_haystack),
-            ops=len(csi_records),
-        ),
-        "compressed_match_reference": _bench(
-            lambda: scalar_pass(csi_scalar, csi_records),
+            lambda: csi_matcher.match_bucket(csi_haystack),
             ops=len(csi_records),
         ),
     }
+    # The scalar loop a bucket runs for a matcher without
+    # ``match_bucket`` — for the word store over per-cell SWP matching.
+    with reference_paths():
+        benches.update({
+            "batched_scan_reference": _bench(
+                lambda: scalar_pass(plan_matcher, chunk_records),
+                ops=len(chunk_records),
+            ),
+            "wordstore_match_reference": _bench(
+                lambda: scalar_pass(word_matcher, word_records),
+                ops=len(word_records),
+            ),
+            "compressed_match_reference": _bench(
+                lambda: scalar_pass(csi_matcher, csi_records),
+                ops=len(csi_records),
+            ),
+        })
     ratios = {
         "batched_scan_speedup": (
             benches["batched_scan_reference"]["median_ns_per_op"]
@@ -447,9 +445,7 @@ def measure_scan(directory):
         for pattern in SCAN_PATTERNS
     ]
 
-    matcher = MultiPlanScanMatcher(
-        plans, store.decode_index_key, BatchHitReporter(tagged=True)
-    )
+    matcher = MultiPlanScanMatcher(plans, store.decode_index_key)
     # The automaton's gram indexes die with the haystack, so the build
     # peak is measured against a fresh one; the timed benches then run
     # warm — the steady state a bucket serves between mutations.
@@ -516,24 +512,24 @@ def measure_search(directory):
     )
     records = {e.rid: e.record_text for e in sample}
 
-    def bulk_load(fast_path):
+    def bulk_load():
         encoder = FrequencyEncoder.train(corpus, params.chunk_bytes, 64)
         store = EncryptedSearchableStore(
             params, encoder=encoder, bucket_capacity=32,
-            fast_path=fast_path,
         )
         store.bulk_load(records)
         return store
 
     benches = {
         "bulk_load_fused": _bench(
-            lambda: bulk_load(True), ops=len(records), repeats=3
-        ),
-        "bulk_load_reference": _bench(
-            lambda: bulk_load(False), ops=len(records), repeats=3
+            bulk_load, ops=len(records), repeats=3
         ),
     }
-    store = bulk_load(True)
+    with reference_paths():
+        benches["bulk_load_reference"] = _bench(
+            bulk_load, ops=len(records), repeats=3
+        )
+    store = bulk_load()
     benches["search_round"] = _bench(
         lambda: [store.search(p) for p in PATTERNS],
         ops=len(PATTERNS), repeats=3,
@@ -547,9 +543,9 @@ def measure_search(directory):
     # Peak allocations.  The search round runs against a fresh store,
     # so the peak includes building every bucket haystack — the new
     # caches are inside the gated figure, not hidden by warm state.
-    cold = bulk_load(True)
+    cold = bulk_load()
     memory = {
-        "bulk_load_peak_bytes": _traced_peak(lambda: bulk_load(True)),
+        "bulk_load_peak_bytes": _traced_peak(bulk_load),
         "search_round_peak_bytes": _traced_peak(
             lambda: [cold.search(p) for p in PATTERNS]
         ),

@@ -110,7 +110,6 @@ class EpisodeConfig:
     retry_backoff: float = 2.0
     retry_max: int = 6
     retry_jitter: float = 0.5
-    fast_path: bool = True
     #: Shrinking files (delete-driven merges); required for episodes
     #: whose profile schedules elasticity events.
     shrink: bool = False
@@ -207,7 +206,6 @@ def _build_store(
         retry_policy=policy,
         group_size=config.group_size,
         parity_count=config.parity_count,
-        fast_path=config.fast_path,
         shrink=config.shrink,
         merge_threshold=config.merge_threshold,
     )

@@ -250,21 +250,6 @@ class ScanAutomaton:
         ]
 
 
-def plan_signature(plan) -> tuple:
-    """Hashable canonical content of one :class:`SearchPlan` — the
-    scan-memo identity of the matchers built over it (``needles`` is a
-    dict, so the dataclass itself is unhashable)."""
-    return (
-        plan.pattern,
-        plan.piece_width,
-        plan.sites,
-        plan.group_count,
-        plan.alignments,
-        plan.required_groups,
-        tuple(plan.needles.items()),
-    )
-
-
 def plans_automaton(plans: Sequence) -> ScanAutomaton:
     """The automaton for a batched set of chunk-index plans.
 

@@ -42,8 +42,8 @@ from repro.sdds.records import Record
 class CompressedScanMatcher:
     """Scan matcher for one set of encrypted edge-variant needles.
 
-    Per-record calls are the reference path (plain ``in`` membership,
-    also what degraded parity scans use); :meth:`match_bucket` runs
+    Per-record calls are plain ``in`` membership (what degraded
+    parity scans use); :meth:`match_bucket` runs
     each needle once over the bucket haystack, resuming after a
     record's first hit at the record's end — the same early exit.
     Membership lookups route through the multi-needle gram index when
@@ -53,15 +53,8 @@ class CompressedScanMatcher:
     way.
     """
 
-    def __init__(self, needles: tuple[bytes, ...],
-                 batched: bool = True) -> None:
+    def __init__(self, needles: tuple[bytes, ...]) -> None:
         self.needles = needles
-        if not batched:
-            self.match_bucket = None  # type: ignore[assignment]
-
-    def scan_key(self) -> tuple:
-        """Value identity for the bucket scan memo."""
-        return ("csi", self.needles, self.match_bucket is None)
 
     @cached_property
     def _automaton(self) -> ScanAutomaton:
@@ -91,16 +84,10 @@ class MultiCompressedScanMatcher:
     haystack is swept once for the whole batch.
     """
 
-    def __init__(self, needle_groups: tuple[tuple[bytes, ...], ...],
-                 batched: bool = True) -> None:
+    def __init__(
+        self, needle_groups: tuple[tuple[bytes, ...], ...]
+    ) -> None:
         self.needle_groups = needle_groups
-        if not batched:
-            self.match_bucket = None  # type: ignore[assignment]
-
-    def scan_key(self) -> tuple:
-        """Value identity for the bucket scan memo."""
-        return ("multi-csi", self.needle_groups,
-                self.match_bucket is None)
 
     @cached_property
     def _automaton(self) -> ScanAutomaton:
@@ -170,7 +157,6 @@ class CompressedSearchStore:
         network: Network | None = None,
         bucket_capacity: int = 128,
         name: str = "csi",
-        fast_path: bool = True,
     ) -> None:
         self.compressor = PairCompressor.train(
             training_corpus, max_pairs=max_pairs, lossy_codes=lossy_codes
@@ -186,19 +172,14 @@ class CompressedSearchStore:
         self._keys = keys
         self._record_cipher = CtrCipher(keys.record_store_key())
         # Code-level ECB: a PRP over the byte code space keeps stream
-        # positions byte-for-byte substitutable.  The fast path routes
-        # the code map through the shared fused-codec registry (one
-        # ``bytes.translate`` table per PRP key, cached across stores);
-        # ``fast_path=False`` pins the reference per-code PRP loop and
-        # per-record bucket scans for the equivalence suite.
-        self.fast_path = fast_path
+        # positions byte-for-byte substitutable.  A 256-value domain
+        # always has a ``bytes.translate`` table; it comes from the
+        # shared fused-codec registry (one per PRP key, cached across
+        # stores).
         self._prp = FeistelPRP(keys.subkey("compressed-index"), 256)
-        self._code_map: bytes | None = None
-        if fast_path:
-            codec = fused_codec(prp=self._prp, disperser=None,
-                                piece_width=1, domain=256)
-            if codec is not None:
-                self._code_map = codec.translate_table(0)
+        self._code_map: bytes = fused_codec(
+            prp=self._prp, disperser=None, piece_width=1, domain=256
+        ).translate_table(0)
         self.record_file = LHStarFile(
             name=f"{name}-store", network=self.network,
             bucket_capacity=bucket_capacity,
@@ -212,10 +193,7 @@ class CompressedSearchStore:
     # -- data plane --------------------------------------------------------------
 
     def _encrypt_stream(self, stream: bytes) -> bytes:
-        if self._code_map is not None:
-            return stream.translate(self._code_map)
-        encrypt = self._prp.encrypt
-        return bytes(encrypt(code) for code in stream)
+        return stream.translate(self._code_map)
 
     def put(self, rid: int, text: str) -> None:
         """Store the strong copy plus the encrypted code stream.
@@ -267,8 +245,7 @@ class CompressedSearchStore:
             self._encrypt_stream(variant) for variant in raw_variants
         )
         before = self.network.stats.snapshot()
-        matcher = CompressedScanMatcher(needles,
-                                        batched=self.fast_path)
+        matcher = CompressedScanMatcher(needles)
         # Real serialized query size: a 1-byte variant count, then per
         # needle a 2-byte length prefix plus the needle bytes (the
         # variants have differing lengths, so bare concatenation would
@@ -298,13 +275,13 @@ class CompressedSearchStore:
         """Run many independent searches in one parallel scan round.
 
         All patterns' edge-variant needles ship in one scan message
-        per bucket; with the fast path on, every needle answers from
-        the bucket's shared gram index — one haystack sweep for the
-        whole batch instead of one per needle.  Cost accounting
-        follows :meth:`EncryptedSearchableStore.search_batch`: the
-        scan round and the verification fetches are shared (each
-        candidate record is fetched once), so every per-pattern result
-        carries the shared totals.
+        per bucket, and every needle answers from the bucket's shared
+        gram index — one haystack sweep for the whole batch instead of
+        one per needle.  Cost accounting follows
+        :meth:`EncryptedSearchableStore.search_batch`: the scan round
+        and the verification fetches are shared (each candidate record
+        is fetched once), so every per-pattern result carries the
+        shared totals.
         """
         if not patterns:
             raise ConfigurationError("need at least one pattern")
@@ -319,9 +296,7 @@ class CompressedSearchStore:
             for pattern in unique
         )
         before = self.network.stats.snapshot()
-        matcher = MultiCompressedScanMatcher(
-            needle_groups, batched=self.fast_path
-        )
+        matcher = MultiCompressedScanMatcher(needle_groups)
         # Concatenation of the per-pattern query encodings (see
         # ``search``'s request_size note).
         request_size = sum(

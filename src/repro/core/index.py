@@ -11,16 +11,17 @@ whole chunk value when k = 1) is packed big-endian at a fixed byte
 width, so index records are plain ``bytes`` and matching is C-level
 ``bytes.find`` with alignment checks (see :mod:`repro.core.search`).
 
-Two execution paths produce identical bytes:
+Two execution paths produce identical bytes, chosen by the size of
+the chunk domain:
 
-* the **reference path** — per-chunk ``encode_chunk``/``encrypt``/
-  ``disperse`` calls, the direct transliteration of the paper's
-  stages; and
-* the **fused fast path** — for small chunk domains, the per-group
-  :class:`repro.core.kernels.FusedCodec` table collapses
+* the **fused path** — for chunk domains of at most 2^16 values, the
+  per-group :class:`repro.core.kernels.FusedCodec` table collapses
   PRP + dispersion + packing into table lookups (see
-  ``docs/PERFORMANCE.md``).  ``fast_path=False`` pins the reference
-  path; the equivalence suite asserts byte-identical output.
+  ``docs/PERFORMANCE.md``); and
+* the **per-chunk path** — ``encode_chunk``/``encrypt``/``disperse``
+  calls, the direct transliteration of the paper's stages, for every
+  larger domain.  The equivalence suite runs both over the small
+  domains and asserts byte-identical output.
 
 Query plans are memoised per pattern in a small LRU (repeated
 patterns — retried queries, batch workloads, chaos twins — skip the
@@ -58,7 +59,6 @@ class IndexPipeline:
         self,
         params: SchemeParameters,
         encoder: FrequencyEncoder | None = None,
-        fast_path: bool = True,
     ) -> None:
         if (params.n_codes is None) != (encoder is None):
             raise ConfigurationError(
@@ -79,7 +79,6 @@ class IndexPipeline:
                 )
         self.params = params
         self.encoder = encoder
-        self.fast_path = fast_path
         keys = KeyHierarchy(params.master_key)
         self._prps: list[FeistelPRP | None] = []
         for index in range(params.layout.group_count):
@@ -102,10 +101,7 @@ class IndexPipeline:
 
     def codec(self, group_index: int) -> FusedCodec | None:
         """The group's fused codec, built lazily; None when the chunk
-        domain is too large (or ``fast_path=False``) and the reference
-        path must run."""
-        if not self.fast_path:
-            return None
+        domain is too large and the per-chunk path must run."""
         codec = self._codecs[group_index]
         if codec is _UNBUILT:
             codec = fused_codec(
@@ -135,15 +131,6 @@ class IndexPipeline:
         if self.encoder is not None:
             return self.encoder.encode_chunks(chunks)
         return [int.from_bytes(chunk, "big") for chunk in chunks]
-
-    def _transform(self, chunks: list[bytes], group_index: int) -> list[int]:
-        """encode + encrypt one chunk list under one chunking's key
-        (the reference Stage-1/2 composition)."""
-        values = self.chunk_values(chunks)
-        prp = self._prps[group_index]
-        if prp is not None:
-            values = [prp.encrypt(value) for value in values]
-        return values
 
     def _pack_values(self, values: list[int]) -> bytes:
         width = self.params.piece_width
@@ -200,8 +187,7 @@ class IndexPipeline:
         layout = self.params.layout
         sliding: list[int] | None = None
         if (
-            self.fast_path
-            and self.encoder is not None
+            self.encoder is not None
             and layout.stride == 1
             and layout.group_count > 1
         ):

@@ -22,8 +22,8 @@ suited to the piece width:
 * 2-byte pieces: per-site value rows streamed through an ``array``
   with a single byte swap.
 
-Every representation is byte-identical to the reference path
-(:meth:`repro.core.index.IndexPipeline` with ``fast_path=False``) —
+Every representation is byte-identical to the per-chunk path
+:class:`repro.core.index.IndexPipeline` runs for larger domains —
 the equivalence suite in ``tests/core/test_kernels.py`` pins this
 across the parameter grid, so wire costs and the paper's tables are
 untouched by the optimisation.

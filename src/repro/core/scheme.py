@@ -33,12 +33,12 @@ from repro.core.config import SchemeParameters
 from repro.core.encoder import FrequencyEncoder
 from repro.core.errors import ConfigurationError
 from repro.core.index import IndexPipeline
+from repro.core.kernels import MAX_FUSED_BITS
 from repro.core.search import (
     HitAggregator,
     IndexKeyCodec,
     MultiPlanScanMatcher,
     PlanScanMatcher,
-    SiteHit,
 )
 from repro.crypto.keys import KeyHierarchy
 from repro.crypto.modes import CtrCipher
@@ -104,45 +104,6 @@ class StorageFootprint:
         return self.index_bytes / self.record_bytes
 
 
-@dataclass(frozen=True)
-class BatchHitReporter:
-    """The report factory of a multiplexed scan round.
-
-    A named, parameter-only callable (rather than a closure) so the
-    wire codec can ship a :class:`~repro.core.search.MultiPlanScanMatcher`
-    to a bucket process and rebuild an identical reporter there.
-    """
-
-    tagged: bool
-
-    def __call__(self, index: int, hit: SiteHit) -> "_BatchHit":
-        return _BatchHit(index=index, hit=hit, tagged=self.tagged)
-
-    def memo_key(self) -> tuple:
-        """Value identity for the bucket scan memo (see
-        :meth:`repro.core.search.MultiPlanScanMatcher.scan_key`)."""
-        return ("batch-report", self.tagged)
-
-
-@dataclass
-class _BatchHit:
-    """One pattern's site hit inside a multiplexed scan reply.
-
-    ``wire_size`` bills the underlying :class:`SiteHit` plus a 2-byte
-    pattern-demultiplexing tag — but only when the round actually
-    ships several patterns.  A single-pattern batch carries no tag,
-    so its accounting is byte-identical to :meth:`search`.
-    """
-
-    index: int
-    hit: SiteHit
-    tagged: bool
-
-    @property
-    def wire_size(self) -> int:
-        return (2 if self.tagged else 0) + self.hit.wire_size
-
-
 @dataclass
 class _ScanRound:
     """One parallel scan round as the client sees it: the filled
@@ -197,15 +158,11 @@ class EncryptedSearchableStore:
         retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
         group_size: int = 4,
         parity_count: int = 2,
-        fast_path: bool = True,
         shrink: bool = False,
         merge_threshold: float = 0.4,
     ) -> None:
         self.params = params
-        # ``fast_path=False`` pins the reference per-chunk codec — the
-        # fused-kernel equivalence harness compares the two stores
-        # byte-for-byte (streams, answers and wire costs must match).
-        self.pipeline = IndexPipeline(params, encoder, fast_path=fast_path)
+        self.pipeline = IndexPipeline(params, encoder)
         self.network = network or Network()
         keys = KeyHierarchy(params.master_key)
         self._keys = keys
@@ -489,22 +446,16 @@ class EncryptedSearchableStore:
         aggregate the site reports per plan — the part ``search``,
         ``search_all`` and ``search_batch`` share.
 
-        A multiplexed round reports :class:`_BatchHit`\\ s,
-        demux-tagged only when it actually ships several patterns; the
-        single-plan form of ``search`` reports bare :class:`SiteHit`\\ s.
+        A multiplexed round reports
+        :class:`~repro.core.search._BatchHit`\\ s, demux-tagged only when
+        it actually ships several patterns; the single-plan form of
+        ``search`` reports bare :class:`~repro.core.search.SiteHit`\\ s.
         """
-        fast_path = self.pipeline.fast_path
         if multiplexed:
-            matcher = MultiPlanScanMatcher(
-                plans,
-                self.key_codec,
-                BatchHitReporter(tagged=len(plans) > 1),
-                batched=fast_path,
-            )
+            matcher = MultiPlanScanMatcher(plans, self.key_codec)
         else:
             (plan,) = plans
-            matcher = PlanScanMatcher(plan, self.key_codec,
-                                      batched=fast_path)
+            matcher = PlanScanMatcher(plan, self.key_codec)
         before = self.network.stats.snapshot()
         started = self.network.now
         replies = self.index_file.scan(
@@ -680,10 +631,7 @@ class EncryptedSearchableStore:
         new_params = replace(self.params, master_key=new_master)
         new_keys = KeyHierarchy(new_master)
         new_cipher = CtrCipher(new_keys.record_store_key())
-        new_pipeline = IndexPipeline(
-            new_params, self.pipeline.encoder,
-            fast_path=self.pipeline.fast_path,
-        )
+        new_pipeline = IndexPipeline(new_params, self.pipeline.encoder)
         for rid, text in plaintexts.items():
             if text is None:
                 continue
@@ -797,6 +745,12 @@ class EncryptedSearchableStore:
                if plan.required_groups > 1 else "")
             + (f", all {plan.sites} dispersal sites at one offset"
                if plan.sites > 1 else ""),
+            # The chunk domain is the only way off the fused tables.
+            "  codec: " + (
+                "fused tables" if self.pipeline.codec(0) is not None
+                else f"per-chunk (chunk domain 2^{self.params.chunk_bits}"
+                     f" > 2^{MAX_FUSED_BITS})"
+            ),
         ]
         encoder = self.pipeline.encoder
         if encoder is not None and encoder.training_counts:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.core.automaton import plan_signature, plans_automaton
+from repro.core.automaton import plans_automaton
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.automaton import ScanAutomaton
@@ -148,6 +148,25 @@ class SiteHit:
         )
 
 
+@dataclass
+class _BatchHit:
+    """One pattern's site hit inside a multiplexed scan reply.
+
+    ``wire_size`` bills the underlying :class:`SiteHit` plus a 2-byte
+    pattern-demultiplexing tag — but only when the round actually
+    ships several patterns.  A single-pattern batch carries no tag,
+    so its accounting is byte-identical to a single-plan search.
+    """
+
+    index: int
+    hit: SiteHit
+    tagged: bool
+
+    @property
+    def wire_size(self) -> int:
+        return (2 if self.tagged else 0) + self.hit.wire_size
+
+
 def _site_partition(
     haystack: "BucketHaystack",
     decode: Callable[[int], tuple[int, int, int]],
@@ -233,13 +252,11 @@ class PlanScanMatcher:
 
     Two server-side forms, byte-identical in what they report:
 
-    * **per record** (``matcher(record)``) — the reference path, also
-      the only form degraded parity scans can use (reconstructed
-      records arrive one at a time);
+    * **per record** (``matcher(record)``) — the only form degraded
+      parity scans can use (reconstructed records arrive one at a
+      time);
     * **per bucket** (:meth:`match_bucket`) — each needle sweeps the
-      bucket's concatenated haystack once.  Disabled (the attribute is
-      ``None``, so buckets fall back to the per-record loop) when the
-      store runs with ``fast_path=False``.
+      bucket's concatenated haystack once.
 
     Alignment keys inside each hit keep the plan's needle iteration
     order and position lists stay ascending, so replies are
@@ -250,22 +267,9 @@ class PlanScanMatcher:
         self,
         plan: SearchPlan,
         decode: Callable[[int], tuple[int, int, int]],
-        batched: bool = True,
     ) -> None:
         self.plan = plan
         self.decode = decode
-        if not batched:
-            self.match_bucket = None  # type: ignore[assignment]
-
-    def scan_key(self) -> tuple | None:
-        """Value identity for server-side scan-result memoisation
-        (:class:`repro.sdds.lhstar.LHStarBucket`): equal keys guarantee
-        equal ``match_bucket`` output over an unchanged haystack.
-        ``None`` (an opaque ``decode``) disables the memo."""
-        if not isinstance(self.decode, IndexKeyCodec):
-            return None
-        return ("plan", plan_signature(self.plan), self.decode,
-                self.match_bucket is None)
 
     @cached_property
     def _automaton(self) -> "ScanAutomaton":
@@ -297,39 +301,17 @@ class MultiPlanScanMatcher:
     """Scan matcher multiplexing several plans in one round
     (``search_all`` / ``search_batch``).
 
-    Per-record reports are lists of ``report(index, hit)`` objects —
-    the wrapper (e.g. the scheme's ``_BatchHit``) is supplied by the
-    caller so wire accounting stays where it is defined.
+    Per-record reports are lists of :class:`_BatchHit`, demux-tagged
+    only when the round actually ships several plans.
     """
 
     def __init__(
         self,
         plans: list[SearchPlan],
         decode: Callable[[int], tuple[int, int, int]],
-        report: Callable[[int, SiteHit], object],
-        batched: bool = True,
     ) -> None:
         self.plans = plans
         self.decode = decode
-        self.report = report
-        if not batched:
-            self.match_bucket = None  # type: ignore[assignment]
-
-    def scan_key(self) -> tuple | None:
-        """Value identity for the bucket scan memo; ``None`` when the
-        decode or report callables are opaque (see
-        :meth:`PlanScanMatcher.scan_key`)."""
-        report_key = getattr(self.report, "memo_key", None)
-        if report_key is None or not isinstance(self.decode,
-                                                IndexKeyCodec):
-            return None
-        return (
-            "multi-plan",
-            tuple(plan_signature(plan) for plan in self.plans),
-            self.decode,
-            report_key(),
-            self.match_bucket is None,
-        )
 
     @cached_property
     def _automaton(self) -> "ScanAutomaton":
@@ -337,14 +319,16 @@ class MultiPlanScanMatcher:
 
     def __call__(self, record: "Record") -> list | None:
         rid, group, site = self.decode(record.rid)
+        tagged = len(self.plans) > 1
         reports = []
         for index, plan in enumerate(self.plans):
             positions = plan.match_site(group, site, record.content)
             if positions:
-                reports.append(self.report(
+                reports.append(_BatchHit(
                     index,
                     SiteHit(rid=rid, group=group, site=site,
                             positions=positions),
+                    tagged,
                 ))
         return reports or None
 
@@ -354,6 +338,7 @@ class MultiPlanScanMatcher:
             bucket_plan_hits(plan, haystack, self.decode, compiled)
             for plan in self.plans
         ]
+        tagged = len(self.plans) > 1
         hits = []
         for key in haystack.rids:
             reports = []
@@ -364,10 +349,11 @@ class MultiPlanScanMatcher:
                     if decoded is None:
                         decoded = self.decode(key)
                     rid, group, site = decoded
-                    reports.append(self.report(
+                    reports.append(_BatchHit(
                         index,
                         SiteHit(rid=rid, group=group, site=site,
                                 positions=positions),
+                        tagged,
                     ))
             if reports:
                 hits.append(reports)

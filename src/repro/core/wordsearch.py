@@ -50,36 +50,17 @@ def tokenize(text: str) -> list[str]:
 class WordScanMatcher:
     """Scan matcher for one SWP trapdoor.
 
-    Per-record calls are the reference path (and what degraded parity
-    scans use); :meth:`match_bucket` runs the batched SWP unmasking of
-    :meth:`repro.crypto.swp.SwpCipher.match_positions` over each
-    record's cell blob of the bucket haystack.  ``fast_path=False``
-    pins the reference per-cell loop *and* disables bucket batching —
-    the escape hatch the equivalence suite compares against.
+    Per-record calls are what degraded parity scans use;
+    :meth:`match_bucket` walks the bucket haystack's cell blobs.  Both
+    unmask a record's cells in one pass
+    (:meth:`repro.crypto.swp.SwpCipher.match_positions`).
     """
 
-    def __init__(self, trapdoor: Trapdoor,
-                 fast_path: bool = True) -> None:
+    def __init__(self, trapdoor: Trapdoor) -> None:
         self.trapdoor = trapdoor
-        self.fast_path = fast_path
-        if not fast_path:
-            self.match_bucket = None  # type: ignore[assignment]
-
-    def scan_key(self) -> tuple:
-        """Value identity for the bucket scan memo."""
-        return ("swp", self.trapdoor, self.fast_path)
 
     def _positions(self, cells: bytes | memoryview) -> tuple[int, ...]:
-        if self.fast_path:
-            return tuple(SwpCipher.match_positions(cells, self.trapdoor))
-        match = SwpCipher.match
-        trapdoor = self.trapdoor
-        return tuple(
-            position
-            for position in range(len(cells) // WORD_BYTES)
-            if match(cells[WORD_BYTES * position:
-                           WORD_BYTES * (position + 1)], trapdoor)
-        )
+        return tuple(SwpCipher.match_positions(cells, self.trapdoor))
 
     def __call__(self, record: Record):
         hits = self._positions(record.content)
@@ -100,8 +81,8 @@ class MultiWordScanMatcher:
     """Scan matcher multiplexing several SWP trapdoors in one round
     (:meth:`EncryptedWordStore.search_batch`).
 
-    The batched form converts each record's cell blob to a big
-    integer **once** and unmasks it per trapdoor
+    Each record's cell blob is converted to a big integer **once** and
+    unmasked per trapdoor
     (:meth:`repro.crypto.swp.SwpCipher.match_positions_multi`), with
     the per-trapdoor HMAC key schedules compiled once per matcher — K
     words cost one scan round and one blob conversion instead of K of
@@ -111,16 +92,8 @@ class MultiWordScanMatcher:
     reports.
     """
 
-    def __init__(self, trapdoors: tuple[Trapdoor, ...],
-                 fast_path: bool = True) -> None:
+    def __init__(self, trapdoors: tuple[Trapdoor, ...]) -> None:
         self.trapdoors = trapdoors
-        self.fast_path = fast_path
-        if not fast_path:
-            self.match_bucket = None  # type: ignore[assignment]
-
-    def scan_key(self) -> tuple:
-        """Value identity for the bucket scan memo."""
-        return ("multi-swp", self.trapdoors, self.fast_path)
 
     @cached_property
     def _compiled_checks(self) -> list:
@@ -133,27 +106,14 @@ class MultiWordScanMatcher:
 
     def _hits(self, cells: bytes | memoryview,
               checks: list | None = None) -> tuple:
-        if self.fast_path:
-            per_trapdoor = SwpCipher.match_positions_multi(
-                cells, self.trapdoors, checks
-            )
-            return tuple(
-                (index, tuple(positions))
-                for index, positions in enumerate(per_trapdoor)
-                if positions
-            )
-        match = SwpCipher.match
-        reports = []
-        for index, trapdoor in enumerate(self.trapdoors):
-            positions = tuple(
-                position
-                for position in range(len(cells) // WORD_BYTES)
-                if match(cells[WORD_BYTES * position:
-                               WORD_BYTES * (position + 1)], trapdoor)
-            )
-            if positions:
-                reports.append((index, positions))
-        return tuple(reports)
+        per_trapdoor = SwpCipher.match_positions_multi(
+            cells, self.trapdoors, checks
+        )
+        return tuple(
+            (index, tuple(positions))
+            for index, positions in enumerate(per_trapdoor)
+            if positions
+        )
 
     def __call__(self, record: Record):
         reports = self._hits(record.content)
@@ -198,12 +158,7 @@ class EncryptedWordStore:
         network: Network | None = None,
         bucket_capacity: int = 128,
         name: str = "words",
-        fast_path: bool = True,
     ) -> None:
-        # ``fast_path=False`` pins the reference per-cell SWP loop and
-        # per-record bucket scans — the equivalence suite compares the
-        # two stores' answers and wire costs byte for byte.
-        self.fast_path = fast_path
         self.network = network or Network()
         keys = KeyHierarchy(master_key)
         self._keys = keys
@@ -269,9 +224,8 @@ class EncryptedWordStore:
         """
         trapdoor = self._swp.trapdoor(word)
         before = self.network.stats.snapshot()
-        matcher = WordScanMatcher(trapdoor, fast_path=self.fast_path)
         raw_hits = self.index_file.scan(
-            matcher, request_size=trapdoor.wire_size
+            WordScanMatcher(trapdoor), request_size=trapdoor.wire_size
         )
         positions = {rid: hits for rid, hits in raw_hits}
         return WordSearchResult(
@@ -297,10 +251,8 @@ class EncryptedWordStore:
         unique = list(dict.fromkeys(words))
         trapdoors = tuple(self._swp.trapdoor(word) for word in unique)
         before = self.network.stats.snapshot()
-        matcher = MultiWordScanMatcher(trapdoors,
-                                       fast_path=self.fast_path)
         raw_hits = self.index_file.scan(
-            matcher,
+            MultiWordScanMatcher(trapdoors),
             request_size=sum(t.wire_size for t in trapdoors),
         )
         per_word: list[dict[int, tuple[int, ...]]] = [
@@ -327,6 +279,7 @@ class EncryptedWordStore:
         if cells_blob is None:
             raise RecordNotFoundError(f"no index record for rid {rid}")
         cells = [
-            cells_blob[i:i + 16] for i in range(0, len(cells_blob), 16)
+            cells_blob[i:i + WORD_BYTES]
+            for i in range(0, len(cells_blob), WORD_BYTES)
         ]
         return self._swp.decrypt_words(rid, cells)

@@ -43,7 +43,7 @@ from repro.net.simulator import Message
 
 #: Wire format version, first byte of every frame body.  Bump on any
 #: incompatible change to tags, framing or the typed-object registry.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Channel byte: a protocol :class:`Message` billed to NetworkStats.
 CHANNEL_DATA = 0
@@ -267,20 +267,24 @@ def decode_value(data: bytes | memoryview) -> Any:
 #
 # Each entry collapses an opaque payload object to a tuple of plain
 # wire values and rebuilds an equivalent object on the far side.
-# Matchers are shipped by *parameters*: the refactored scheme hands
-# them a wire-encodable ``IndexKeyCodec`` and a parameter-only
-# ``BatchHitReporter``, so (plan(s), codec, flags) reconstructs a
-# matcher whose replies are byte-identical to the sender's.
+# Matchers are shipped by *parameters* — their needles, plus for the
+# chunk index a wire-encodable ``IndexKeyCodec`` — which rebuild a
+# matcher whose replies are byte-identical to the sender's.  Their
+# decoders check the field count, so a tuple in an older layout fails
+# typed instead of decoding into some other matcher.
 
 _TYPES: dict[type, tuple[int, Callable[[Any], Any],
                          Callable[[Any], Any]]] | None = None
 _BY_ID: dict[int, Callable[[Any], Any]] | None = None
 
 
-def _batched(matcher: Any) -> bool:
-    """Whether a matcher still has its batched fast path enabled
-    (``fast_path=False`` construction pins ``match_bucket = None``)."""
-    return getattr(matcher, "match_bucket", None) is not None
+def _exactly(count: int, fields: tuple) -> tuple:
+    """``fields`` if it has ``count`` members, else a decode error."""
+    if len(fields) != count:
+        raise WireDecodeError(
+            f"expected {count} fields, got {len(fields)}"
+        )
+    return fields
 
 
 def _build_registry() -> None:
@@ -289,13 +293,13 @@ def _build_registry() -> None:
         CompressedScanMatcher,
         MultiCompressedScanMatcher,
     )
-    from repro.core.scheme import BatchHitReporter, _BatchHit
     from repro.core.search import (
         IndexKeyCodec,
         MultiPlanScanMatcher,
         PlanScanMatcher,
         SearchPlan,
         SiteHit,
+        _BatchHit,
     )
     from repro.core.wordsearch import (
         MultiWordScanMatcher,
@@ -315,7 +319,7 @@ def _build_registry() -> None:
                 "cross a process boundary (got "
                 f"{type(m.decode).__name__!r})"
             )
-        return (m.plan, m.decode, _batched(m))
+        return (m.plan, m.decode)
 
     def pack_multi_matcher(m: MultiPlanScanMatcher) -> tuple:
         if not isinstance(m.decode, IndexKeyCodec):
@@ -323,12 +327,7 @@ def _build_registry() -> None:
                 "MultiPlanScanMatcher.decode must be an IndexKeyCodec "
                 "to cross a process boundary"
             )
-        if not isinstance(m.report, BatchHitReporter):
-            raise WireEncodeError(
-                "MultiPlanScanMatcher.report must be a "
-                "BatchHitReporter to cross a process boundary"
-            )
-        return (list(m.plans), m.decode, m.report.tagged, _batched(m))
+        return (list(m.plans), m.decode)
 
     def pack_stats(s: NetworkStats) -> tuple:
         # Per-kind counters travel as plain dicts (wire type 13).
@@ -363,14 +362,11 @@ def _build_registry() -> None:
                               required_groups=f[6])),
         (5, PlanScanMatcher,
          pack_plan_matcher,
-         lambda f: PlanScanMatcher(f[0], f[1], batched=f[2])),
-        (6, BatchHitReporter,
-         lambda r: (r.tagged,),
-         lambda f: BatchHitReporter(tagged=f[0])),
+         lambda f: PlanScanMatcher(*_exactly(2, f))),
+        # 6 retired with wire version 1 (a hit-report factory).
         (7, MultiPlanScanMatcher,
          pack_multi_matcher,
-         lambda f: MultiPlanScanMatcher(
-             f[0], f[1], BatchHitReporter(tagged=f[2]), batched=f[3])),
+         lambda f: MultiPlanScanMatcher(*_exactly(2, f))),
         (8, _BatchHit,
          lambda h: (h.index, h.hit, h.tagged),
          lambda f: _BatchHit(index=f[0], hit=f[1], tagged=f[2])),
@@ -378,11 +374,11 @@ def _build_registry() -> None:
          lambda t: (t.pre_encrypted, t.word_key),
          lambda f: Trapdoor(pre_encrypted=f[0], word_key=f[1])),
         (10, WordScanMatcher,
-         lambda m: (m.trapdoor, m.fast_path),
-         lambda f: WordScanMatcher(f[0], fast_path=f[1])),
+         lambda m: (m.trapdoor,),
+         lambda f: WordScanMatcher(*_exactly(1, f))),
         (11, CompressedScanMatcher,
-         lambda m: (m.needles, _batched(m)),
-         lambda f: CompressedScanMatcher(f[0], batched=f[1])),
+         lambda m: (m.needles,),
+         lambda f: CompressedScanMatcher(*_exactly(1, f))),
         (12, RetryPolicy,
          lambda p: (p.timeout, p.backoff, p.max_retries, p.jitter,
                     p.seed),
@@ -394,12 +390,12 @@ def _build_registry() -> None:
          lambda m: (),
          lambda f: RidScanMatcher()),
         (15, MultiWordScanMatcher,
-         lambda m: (list(m.trapdoors), m.fast_path),
-         lambda f: MultiWordScanMatcher(tuple(f[0]), fast_path=f[1])),
+         lambda m: (list(m.trapdoors),),
+         lambda f: MultiWordScanMatcher(tuple(_exactly(1, f)[0]))),
         (16, MultiCompressedScanMatcher,
-         lambda m: (list(m.needle_groups), _batched(m)),
-         lambda f: MultiCompressedScanMatcher(
-             tuple(tuple(group) for group in f[0]), batched=f[1])),
+         lambda m: (list(m.needle_groups),),
+         lambda f: MultiCompressedScanMatcher(tuple(
+             tuple(group) for group in _exactly(1, f)[0]))),
     ]
     _TYPES = {cls: (type_id, pack, unpack)
               for type_id, cls, pack, unpack in table}

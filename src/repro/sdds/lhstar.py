@@ -146,10 +146,6 @@ class LHStarBucket(Node):
     it merged into.
     """
 
-    #: Bound on the bucket-level scan-result memo (distinct matcher
-    #: values remembered per haystack build).
-    MATCH_MEMO_LIMIT = 16
-
     def __init__(
         self,
         file: "LHStarFile",
@@ -185,13 +181,6 @@ class LHStarBucket(Node):
         # batched scans; dropped on any record mutation and rebuilt on
         # the next batch-capable scan (see repro.sdds.haystack).
         self._haystack: BucketHaystack | None = None
-        # Bucket-level scan-result memo: matcher value identity
-        # (``matcher.scan_key()``) -> hits against the *current*
-        # haystack.  Matchers are pure functions of (value, records),
-        # so identical queries reuse the computed hits while the
-        # records are unchanged.  Dropped with the haystack on any
-        # mutation.
-        self._match_memo: OrderedDict[Hashable, list] = OrderedDict()
 
     # -- batched-scan haystack -------------------------------------------
 
@@ -210,7 +199,6 @@ class LHStarBucket(Node):
         if self._haystack is not None:
             self._haystack = None
             metric_inc("lh.haystack.invalidate")
-        self._match_memo.clear()
 
     # -- message dispatch -----------------------------------------------
 
@@ -489,35 +477,19 @@ class LHStarBucket(Node):
         # Server-side matching: a matcher exposing ``match_bucket``
         # runs once against the bucket's concatenated haystack (each
         # needle is one C-level ``bytes.find`` sweep per bucket);
-        # plain callables fall back to the reference loop — one
-        # matcher call per resident record.  Degraded parity scans
-        # always use the per-record form (records are reconstructed
-        # one at a time), so every matcher stays callable.
+        # plain callables take the per-record loop — one matcher call
+        # per resident record.  Degraded parity scans always use the
+        # per-record form (records are reconstructed one at a time),
+        # so every matcher stays callable.
         bucket_match = getattr(matcher, "match_bucket", None)
-        # Scan-result memo: matchers exposing ``scan_key()`` (a value
-        # identity) are pure functions of (key, resident records), so
-        # repeats of the same query against an unchanged bucket —
-        # one hot query fanned out for many clients — reuse the
-        # computed hits verbatim.
-        scan_key = getattr(matcher, "scan_key", None)
-        memo_key = scan_key() if scan_key is not None else None
-        if memo_key is not None and memo_key in self._match_memo:
-            self._match_memo.move_to_end(memo_key)
-            hits = self._match_memo[memo_key]
-            metric_inc("lh.scan.memo_hit")
+        if bucket_match is not None:
+            hits = bucket_match(self.haystack())
         else:
-            if bucket_match is not None:
-                hits = bucket_match(self.haystack())
-            else:
-                hits = [
-                    outcome
-                    for record in self.records.values()
-                    if (outcome := matcher(record)) is not None
-                ]
-            if memo_key is not None:
-                self._match_memo[memo_key] = hits
-                while len(self._match_memo) > self.MATCH_MEMO_LIMIT:
-                    self._match_memo.popitem(last=False)
+            hits = [
+                outcome
+                for record in self.records.values()
+                if (outcome := matcher(record)) is not None
+            ]
         reply = {
             "op": payload["op"],
             "address": self.address,

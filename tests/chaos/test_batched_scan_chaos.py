@@ -11,18 +11,17 @@ runner (crash + partition schedules) and pin two facts:
    haystack cache demonstrably *worked* (builds, hits, and
    fault-driven invalidations all nonzero).
 2. A batched episode is **byte-identical** to the same seeded episode
-   with the escape hatch thrown (``fast_path=False``): same schedule,
-   same counters, same violations (none).  The fast path changes
+   run over the per-record reference loop (``tests/oracle.py``): same
+   schedule, same counters, same violations (none).  Batching changes
    nothing observable, even mid-crash.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.chaos.nemesis import NemesisProfile
 from repro.chaos.runner import EpisodeConfig, run_episode
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from tests.oracle import both
 
 #: Crash + partition only: the two fault classes that rebuild or
 #: reroute bucket contents behind the scan path's back.
@@ -54,15 +53,8 @@ class TestBatchedScansSurviveChaos:
         assert registry.counter("lh.haystack.invalidate").value > 0
 
     def test_batched_episode_identical_to_scalar(self):
-        """The escape hatch is a pure no-op under chaos: same seeded
+        """Batching is a pure no-op under chaos: same seeded
         crash/partition schedule, same message counts, same answers."""
-        batched = run_episode(1, config=CRASHY)
-        scalar = run_episode(
-            1, config=replace(CRASHY, fast_path=False)
-        )
+        batched, scalar = both(lambda: run_episode(1, config=CRASHY))
         assert batched.ok and scalar.ok
-        a = batched.episode_dict()
-        b = scalar.episode_dict()
-        assert a.pop("config")["fast_path"] is True
-        assert b.pop("config")["fast_path"] is False
-        assert a == b
+        assert batched.episode_dict() == scalar.episode_dict()

@@ -14,7 +14,6 @@ from repro.core.automaton import (
     ScanAutomaton,
     gram_index,
     needles_automaton,
-    plan_signature,
     plans_automaton,
 )
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -171,9 +170,7 @@ class TestCaches:
         codec = search.IndexKeyCodec(site_bits=0, group_bits=0)
         matchers = [
             search.PlanScanMatcher(plan, codec),
-            search.MultiPlanScanMatcher(
-                [plan], codec, lambda index, hit: (index, hit)
-            ),
+            search.MultiPlanScanMatcher([plan], codec),
             compressed_index.CompressedScanMatcher((b"AB", b"CD")),
             compressed_index.MultiCompressedScanMatcher(
                 ((b"AB",), (b"CD",))
@@ -194,21 +191,17 @@ class TestCaches:
         )
         assert not repeated.uses_index(None, 2, 100)
 
-    def test_plan_signature_is_hashable_and_value_stable(self):
+    def test_plans_automaton_counts_distinct_needles(self):
         from repro.core.search import SearchPlan
 
-        plan = SearchPlan(
-            pattern=b"AB", needles={(0, 0): (b"A", b"B")},
-            piece_width=1, sites=2, group_count=1,
-            alignments=(0,), required_groups=(0,),
+        plan, twin = (
+            SearchPlan(
+                pattern=b"AB", needles={(0, 0): (b"A", b"B")},
+                piece_width=1, sites=2, group_count=1,
+                alignments=(0,), required_groups=(0,),
+            )
+            for _ in range(2)
         )
-        twin = SearchPlan(
-            pattern=b"AB", needles={(0, 0): (b"A", b"B")},
-            piece_width=1, sites=2, group_count=1,
-            alignments=(0,), required_groups=(0,),
-        )
-        assert plan_signature(plan) == plan_signature(twin)
-        assert hash(plan_signature(plan)) == hash(plan_signature(twin))
         # Needles repeated across plans count once in the lane census.
         assert not plans_automaton(
             [plan, twin] * INDEX_MIN_NEEDLES

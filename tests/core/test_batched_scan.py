@@ -24,7 +24,7 @@ from repro.core.search import PlanScanMatcher, bucket_plan_hits
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import LHStarFile
-from repro.sdds.records import Record
+from tests.oracle import both
 
 TEXTS = [
     "SCHWARZ THOMAS J 453-2234",
@@ -53,7 +53,7 @@ GRID = [
 ]
 
 
-def build_store(make, fast_path, bucket_capacity=8):
+def build_store(make, bucket_capacity=8):
     params, n_codes = make()
     encoder = (
         FrequencyEncoder.train(
@@ -65,203 +65,220 @@ def build_store(make, fast_path, bucket_capacity=8):
     )
     store = EncryptedSearchableStore(
         params, encoder=encoder, bucket_capacity=bucket_capacity,
-        fast_path=fast_path,
     )
     for rid, text in enumerate(TEXTS):
         store.put(rid, text)
     return store
 
 
-def assert_stores_agree(fast, reference, patterns=PATTERNS):
-    minimum = fast.params.min_query_length
+def searchable(store, patterns=PATTERNS):
+    minimum = store.params.min_query_length
     patterns = [p for p in patterns if len(p) >= minimum]
     assert patterns, "grid entry left no searchable pattern"
-    for pattern in patterns:
-        a = fast.search(pattern)
-        b = reference.search(pattern)
-        assert a.candidates == b.candidates, pattern
-        assert a.matches == b.matches, pattern
-        assert a.cost.bytes == b.cost.bytes, pattern
-        assert a.cost.messages == b.cost.messages, pattern
+    return patterns
+
+
+def answers(results):
+    """What must not differ between the two sides, per pattern."""
+    return {
+        pattern: (result.candidates, result.matches,
+                  result.cost.bytes, result.cost.messages)
+        for pattern, result in results.items()
+    }
+
+
+def search_each(store, patterns):
+    return answers({p: store.search(p) for p in patterns})
+
+
+def index_bytes(store):
+    return {r.rid: r.content for r in store.index_file.all_records()}
+
+
+def mutate(store):
+    store.put(99, "FRESH RECORD ONE")  # insert
+    store.put(0, "REPLACED CONTENT")   # overwrite rid 0
+    store.delete(1)                    # delete
+
+
+def test_the_two_sides_really_differ():
+    """The comparisons below mean nothing if ``reference_paths()``
+    silently left a store on the fused paths: the reference side must
+    build no codec table and no haystack, the fused side both."""
+    def run():
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            store = build_store(GRID[0])
+            store.search("SCHWARZ ")
+        return (store.pipeline.codec(0) is not None,
+                registry.counter("lh.haystack.build").value > 0)
+
+    fused, plain = both(run)
+    assert fused == (True, True)
+    assert plain == (False, False)
 
 
 class TestChunkIndexEquivalence:
     @pytest.mark.parametrize("make", GRID)
     def test_answers_and_wire_costs_identical(self, make):
-        fast = build_store(make, fast_path=True)
-        reference = build_store(make, fast_path=False)
-        assert_stores_agree(fast, reference)
-        assert fast.network.stats.bytes == reference.network.stats.bytes
+        def run():
+            store = build_store(make)
+            return (search_each(store, searchable(store)),
+                    index_bytes(store), store.network.stats.bytes)
+
+        fused, plain = both(run)
+        assert fused == plain
 
     def test_batch_and_conjunctive_entry_points(self):
-        make = GRID[1]
-        fast = build_store(make, fast_path=True)
-        reference = build_store(make, fast_path=False)
-        fa = fast.search_batch(["SCHWARZ ", "WITOLD 12"])
-        rb = reference.search_batch(["SCHWARZ ", "WITOLD 12"])
-        for pattern in fa:
-            assert fa[pattern].candidates == rb[pattern].candidates
-            assert fa[pattern].cost.bytes == rb[pattern].cost.bytes
-        a = fast.search_all(["SCHWARZ ", "THOMAS J"])
-        b = reference.search_all(["SCHWARZ ", "THOMAS J"])
-        assert a.matches == b.matches
-        assert a.cost.bytes == b.cost.bytes
+        def run():
+            store = build_store(GRID[1])
+            conjunctive = store.search_all(["SCHWARZ ", "THOMAS J"])
+            return (
+                answers(store.search_batch(["SCHWARZ ", "WITOLD 12"])),
+                conjunctive.matches, conjunctive.cost.bytes,
+            )
+
+        fused, plain = both(run)
+        assert fused == plain
 
     def test_mutations_invalidate_haystacks(self):
         """Search / mutate / search: the batched store must track the
-        reference store through inserts, overwrites and deletes."""
-        make = GRID[0]
-        fast = build_store(make, fast_path=True)
-        reference = build_store(make, fast_path=False)
-        for store in (fast, reference):
+        reference store through inserts, overwrites and deletes —
+        retired content (``THOMAS J``) must no longer match anywhere."""
+        def run():
+            store = build_store(GRID[0])
             store.search("SCHWARZ ")          # haystacks built
-            store.put(99, "FRESH RECORD ONE")  # insert
-            store.put(0, "REPLACED CONTENT")   # overwrite rid 0
-            store.delete(1)                    # delete
-        assert_stores_agree(
-            fast, reference,
-            ["SCHWARZ ", "FRESH RE", "REPLACED", "WITOLD 12"],
-        )
-        # Retired content must no longer match anywhere.
-        assert fast.search("THOMAS J").candidates == (
-            reference.search("THOMAS J").candidates
-        )
+            mutate(store)
+            return search_each(store, [
+                "SCHWARZ ", "FRESH RE", "REPLACED", "WITOLD 12",
+                "THOMAS J",
+            ])
+
+        fused, plain = both(run)
+        assert fused == plain
+
+
+def word_store(key):
+    store = EncryptedWordStore(key, bucket_capacity=4)
+    for rid, text in enumerate(TEXTS):
+        store.put(rid, text)
+    return store
+
+
+def word_answers(results):
+    return {
+        word: (result.matches, result.positions,
+               result.cost.bytes, result.cost.messages)
+        for word, result in results.items()
+    }
 
 
 class TestWordStoreEquivalence:
     def test_answers_positions_and_costs_identical(self):
-        stores = [
-            EncryptedWordStore(b"word-equiv", bucket_capacity=4,
-                               fast_path=fast_path)
-            for fast_path in (True, False)
-        ]
-        for store in stores:
-            for rid, text in enumerate(TEXTS):
-                store.put(rid, text)
-        fast, reference = stores
-        for word in ("SCHWARZ", "THOMAS", "453-2234", "MISSING",
-                     "AAAABBBBCCCCDDDD"):
-            a = fast.search(word)
-            b = reference.search(word)
-            assert a.matches == b.matches, word
-            assert a.positions == b.positions, word
-            assert a.cost.bytes == b.cost.bytes, word
-            assert a.cost.messages == b.cost.messages, word
-        assert fast.network.stats.bytes == reference.network.stats.bytes
+        def run():
+            store = word_store(b"word-equiv")
+            return (
+                word_answers({
+                    word: store.search(word)
+                    for word in ("SCHWARZ", "THOMAS", "453-2234",
+                                 "MISSING", "AAAABBBBCCCCDDDD")
+                }),
+                store.network.stats.bytes,
+            )
+
+        fused, plain = both(run)
+        assert fused == plain
 
     def test_mutations_tracked(self):
-        stores = [
-            EncryptedWordStore(b"word-mut", bucket_capacity=4,
-                               fast_path=fast_path)
-            for fast_path in (True, False)
-        ]
-        for store in stores:
-            for rid, text in enumerate(TEXTS):
-                store.put(rid, text)
+        def run():
+            store = word_store(b"word-mut")
             store.search("THOMAS")
             store.put(0, "GOODBYE WORLD")   # overwrite
             store.delete(1)
             store.put(50, "THOMAS AGAIN")
-        fast, reference = stores
-        for word in ("THOMAS", "SCHWARZ", "GOODBYE", "WITOLD"):
-            assert fast.search(word).matches == (
-                reference.search(word).matches
-            ), word
+            return {
+                word: store.search(word).matches
+                for word in ("THOMAS", "SCHWARZ", "GOODBYE", "WITOLD")
+            }
+
+        fused, plain = both(run)
+        assert fused == plain
+
+
+def compressed_store(key):
+    store = CompressedSearchStore(
+        key, [t.encode("ascii") for t in TEXTS], bucket_capacity=4
+    )
+    for rid, text in enumerate(TEXTS):
+        store.put(rid, text)
+    return store
 
 
 class TestCompressedEquivalence:
     def test_answers_and_costs_identical(self):
-        corpus = [t.encode("ascii") for t in TEXTS]
-        stores = [
-            CompressedSearchStore(b"csi-equiv", corpus,
-                                  bucket_capacity=4,
-                                  fast_path=fast_path)
-            for fast_path in (True, False)
-        ]
-        for store in stores:
-            for rid, text in enumerate(TEXTS):
-                store.put(rid, text)
-        fast, reference = stores
-        # Fast and reference paths must build identical index streams
-        # (translate table ≡ per-code PRP loop) ...
-        assert {
-            r.rid: r.content for r in fast.index_file.all_records()
-        } == {
-            r.rid: r.content for r in reference.index_file.all_records()
-        }
-        # ... and answer identically at identical wire cost.
-        for pattern in ("CHWAR", "WITOLD", "BBBBCC", "ZZZ"):
-            a = fast.search(pattern)
-            b = reference.search(pattern)
-            assert a.candidates == b.candidates, pattern
-            assert a.matches == b.matches, pattern
-            assert a.cost.bytes == b.cost.bytes, pattern
+        def run():
+            store = compressed_store(b"csi-equiv")
+            # Index streams (translate table ≡ per-code PRP) first,
+            # then answers and their wire cost.
+            return index_bytes(store), answers({
+                pattern: store.search(pattern)
+                for pattern in ("CHWAR", "WITOLD", "BBBBCC", "ZZZ")
+            })
+
+        fused, plain = both(run)
+        assert fused == plain
 
     def test_mutations_tracked(self):
-        corpus = [t.encode("ascii") for t in TEXTS]
-        stores = [
-            CompressedSearchStore(b"csi-mut", corpus,
-                                  bucket_capacity=4,
-                                  fast_path=fast_path)
-            for fast_path in (True, False)
-        ]
-        for store in stores:
-            for rid, text in enumerate(TEXTS):
-                store.put(rid, text)
+        def run():
+            store = compressed_store(b"csi-mut")
             store.search("THOMAS")
             store.put(0, "REPLACEMENT TEXT")
             store.delete(2)
-        fast, reference = stores
-        for pattern in ("THOMAS", "PLACEMEN", "BBBBCC"):
-            assert fast.search(pattern).candidates == (
-                reference.search(pattern).candidates
-            ), pattern
+            return {
+                pattern: store.search(pattern).candidates
+                for pattern in ("THOMAS", "PLACEMEN", "BBBBCC")
+            }
+
+        fused, plain = both(run)
+        assert fused == plain
 
 
 class TestAutomatonEquivalence:
-    """Fast path (batched scans through the compiled automaton, which
+    """Fused (batched scans through the compiled automaton, which
     picks gram index or per-needle sweep per lane) ≡ scalar reference.
 
-    ``fast_path=False`` pins the scalar per-record loop.  Answers and
+    The reference side runs the scalar per-record loop.  Answers and
     wire costs must be byte-identical on every layout, for single
     searches and ``search_batch``; the per-needle sweep keeps its own
     direct check at function level (``bucket_plan_hits`` without an
     automaton).
     """
 
-    def _pair(self, make):
-        return (
-            build_store(make, fast_path=True),
-            build_store(make, fast_path=False),
-        )
-
     @pytest.mark.parametrize("make", GRID)
     def test_search_grid(self, make):
-        fast, scalar = self._pair(make)
-        assert_stores_agree(fast, scalar)
-        assert fast.network.stats.bytes == scalar.network.stats.bytes
+        def run():
+            store = build_store(make)
+            return (search_each(store, searchable(store)),
+                    store.network.stats.bytes)
+
+        fused, scalar = both(run)
+        assert fused == scalar
 
     @pytest.mark.parametrize("make", GRID)
     def test_search_batch_grid(self, make):
-        fast, scalar = self._pair(make)
-        minimum = fast.params.min_query_length
-        patterns = [p for p in PATTERNS if len(p) >= minimum]
-        results = [
-            store.search_batch(patterns) for store in (fast, scalar)
-        ]
-        for pattern in patterns:
-            a, b = (per_store[pattern] for per_store in results)
-            assert a.candidates == b.candidates, pattern
-            assert a.matches == b.matches, pattern
-            assert a.cost.bytes == b.cost.bytes, pattern
-            assert a.cost.messages == b.cost.messages, pattern
+        def run():
+            store = build_store(make)
+            return answers(store.search_batch(searchable(store)))
+
+        fused, scalar = both(run)
+        assert fused == scalar
 
     @pytest.mark.parametrize("make", GRID)
     def test_per_needle_sweep_matches_compiled_automaton(self, make):
         """``bucket_plan_hits`` without an automaton (every needle a
         ``find_all`` sweep) ≡ with the compiled one, over a batch large
         enough that lanes cross the gram-index threshold."""
-        store = build_store(make, fast_path=True, bucket_capacity=1024)
+        store = build_store(make, bucket_capacity=1024)
         minimum = store.params.min_query_length
         plans = [
             store.pipeline.plan_query(p.encode("ascii"))
@@ -286,62 +303,48 @@ class TestAutomatonEquivalence:
     def test_mutations_invalidate_gram_indexes(self):
         """The gram index lives in the haystack's view memo, so any
         record mutation must drop it with the haystack."""
-        fast, scalar = self._pair(GRID[1])
-        for store in (fast, scalar):
+        def run():
+            store = build_store(GRID[1])
             store.search_batch(["SCHWARZ ", "WITOLD 12"])  # indexes built
-            store.put(99, "FRESH RECORD ONE")
-            store.put(0, "REPLACED CONTENT")
-            store.delete(1)
-        patterns = ["SCHWARZ ", "FRESH RE", "REPLACED", "WITOLD 12"]
-        assert_stores_agree(fast, scalar, patterns)
+            mutate(store)
+            return search_each(
+                store, ["SCHWARZ ", "FRESH RE", "REPLACED", "WITOLD 12"]
+            )
+
+        fused, scalar = both(run)
+        assert fused == scalar
 
     def test_compressed_ladder_and_batch(self):
-        corpus = [t.encode("ascii") for t in TEXTS]
-        stores = [
-            CompressedSearchStore(b"csi-auto", corpus,
-                                  bucket_capacity=4,
-                                  fast_path=fast_path)
-            for fast_path in (True, False)
-        ]
-        for store in stores:
-            for rid, text in enumerate(TEXTS):
-                store.put(rid, text)
         patterns = ["CHWAR", "WITOLD", "BBBBCC", "ZZZ", "THOMAS"]
-        singles = [
-            {p: store.search(p) for p in patterns} for store in stores
-        ]
-        batches = [store.search_batch(patterns) for store in stores]
+
+        def run():
+            store = compressed_store(b"csi-auto")
+            return (
+                answers({p: store.search(p) for p in patterns}),
+                answers(store.search_batch(patterns)),
+            )
+
+        fused, scalar = both(run)
+        assert fused == scalar
+        singles, batch = fused
         for pattern in patterns:
-            a, b = (per_store[pattern] for per_store in singles)
-            assert a.candidates == b.candidates, pattern
-            assert a.matches == b.matches, pattern
-            assert a.cost.bytes == b.cost.bytes, pattern
-            x, y = (per_store[pattern] for per_store in batches)
-            assert x.candidates == y.candidates == a.candidates, pattern
-            assert x.matches == y.matches == a.matches, pattern
-            assert x.cost.bytes == y.cost.bytes, pattern
+            assert batch[pattern][:2] == singles[pattern][:2], pattern
 
     def test_word_store_batch_matches_singles(self):
-        stores = [
-            EncryptedWordStore(b"word-batch", bucket_capacity=4,
-                               fast_path=fast_path)
-            for fast_path in (True, False)
-        ]
-        for store in stores:
-            for rid, text in enumerate(TEXTS):
-                store.put(rid, text)
-        fast, reference = stores
         words = ["SCHWARZ", "THOMAS", "453-2234", "MISSING", "ANA"]
-        fast_batch = fast.search_batch(words)
-        reference_batch = reference.search_batch(words)
+
+        def run():
+            store = word_store(b"word-batch")
+            return (
+                word_answers(store.search_batch(words)),
+                word_answers({w: store.search(w) for w in words}),
+            )
+
+        fused, scalar = both(run)
+        assert fused == scalar
+        batch, singles = fused
         for word in words:
-            single = fast.search(word)
-            a = fast_batch[word]
-            b = reference_batch[word]
-            assert a.matches == b.matches == single.matches, word
-            assert a.positions == b.positions == single.positions, word
-            assert a.cost.bytes == b.cost.bytes, word
-            assert a.cost.messages == b.cost.messages, word
+            assert batch[word][:2] == singles[word][:2], word
 
 
 class TestMatcherUnit:
@@ -356,8 +359,7 @@ class TestMatcherUnit:
         }
 
     def test_per_record_vs_match_bucket(self):
-        store = build_store(GRID[1], fast_path=True,
-                            bucket_capacity=1024)
+        store = build_store(GRID[1], bucket_capacity=1024)
         records = self._bucket(store)
         for pattern in PATTERNS:
             plan = store.pipeline.plan_query(pattern.encode("ascii"))
@@ -373,14 +375,6 @@ class TestMatcherUnit:
                 (h.rid, h.group, h.site, h.positions) for h in batched
             ], pattern
 
-    def test_batched_disabled_when_fast_path_off(self):
-        store = build_store(GRID[0], fast_path=False)
-        plan = store.pipeline.plan_query(b"SCHWARZ ")
-        matcher = PlanScanMatcher(plan, store.decode_index_key,
-                                  batched=False)
-        assert matcher.match_bucket is None
-        assert getattr(matcher, "match_bucket", None) is None
-
 
 class TestMergeInvalidation:
     def test_shrinking_file_keeps_batched_scans_exact(self):
@@ -394,7 +388,7 @@ class TestMergeInvalidation:
             file.insert(rid, b"PAYLOAD-%03d" % rid)
         needle = b"PAYLOAD"
         batched = CompressedScanMatcher((needle,))
-        scalar = CompressedScanMatcher((needle,), batched=False)
+        scalar = batched.__call__   # a plain callable: per-record loop
         assert sorted(file.scan(batched, request_size=8)) == sorted(
             file.scan(scalar, request_size=8)
         )
@@ -427,10 +421,8 @@ class TestMergeInvalidation:
         groups = tuple(
             (b"PAY%d" % digit,) for digit in range(5)
         )  # 5 needles of one length on the shared lane: index engaged
-        ladder = [
-            MultiCompressedScanMatcher(groups),
-            MultiCompressedScanMatcher(groups, batched=False),
-        ]
+        batched = MultiCompressedScanMatcher(groups)
+        ladder = [batched, batched.__call__]  # per-bucket, per-record
         file = LHStarFile(name="auto-churn", bucket_capacity=4,
                           shrink=True)
         for rid in range(32):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.compressed_index import CompressedSearchStore
 from repro.core.errors import ConfigurationError
+from tests.oracle import reference_paths
 
 RECORDS = {
     1: "SCHWARZ THOMAS",
@@ -68,16 +69,18 @@ class TestBasics:
         assert len(store) == len(RECORDS)
 
     def test_fast_and_reference_encrypt_identically(self):
+        """The registry's translate table ≡ the PRP applied one code
+        at a time — directly, and through the oracle's stand-in."""
         corpus = [t.encode("ascii") for t in RECORDS.values()]
         fast = CompressedSearchStore(b"same-key", corpus)
-        reference = CompressedSearchStore(b"same-key", corpus,
-                                          fast_path=False)
-        assert fast._code_map is not None
-        assert reference._code_map is None
+        with reference_paths():
+            plain = CompressedSearchStore(b"same-key", corpus)
+        assert fast._code_map is not plain._code_map
         stream = bytes(range(256)) * 3
-        assert fast._encrypt_stream(stream) == (
-            reference._encrypt_stream(stream)
-        )
+        prp = fast._prp
+        assert fast._encrypt_stream(stream) == bytes(
+            prp.encrypt(code) for code in stream
+        ) == plain._encrypt_stream(stream)
 
     def test_index_leaks_no_plaintext(self, store):
         for record in store.index_file.all_records():

@@ -49,3 +49,15 @@ class TestExplain:
             SchemeParameters.full(4, dispersal=2)
         )
         assert "all 2 dispersal sites" in store.explain("SCHWARZ")
+
+    def test_names_the_codec_that_runs(self):
+        """Leaving the fused tables is visible: the chunk domain is the
+        only way off them, and ``full(4)`` without Stage 2 is over it."""
+        assert "  codec: fused tables" in (
+            trained_store().explain("MARTINEZ").splitlines()
+        )
+        raw = EncryptedSearchableStore(SchemeParameters.full(4))
+        assert raw.pipeline.codec(0) is None
+        assert "  codec: per-chunk (chunk domain 2^32 > 2^16)" in (
+            raw.explain("SCHWARZ").splitlines()
+        )

@@ -28,6 +28,7 @@ from repro.core.kernels import (
 from repro.crypto.feistel import FeistelPRP
 from repro.gf import GF2, identity_matrix
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from tests.oracle import both, per_chunking_streams
 
 TEXTS = [
     b"SCHWARZ THOMAS J 453-2234\x00",
@@ -63,50 +64,45 @@ GRID = [
 ]
 
 
-def _pipelines(make_params, n_codes):
+def _pipeline(make_params, n_codes):
     params = make_params()
     encoder = (
         FrequencyEncoder.train(TEXTS, params.chunk_bytes, n_codes)
         if n_codes is not None
         else None
     )
-    reference_encoder = (
-        FrequencyEncoder.train(TEXTS, params.chunk_bytes, n_codes)
-        if n_codes is not None
-        else None
-    )
-    return (
-        IndexPipeline(params, encoder),
-        IndexPipeline(params, reference_encoder, fast_path=False),
-    )
+    return IndexPipeline(params, encoder)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("make_params,n_codes", GRID)
     def test_index_streams_byte_identical(self, make_params, n_codes):
-        fast, reference = _pipelines(make_params, n_codes)
-        for text in TEXTS:
-            assert (
-                fast.build_index_streams(text)
-                == reference.build_index_streams(text)
-            )
+        def run():
+            pipeline = _pipeline(make_params, n_codes)
+            return [pipeline.build_index_streams(t) for t in TEXTS]
+
+        fused, plain = both(run)
+        assert fused == plain
 
     @pytest.mark.parametrize("make_params,n_codes", GRID)
     def test_query_needles_byte_identical(self, make_params, n_codes):
         from repro.core.errors import QueryTooShortError
 
-        fast, reference = _pipelines(make_params, n_codes)
-        for pattern in PATTERNS:
-            try:
-                expected = reference.plan_query(pattern)
-            except QueryTooShortError:
-                with pytest.raises(QueryTooShortError):
-                    fast.plan_query(pattern)
-                continue
-            plan = fast.plan_query(pattern)
-            assert plan.needles == expected.needles
-            assert plan.alignments == expected.alignments
-            assert plan.required_groups == expected.required_groups
+        def run():
+            pipeline = _pipeline(make_params, n_codes)
+            plans = {}
+            for pattern in PATTERNS:
+                try:
+                    plan = pipeline.plan_query(pattern)
+                except QueryTooShortError:
+                    plans[pattern] = None
+                else:
+                    plans[pattern] = (plan.needles, plan.alignments,
+                                      plan.required_groups)
+            return plans
+
+        fused, plain = both(run)
+        assert fused == plain
 
     def test_sliding_build_matches_reference_for_all_lengths(self):
         """The sliding-window record-build fast path: shared one-pass
@@ -118,28 +114,19 @@ class TestEquivalence:
             params = SchemeParameters.full(
                 4, n_codes=64, drop_partial_chunks=drop_partial,
             )
-            encoder = FrequencyEncoder.train(TEXTS, 4, 64)
-            fast = IndexPipeline(params, encoder)
-            reference = IndexPipeline(
-                params, FrequencyEncoder.train(TEXTS, 4, 64),
-                fast_path=False,
+            pipeline = IndexPipeline(
+                params, FrequencyEncoder.train(TEXTS, 4, 64)
             )
             for length in range(len(sample)):
                 text = sample[:length]
                 assert (
-                    fast.build_index_streams(text)
-                    == reference.build_index_streams(text)
+                    pipeline.build_index_streams(text)
+                    == per_chunking_streams(pipeline, text)
                 ), (drop_partial, length)
 
     def test_fallback_for_large_domain(self):
         # 32-bit raw chunks exceed the fused bound: no codec.
         pipeline = IndexPipeline(SchemeParameters.full(4))
-        assert pipeline.codec(0) is None
-
-    def test_fast_path_off_never_builds(self):
-        pipeline = IndexPipeline(
-            SchemeParameters.full(2), fast_path=False
-        )
         assert pipeline.codec(0) is None
 
     def test_warm_builds_every_group(self):
@@ -254,33 +241,27 @@ class TestStoreEquivalence:
         params = SchemeParameters.full(
             4, n_codes=64, dispersal=2, master_key=b"kernel-equiv"
         )
-        stores = []
-        for fast_path in (True, False):
+
+        def run():
             encoder = FrequencyEncoder.train(TEXTS, 4, 64)
             store = EncryptedSearchableStore(
                 params, encoder=encoder, bucket_capacity=8,
-                fast_path=fast_path,
             )
             for rid, text in enumerate(TEXTS):
                 store.put(rid, text.rstrip(b"\x00").decode("ascii"))
-            stores.append(store)
-        fast, reference = stores
-        fast_index = {
-            r.rid: r.content for r in fast.index_file.all_records()
-        }
-        reference_index = {
-            r.rid: r.content for r in reference.index_file.all_records()
-        }
-        assert fast_index == reference_index
-        for pattern in ("SCHWARZ ", "WITOLD 12"):
-            a = fast.search(pattern)
-            b = reference.search(pattern)
-            assert a.candidates == b.candidates
-            assert a.matches == b.matches
-        assert fast.network.stats.messages == (
-            reference.network.stats.messages
-        )
-        assert fast.network.stats.bytes == reference.network.stats.bytes
+            index = {
+                r.rid: r.content for r in store.index_file.all_records()
+            }
+            found = {
+                pattern: (result.candidates, result.matches)
+                for pattern in ("SCHWARZ ", "WITOLD 12")
+                for result in [store.search(pattern)]
+            }
+            stats = store.network.stats
+            return index, found, stats.messages, stats.bytes
+
+        fused, plain = both(run)
+        assert fused == plain
 
 
 class TestDiskCache:

@@ -10,6 +10,8 @@ search, and that the rule only ever *removes* candidates of the older
 count-the-groups rule (still available as ``group_hits``).
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.core import EncryptedSearchableStore, SchemeParameters
 from repro.core.chunking import StorageLayout
 from repro.core.errors import ConfigurationError
 from repro.net import RetryPolicy
+from tests.oracle import reference_paths
 
 #: Three letters and a space: chunks recur at unrelated offsets all the
 #: time, which is what stresses the agreement rule.
@@ -58,7 +61,6 @@ def stores(draw, layout):
         aggregation=draw(st.sampled_from(["auto", "any"])),
         n_codes=draw(st.sampled_from([None, 16])),
     )
-    fast_path = draw(st.booleans())
     try:
         params = SchemeParameters(**options)
     except ConfigurationError:
@@ -66,7 +68,7 @@ def stores(draw, layout):
         # chunk width.  Compression always makes it fit.
         params = SchemeParameters(**{**options, "n_codes": 16})
     if params.n_codes is None:
-        store = EncryptedSearchableStore(params, fast_path=fast_path)
+        store = EncryptedSearchableStore(params)
     else:
         encoding = "ascii" if symbol_width == 1 else "utf-16-be"
         store = EncryptedSearchableStore.with_trained_encoder(
@@ -74,7 +76,6 @@ def stores(draw, layout):
             # The fixed sample keeps the census non-empty when every
             # drawn text is shorter than a chunk.
             [text.encode(encoding) for text in texts + [ALPHABET * 4]],
-            fast_path=fast_path,
         )
     for rid, text in corpus.items():
         store.put(rid, text)
@@ -112,6 +113,13 @@ def count_the_groups_candidates(store, pattern):
 @settings(max_examples=12)
 @given(data=st.data())
 def test_every_entry_point_keeps_full_recall(layout, data):
+    # Over the fused paths or over the reference ones (tests/oracle.py).
+    plain = data.draw(st.booleans())
+    with reference_paths() if plain else nullcontext():
+        check_every_entry_point(layout, data)
+
+
+def check_every_entry_point(layout, data):
     store, corpus = data.draw(stores(layout))
     minimum = store.params.min_query_length
     first = patterns_for(data.draw, corpus, minimum)

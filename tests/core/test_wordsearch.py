@@ -10,6 +10,7 @@ from repro.core.wordsearch import (
 )
 from repro.crypto.swp import WORD_BYTES, SwpCipher
 from repro.errors import ReproError
+from tests.oracle import reference_paths
 
 KEY = b"wordsearch-test"
 
@@ -175,13 +176,11 @@ class TestBatchedMatching:
         }
         trapdoor = swp.trapdoor("WORLD")
         fused = WordScanMatcher(trapdoor)
-        reference = WordScanMatcher(trapdoor, fast_path=False)
-        assert reference.match_bucket is None
-        scalar_hits = [
-            hit for record in records.values()
-            if (hit := reference(record)) is not None
+        with reference_paths():     # per-cell SWP, no match_bucket
+            plain = WordScanMatcher(trapdoor)
+            assert not hasattr(plain, "match_bucket")
+            per_record = [plain(r) for r in records.values()]
+        assert fused.match_bucket(BucketHaystack(records)) == [
+            hit for hit in per_record if hit is not None
         ]
-        assert fused.match_bucket(BucketHaystack(records)) == scalar_hits
-        assert [fused(r) for r in records.values()] == [
-            reference(r) for r in records.values()
-        ]
+        assert [fused(r) for r in records.values()] == per_record

@@ -17,16 +17,16 @@ from repro.core.compressed_index import (
     CompressedScanMatcher,
     MultiCompressedScanMatcher,
 )
-from repro.core.scheme import BatchHitReporter, _BatchHit
 from repro.core.search import (
     IndexKeyCodec,
     MultiPlanScanMatcher,
     PlanScanMatcher,
     SearchPlan,
     SiteHit,
+    _BatchHit,
 )
 from repro.core.wordsearch import MultiWordScanMatcher, WordScanMatcher
-from repro.crypto.swp import Trapdoor
+from repro.crypto.swp import SwpCipher, Trapdoor
 from repro.net.faults import RetryPolicy
 from repro.net.simulator import Message, wire_checksum
 from repro.net.stats import NetworkStats
@@ -39,6 +39,7 @@ from repro.net.wire import (
     FrameDecoder,
     WireDecodeError,
     WireEncodeError,
+    _registry,
     decode_frame_body,
     decode_message,
     decode_value,
@@ -48,11 +49,41 @@ from repro.net.wire import (
     kind_table_markdown,
     protocol_kinds_in_source,
 )
+from repro.sdds.haystack import BucketHaystack
+from repro.sdds.lhstar import _hit_size
 from repro.sdds.records import Record
 
 
 def roundtrip(value):
     return decode_value(encode_value(value))
+
+
+def bucket_hits(matcher, records, per_bucket):
+    """One bucket's scan hits through either of a matcher's two forms:
+    ``match_bucket`` over the haystack, or one call per record."""
+    if per_bucket:
+        return matcher.match_bucket(
+            BucketHaystack({record.rid: record for record in records})
+        )
+    return [
+        hit for record in records
+        if (hit := matcher(record)) is not None
+    ]
+
+
+def assert_matcher_survives(matcher, records, forms=(True, False)):
+    """A matcher is its needles: the decoded one must answer the same
+    bucket with the same hits at the same billed size, in both forms
+    (or the one asked for)."""
+    back = roundtrip(matcher)
+    assert type(back) is type(matcher)
+    for per_bucket in forms:
+        hits = bucket_hits(matcher, records, per_bucket)
+        assert hits, "fixture must hit"
+        decoded = bucket_hits(back, records, per_bucket)
+        assert decoded == hits
+        assert sum(map(_hit_size, decoded)) == sum(map(_hit_size, hits))
+    return back
 
 
 # -- generic values ----------------------------------------------------------
@@ -153,6 +184,26 @@ def sample_plan():
     )
 
 
+# One bucket's worth of records per index design, each with hits for
+# the matchers below.
+PLAN_RECORDS = [
+    Record(rid=(7 << 2) | (0 << 1) | 0, content=b"\x01\x02\x09\x01"),
+    Record(rid=(7 << 2) | (1 << 1) | 1, content=b"\x07\x08"),
+    Record(rid=(3 << 2) | 0, content=b"\x09\x09"),
+]
+SWP = SwpCipher(b"wire-test-words")
+WORD_RECORDS = [
+    Record(rid, b"".join(SWP.encrypt_words(rid, words)))
+    for rid, words in {1: ["HELLO", "WORLD"], 2: ["WORLD"],
+                       3: ["NOPE"], 4: []}.items()
+]
+BYTE_RECORDS = [
+    Record(rid=1, content=b"xxabxx"),
+    Record(rid=2, content=b"zzcd"),
+    Record(rid=3, content=b"qq"),
+]
+
+
 class TestTypedObjects:
     def test_record(self):
         record = Record(rid=9, content=b"\x00\x01payload")
@@ -188,34 +239,30 @@ class TestTypedObjects:
         assert back == plan
         assert back.request_size() == plan.request_size()
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_plan_scan_matcher(self, batched):
+    @pytest.mark.parametrize("per_bucket", [True, False])
+    def test_plan_scan_matcher(self, per_bucket):
         codec = IndexKeyCodec(site_bits=1, group_bits=1)
-        matcher = PlanScanMatcher(sample_plan(), codec,
-                                  batched=batched)
-        back = roundtrip(matcher)
+        matcher = PlanScanMatcher(sample_plan(), codec)
+        back = assert_matcher_survives(matcher, PLAN_RECORDS,
+                                       forms=[per_bucket])
         assert back.plan == matcher.plan
         assert back.decode == codec
-        assert (back.match_bucket is None) == (not batched)
-        record = Record(rid=(7 << 2) | (0 << 1) | 0,
-                        content=b"\x01\x02")
-        assert back(record) == matcher(record)
 
     @pytest.mark.parametrize("tagged", [True, False])
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_multi_plan_scan_matcher(self, tagged, batched):
+    @pytest.mark.parametrize("per_bucket", [True, False])
+    def test_multi_plan_scan_matcher(self, tagged, per_bucket):
         codec = IndexKeyCodec(site_bits=1, group_bits=1)
         plans = [sample_plan()] * (2 if tagged else 1)
-        matcher = MultiPlanScanMatcher(
-            plans, codec, BatchHitReporter(tagged=tagged),
-            batched=batched,
-        )
-        back = roundtrip(matcher)
+        matcher = MultiPlanScanMatcher(plans, codec)
+        back = assert_matcher_survives(matcher, PLAN_RECORDS,
+                                       forms=[per_bucket])
         assert back.plans == plans
-        assert back.report == BatchHitReporter(tagged=tagged)
-        assert (back.match_bucket is None) == (not batched)
-        record = Record(rid=(3 << 2) | 0, content=b"\x01\x02")
-        assert back(record) == matcher(record)
+        # Demux tags (2 billed bytes per hit) iff several plans ship.
+        assert {
+            report.tagged
+            for reports in bucket_hits(back, PLAN_RECORDS, per_bucket)
+            for report in reports
+        } == {tagged}
 
     def test_matcher_with_foreign_decode_refuses(self):
         matcher = PlanScanMatcher(sample_plan(), lambda key: (key, 0, 0))
@@ -226,48 +273,58 @@ class TestTypedObjects:
         trapdoor = Trapdoor(pre_encrypted=b"X" * 20,
                             word_key=b"k" * 20)
         assert roundtrip(trapdoor) == trapdoor
-        for fast_path in (True, False):
-            matcher = WordScanMatcher(trapdoor, fast_path=fast_path)
-            back = roundtrip(matcher)
-            assert back.trapdoor == trapdoor
-            assert back.fast_path == fast_path
-            assert (back.match_bucket is None) == (not fast_path)
+        matcher = WordScanMatcher(SWP.trapdoor("WORLD"))
+        back = assert_matcher_survives(matcher, WORD_RECORDS)
+        assert back.trapdoor == matcher.trapdoor
 
     def test_compressed_matcher(self):
-        for batched in (True, False):
-            matcher = CompressedScanMatcher((b"ab", b"cd"),
-                                            batched=batched)
-            back = roundtrip(matcher)
-            assert back.needles == (b"ab", b"cd")
-            assert (back.match_bucket is None) == (not batched)
-            assert back(Record(rid=1, content=b"xxabxx")) == 1
-            assert back(Record(rid=1, content=b"zz")) is None
+        matcher = CompressedScanMatcher((b"ab", b"cd"))
+        back = assert_matcher_survives(matcher, BYTE_RECORDS)
+        assert back.needles == (b"ab", b"cd")
+        assert back(Record(rid=1, content=b"xxabxx")) == 1
+        assert back(Record(rid=1, content=b"zz")) is None
 
     def test_multi_word_matcher(self):
-        trapdoors = (
-            Trapdoor(pre_encrypted=b"x" * 16, word_key=b"k" * 16),
-            Trapdoor(pre_encrypted=b"y" * 16, word_key=b"j" * 16),
-        )
-        for fast_path in (True, False):
-            matcher = MultiWordScanMatcher(trapdoors,
-                                           fast_path=fast_path)
-            back = roundtrip(matcher)
-            assert back.trapdoors == trapdoors
-            assert back.fast_path == fast_path
-            assert (back.match_bucket is None) == (not fast_path)
-            assert back.scan_key() == matcher.scan_key()
+        trapdoors = (SWP.trapdoor("WORLD"), SWP.trapdoor("HELLO"))
+        matcher = MultiWordScanMatcher(trapdoors)
+        back = assert_matcher_survives(matcher, WORD_RECORDS)
+        assert back.trapdoors == trapdoors
 
     def test_multi_compressed_matcher(self):
         groups = ((b"ab", b"cd"), (b"zz",))
-        for batched in (True, False):
-            matcher = MultiCompressedScanMatcher(groups,
-                                                 batched=batched)
-            back = roundtrip(matcher)
-            assert back.needle_groups == groups
-            assert (back.match_bucket is None) == (not batched)
-            assert back(Record(rid=1, content=b"xxabxx")) == (1, (0,))
-            assert back(Record(rid=2, content=b"zzcd")) == (2, (0, 1))
-            assert back(Record(rid=3, content=b"qq")) is None
+        matcher = MultiCompressedScanMatcher(groups)
+        back = assert_matcher_survives(matcher, BYTE_RECORDS)
+        assert back.needle_groups == groups
+        assert back(Record(rid=1, content=b"xxabxx")) == (1, (0,))
+        assert back(Record(rid=2, content=b"zzcd")) == (2, (0, 1))
+        assert back(Record(rid=3, content=b"qq")) is None
+
+    @pytest.mark.parametrize("matcher", [
+        PlanScanMatcher(sample_plan(), IndexKeyCodec(1, 1)),
+        MultiPlanScanMatcher([sample_plan()], IndexKeyCodec(1, 1)),
+        WordScanMatcher(SWP.trapdoor("WORLD")),
+        MultiWordScanMatcher((SWP.trapdoor("WORLD"),)),
+        CompressedScanMatcher((b"ab",)),
+        MultiCompressedScanMatcher(((b"ab",),)),
+    ], ids=lambda matcher: type(matcher).__name__)
+    def test_version_1_matcher_fields_rejected(self, matcher):
+        """Wire version 1 shipped each matcher with one more field (a
+        code-path flag); such a tuple must not decode into a matcher."""
+        type_id, pack, _unpack = _registry()[type(matcher)]
+        fields = pack(matcher)
+        body = bytes([type_id]) + encode_value(fields + (True,))
+        with pytest.raises(WireDecodeError):
+            decode_value(b"O" + body)
+        # The same bytes without the extra field are today's encoding.
+        assert b"O" + bytes([type_id]) + encode_value(fields) == (
+            encode_value(matcher)
+        )
+
+    def test_retired_type_id_rejected(self):
+        """Type 6 was version 1's hit-report factory; it is gone, not
+        reassigned."""
+        with pytest.raises(WireDecodeError, match="type id 6"):
+            decode_value(b"O\x06" + encode_value((True,)))
 
     def test_retry_policy(self):
         policy = RetryPolicy(timeout=1.5, backoff=3.0, max_retries=4,
@@ -414,6 +471,15 @@ class TestFraming:
         frame = bytearray(encode_frame(CHANNEL_DATA, 1))
         frame[4] = WIRE_VERSION + 1
         with pytest.raises(WireDecodeError):
+            decode_frame_body(bytes(frame)[4:])
+
+    def test_version_1_frame_rejected(self):
+        """Version 2 dropped the matchers' flag fields and type 6: a
+        peer still speaking version 1 is refused at the frame."""
+        assert WIRE_VERSION == 2
+        frame = bytearray(encode_frame(CHANNEL_DATA, 1))
+        frame[4] = 1
+        with pytest.raises(WireDecodeError, match="version"):
             decode_frame_body(bytes(frame)[4:])
 
     def test_bad_channel_rejected(self):

@@ -3,13 +3,18 @@
 The batched scan's correctness rests on one property: ``find_all``
 over the concatenated blob reports exactly what per-record
 ``aligned_find`` reports — no cross-boundary matches, no sentinel
-matches, alignment relative to each record's own start.
+matches, alignment relative to each record's own start.  The second
+half is the bucket's side of it: the haystack is dropped on every
+record mutation, so a scan always answers from the resident records.
 """
 
 import pytest
 
+from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.search import aligned_find
+from repro.net.simulator import Message
 from repro.sdds.haystack import GAP, SENTINEL_BYTE, BucketHaystack
+from repro.sdds.lhstar import LHStarFile
 from repro.sdds.records import Record
 
 
@@ -118,3 +123,79 @@ class TestFindRecords:
     def test_blob_order_preserved(self):
         records = make_records({9: b"QQ", 4: b"QQ", 6: b"QQ"})
         assert list(BucketHaystack(records).find_records(b"Q")) == [9, 4, 6]
+
+
+def build_file(**kwargs):
+    file = LHStarFile(name="scans", bucket_capacity=2, **kwargs)
+    for rid in range(16):
+        file.insert(rid, b"R-%02d" % rid)
+    return file
+
+
+def scan(file, needle=b"R-"):
+    """A fresh, equal-valued matcher per call, as a live site decodes
+    a new object per scan."""
+    return sorted(file.scan(CompressedScanMatcher((needle,)),
+                            request_size=4))
+
+
+class TestBucketScansTrackMutations:
+    def test_invalidated_by_put_and_delete(self):
+        file = build_file()
+        assert scan(file) == list(range(16))
+        file.insert(99, b"R-99")
+        file.insert(3, b"gone")          # overwrite in place
+        file.delete(0)
+        assert scan(file) == [
+            rid for rid in range(1, 16) if rid != 3
+        ] + [99]
+
+    def test_invalidated_by_split_and_merge(self):
+        file = build_file(shrink=True)
+        expected = list(range(16))
+        assert scan(file) == expected
+        level = max(b.level for b in file.buckets.values())
+        for rid in range(16, 48):        # force splits
+            file.insert(rid, b"R-%02d" % rid)
+            expected.append(rid)
+            assert scan(file) == expected
+        assert max(b.level for b in file.buckets.values()) > level
+        for rid in range(40):            # force merges
+            file.delete(rid)
+            expected.remove(rid)
+            assert scan(file) == expected
+
+
+class SendOnlyNetwork:
+    """The least a bucket may assume of the network hosting it: the
+    scan handler once read a simulator-only attribute off
+    ``self.network`` and broke every live site."""
+
+    __slots__ = ("sent",)
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, src, dst, kind, payload=None, size=64, hops=0):
+        self.sent.append((dst, kind, payload, size))
+
+
+def test_handle_scan_needs_only_send_from_its_network():
+    file = LHStarFile(name="stub", bucket_capacity=64)
+    for rid in range(4):
+        file.insert(rid, b"R-%02d" % rid)
+    bucket = file.buckets[0]
+    bucket.network = SendOnlyNetwork()
+    client = file.client_id(0)
+    for op in (1, 2):                    # second scan: haystack reused
+        bucket.handle(Message(
+            src=client, dst=bucket.node_id, kind="scan",
+            payload={"op": op, "client": client, "level": 0,
+                     "matcher": CompressedScanMatcher((b"R-0",))},
+        ))
+    replies = bucket.network.sent
+    assert [(dst, kind) for dst, kind, _, _ in replies] == [
+        (client, "scan_reply")
+    ] * 2
+    assert [reply[2]["hits"] for reply in replies] == [[0, 1, 2, 3]] * 2
+    assert replies[0][3] == replies[1][3]
