@@ -18,9 +18,9 @@ fault model forces (operations whose retry budget died, tracked as
   ``take_scan``; surfacing here as a violation, not a crash).
 * **monotone file level** — the coordinator's ``(i, n)`` state never
   steps backwards except through a legitimate delete-driven merge.
-* **parity consistency** — for LH*_RS files, every live bucket is
-  bit-for-bit reconstructible from its parity group
-  (``verify_recovery``).
+* **parity consistency** — for LH*_RS files, every live record is
+  covered by its group's parity, and every parity slot (payload and
+  recorded lengths) recomputes from the dumped group contents.
 * **heal convergence** — after the nemesis quiesces, no bucket stays
   declared dead (recovery completed and probes cleared the rest).
 * **tombstone convergence** — every retired bucket is empty and its
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import BucketUnavailableError, SDDSError
+from repro.errors import SDDSError
 
 
 @dataclass(frozen=True)
@@ -185,45 +185,11 @@ class LevelMonitor:
         self._last = state
 
 
-def check_parity_consistency(file: Any) -> list[Violation]:
-    """Every live LH*_RS bucket reconstructs bit-for-bit from parity."""
-    if not hasattr(file, "verify_recovery"):
-        return []
-    violations = []
-    for address in sorted(file.buckets):
-        bucket = file.buckets[address]
-        if bucket is None or bucket.retired or bucket.pending:
-            continue
-        try:
-            ok = file.verify_recovery([address])
-        except BucketUnavailableError as error:
-            violations.append(Violation(
-                "parity-consistency",
-                f"{file.name} bucket {address}: {error}",
-            ))
-            continue
-        if not ok:
-            violations.append(Violation(
-                "parity-consistency",
-                f"{file.name} bucket {address} does not reconstruct "
-                "from its parity group",
-            ))
-    return violations
-
-
-def check_heal_convergence(file: Any) -> list[Violation]:
-    """After quiesce + probe rounds no bucket may stay declared dead."""
-    return check_heal_convergence_dead(
-        file.name, file.coordinator.dead
-    )
-
-
 def check_heal_convergence_dead(
     name: str, dead: dict[int, Any] | set[int]
 ) -> list[Violation]:
-    """Backend-agnostic core of :func:`check_heal_convergence`: the
-    live runner feeds the coordinator's ``dead`` map fetched over the
-    control plane instead of reading the node object directly."""
+    """After quiesce + probe rounds no bucket may stay declared dead;
+    ``dead`` is the ``dead`` map of ``network.coordinator_state``."""
     remaining = sorted(dead)
     if not remaining:
         return []
@@ -231,23 +197,6 @@ def check_heal_convergence_dead(
         "heal-convergence",
         f"{name} still has dead buckets {remaining} after heal",
     )]
-
-
-def dump_buckets_sim(file: Any) -> dict[int, dict]:
-    """Snapshot a simulator file's buckets in the shape of
-    ``LiveNetwork.dump_buckets`` so the elasticity oracles below run
-    identically on both backends."""
-    return {
-        address: {
-            "level": bucket.level,
-            "retired": bucket.retired,
-            "merge_target": bucket.merge_target,
-            "pending": bucket.pending,
-            "records": sorted(bucket.records.values(),
-                              key=lambda r: r.rid),
-        }
-        for address, bucket in file.buckets.items()
-    }
 
 
 def check_tombstone_convergence(
@@ -361,25 +310,20 @@ def check_post_heal_levels(
     return violations
 
 
-def check_parity_consistency_live(
-    network: Any, file: Any
-) -> list[Violation]:
-    """Live-backend parity oracle: recompute every parity slot.
+def check_parity_consistency(network: Any, file: Any) -> list[Violation]:
+    """Every live LH*_RS record is covered by parity, and every parity
+    slot is the generator-weighted XOR of its contributors.
 
-    The simulator oracle calls ``verify_recovery`` on in-process
-    nodes; on the live backend buckets and parity live in other
-    processes, so this instead pulls the raw state over the control
-    plane (``dump``/``dump_parity``) and checks the parity algebra
-    client-side: every live record must hold a rank in the group's
-    parity tables, and every slot payload must equal the
-    generator-weighted XOR of its contributors' current contents.
+    Reads raw state through ``network.dump_buckets`` /
+    ``network.dump_parity`` — in-process on the simulator, over the
+    control plane on the live backend — and recomputes the parity
+    algebra here, so one oracle runs on both.  Slot lengths are
+    checked too: a reconstruction truncates to them, so a wrong
+    length loses bytes exactly like a wrong payload.
     """
-    if not hasattr(file, "parity_count"):
+    if file.rs is None:
         return []
-    from repro.sdds.lhstar_rs import _scale, _xor, generator_matrix
-
     group_size = file.group_size
-    generator = generator_matrix(group_size, file.parity_count)
     buckets = network.dump_buckets(file.name)
     slots = network.dump_parity(file.name)
     violations: list[Violation] = []
@@ -413,34 +357,41 @@ def check_parity_consistency_live(
                     f"{file.name} bucket {base + offset}: rids "
                     f"{sorted(missing)} have no parity contribution",
                 ))
-        # Algebra: each slot payload reconstructs from the dumps.
+        # Algebra: each slot reconstructs from the dumps.
         for index in range(file.parity_count):
+            row = file.generator.rows[index]
             for rank, slot in (slots.get((group, index)) or {}).items():
-                expected = b""
-                broken = False
-                for offset, rid in enumerate(slot["rids"]):
-                    if rid is None:
-                        continue
-                    content = contents.get(offset, {}).get(rid)
-                    if content is None:
-                        violations.append(Violation(
-                            "parity-consistency",
-                            f"{file.name} parity ({group},{index}) "
-                            f"rank {rank}: contributor rid {rid} not "
-                            f"held by bucket {base + offset}",
-                        ))
-                        broken = True
-                        break
-                    expected = _xor(expected, _scale(
-                        generator.rows[index][offset], content
-                    ))
-                if broken:
-                    continue
-                if (expected.rstrip(b"\x00")
-                        != slot["payload"].rstrip(b"\x00")):
+                problem = _slot_problem(slot, contents, base, row)
+                if problem is not None:
                     violations.append(Violation(
                         "parity-consistency",
                         f"{file.name} parity ({group},{index}) rank "
-                        f"{rank} does not match its group contents",
+                        f"{rank}: {problem}",
                     ))
     return violations
+
+
+def _slot_problem(
+    slot: dict, contents: dict[int, dict[int, bytes]], base: int,
+    row: tuple[int, ...],
+) -> str | None:
+    """Why one dumped parity slot disagrees with its group's dumped
+    records (``contents``: offset -> rid -> content), or ``None``."""
+    from repro.sdds.lhstar_rs import _scale, _xor
+
+    expected = b""
+    for offset, rid in enumerate(slot["rids"]):
+        if rid is None:
+            continue
+        content = contents.get(offset, {}).get(rid)
+        if content is None:
+            return (f"contributor rid {rid} not held by bucket "
+                    f"{base + offset}")
+        if slot["lengths"][offset] != len(content):
+            return (f"length {slot['lengths'][offset]} recorded for rid "
+                    f"{rid}, bucket {base + offset} holds "
+                    f"{len(content)} bytes")
+        expected = _xor(expected, _scale(row[offset], content))
+    if expected.rstrip(b"\x00") != slot["payload"].rstrip(b"\x00"):
+        return "payload does not match its group contents"
+    return None

@@ -21,6 +21,12 @@ An episode is a pure function of its seed and config:
    bucket stays declared dead, then run the invariant battery of
    :mod:`repro.chaos.invariants`.
 
+The simulator and the live backend (``EpisodeConfig.backend``) run
+this one body: coordinator state, bucket dumps and parity tables are
+read through the network's operator verbs (``coordinator_state``,
+``dump_buckets``, ``dump_parity``), which both backends answer in the
+same shapes.  Only building the network and the crash gate differ.
+
 The episode report (see OBSERVABILITY.md) is JSONL: one ``episode``
 line with config, counters, and violations, followed by the PR-2
 tracer's spans for every operation.  No wall clock, no unseeded
@@ -30,11 +36,12 @@ schedule).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
-from typing import IO, Any
+from typing import IO, Any, Callable
 
 from repro.chaos.invariants import (
     LevelMonitor,
@@ -43,12 +50,10 @@ from repro.chaos.invariants import (
     check_heal_convergence_dead,
     check_migration_integrity,
     check_parity_consistency,
-    check_parity_consistency_live,
     check_post_heal_levels,
     check_scan_coverage,
     check_search_agreement,
     check_tombstone_convergence,
-    dump_buckets_sim,
 )
 from repro.chaos.nemesis import (
     FaultEvent,
@@ -211,112 +216,9 @@ def _build_store(
     )
 
 
-class _SimulatorBackend:
-    """Oracle/introspection surface of a simulator episode.
-
-    The traced runner only touches the network through this facade
-    wherever simulator and live clusters genuinely differ: reading
-    coordinator state, gating nemesis crashes, and checking parity
-    consistency.  Everything else (the client API, the nemesis, the
-    stats) is already backend-agnostic.
-    """
-
-    def refresh(self, store: EncryptedSearchableStore) -> None:
-        pass  # node objects are in-process; nothing to fetch
-
-    def state(self, file: Any) -> tuple[int, int]:
-        return file.state
-
-    def dead(self, file: Any) -> dict[int, Any]:
-        return dict(file.coordinator.dead)
-
-    def make_gate(self, store: EncryptedSearchableStore,
-                  config: EpisodeConfig):
-        gates = (store.record_file.crash_gate(),
-                 store.index_file.crash_gate())
-        return lambda node_id: any(gate(node_id) for gate in gates)
-
-    def buckets(self, file: Any) -> dict[int, dict]:
-        return dump_buckets_sim(file)
-
-    def parity_violations(self, file: Any) -> list[Violation]:
-        return check_parity_consistency(file)
-
-
-class _LiveBackend:
-    """The same surface over a :class:`~repro.net.live.LiveNetwork`.
-
-    Coordinator state comes from unbilled control-plane roundtrips;
-    the crash gate works from the state snapshot cached by the last
-    ``refresh``/``state`` call (a gate runs inside ``network.run`` and
-    must not start nested roundtrips); parity consistency recomputes
-    the parity algebra client-side from ``dump``/``dump_parity``.
-    """
-
-    def __init__(self, network: Any) -> None:
-        self.network = network
-        self._states: dict[str, dict] = {}
-
-    def refresh(self, store: EncryptedSearchableStore) -> None:
-        for file in (store.record_file, store.index_file):
-            self._states[file.name] = (
-                self.network.coordinator_state(file.name)
-            )
-
-    def state(self, file: Any) -> tuple[int, int]:
-        snap = self.network.coordinator_state(file.name)
-        self._states[file.name] = snap
-        return (snap["i"], snap["n"])
-
-    def dead(self, file: Any) -> dict[int, Any]:
-        snap = self.network.coordinator_state(file.name)
-        self._states[file.name] = snap
-        return {int(address): info
-                for address, info in (snap.get("dead") or {}).items()}
-
-    def make_gate(self, store: EncryptedSearchableStore,
-                  config: EpisodeConfig):
-        group_size = config.group_size
-        parity_count = config.parity_count
-        names = {store.record_file.name, store.index_file.name}
-        network = self.network
-        states = self._states
-
-        def gate(node_id: Any) -> bool:
-            if not (isinstance(node_id, tuple) and len(node_id) == 3
-                    and node_id[0] == "bucket"
-                    and node_id[1] in names):
-                return False
-            name, address = node_id[1], node_id[2]
-            snap = states.get(name)
-            if snap is None:
-                return False
-            if address >= (1 << snap["i"]) + snap["n"]:
-                return False  # never created
-            dead = {int(a) for a in (snap.get("dead") or {})}
-            if address in dead:
-                return False  # mid-recovery: an independent failure
-            base = (address // group_size) * group_size
-            down = sum(
-                1 for member in range(base, base + group_size)
-                if member != address and (
-                    member in dead
-                    or network.is_crashed(("bucket", name, member))
-                )
-            )
-            return down + 1 <= parity_count
-
-        return gate
-
-    def buckets(self, file: Any) -> dict[int, dict]:
-        return self.network.dump_buckets(file.name)
-
-    def parity_violations(self, file: Any) -> list[Violation]:
-        return check_parity_consistency_live(self.network, file)
-
-
 def _converge(store: EncryptedSearchableStore, network: Network,
-              backend: Any, rounds: int = 6) -> None:
+              read_state: Callable[[Any], dict],
+              rounds: int = 6) -> None:
     """Probe-drive the coordinators until no bucket stays dead.
 
     After the nemesis quiesces, every node is up again but a
@@ -331,7 +233,7 @@ def _converge(store: EncryptedSearchableStore, network: Network,
         dead = [
             (file, address)
             for file in files
-            for address in sorted(backend.dead(file))
+            for address in sorted(read_state(file)["dead"])
         ]
         if not dead:
             return
@@ -345,6 +247,48 @@ def _converge(store: EncryptedSearchableStore, network: Network,
         network.run()
 
 
+def _snapshot_gate(store: EncryptedSearchableStore, network: Any,
+                   config: EpisodeConfig,
+                   states: dict[str, dict]) -> Callable[[Any], bool]:
+    """The live backend's crash gate.
+
+    A gate runs inside ``network.run``, where the live backend cannot
+    make a control-plane roundtrip, so it judges from ``states``: the
+    last ``coordinator_state`` the op loop read per file name.  The
+    simulator gates on its node objects instead
+    (``LHStarRSFile.crash_gate``).
+    """
+    group_size = config.group_size
+    parity_count = config.parity_count
+    names = {store.record_file.name, store.index_file.name}
+
+    def gate(node_id: Any) -> bool:
+        if not (isinstance(node_id, tuple) and len(node_id) == 3
+                and node_id[0] == "bucket"
+                and node_id[1] in names):
+            return False
+        name, address = node_id[1], node_id[2]
+        snap = states.get(name)
+        if snap is None:
+            return False
+        if address >= (1 << snap["i"]) + snap["n"]:
+            return False  # never created
+        dead = snap["dead"]
+        if address in dead:
+            return False  # mid-recovery: an independent failure
+        base = (address // group_size) * group_size
+        down = sum(
+            1 for member in range(base, base + group_size)
+            if member != address and (
+                member in dead
+                or network.is_crashed(("bucket", name, member))
+            )
+        )
+        return down + 1 <= parity_count
+
+    return gate
+
+
 def run_episode(
     seed: int,
     config: EpisodeConfig | None = None,
@@ -354,70 +298,45 @@ def run_episode(
 
     ``events`` replays an explicit fault schedule (shrinker, CLI
     ``--replay``) instead of composing one from the seed; the
-    workload itself is still derived from ``seed`` either way.
+    workload itself is still derived from ``seed`` either way.  With
+    ``config.backend == "live"`` the chaos store runs on real site
+    processes; the fault-free twin stays a simulator either way, so
+    the acked-set and search-answer comparison crosses the backend
+    boundary.
     """
     config = config or EpisodeConfig()
-    if config.backend == "live":
-        return _run_live_episode(seed, config, events)
-    if config.backend != "simulator":
+    if config.backend not in ("simulator", "live"):
         raise ValueError(
             f"unknown episode backend {config.backend!r}"
         )
-    policy = _episode_policy(seed, config)
-    chaos_net = Network(
-        latency=JitterLatencyModel(seed=seed * 2 + 1, jitter=0.002),
-        faults=FaultModel(seed=seed * 2 + 2),
-    )
-    chaos = _build_store(config, chaos_net, policy)
-    twin = _build_store(config, Network(), RetryPolicy())
-
-    tracer = Tracer(network=chaos_net, capacity=65536)
-    with use_tracer(tracer):
-        report = _run_episode_traced(
-            seed, config, events, chaos, twin, chaos_net,
-            _SimulatorBackend(),
-        )
-    report.spans = list(tracer.finished)
-    return report
-
-
-def _episode_policy(seed: int, config: EpisodeConfig) -> RetryPolicy:
-    return RetryPolicy(
+    policy = RetryPolicy(
         timeout=config.retry_timeout,
         backoff=config.retry_backoff,
         max_retries=config.retry_max,
         jitter=config.retry_jitter,
         seed=seed,
     )
+    with contextlib.ExitStack() as stack:
+        if config.backend == "live":
+            from repro.net.live import LiveCluster
 
-
-def _run_live_episode(
-    seed: int,
-    config: EpisodeConfig,
-    events: list[FaultEvent] | None,
-) -> EpisodeReport:
-    """One chaos episode against real site processes.
-
-    Identical seeded workload and nemesis schedule as the simulator
-    path — the fault-free twin stays a simulator, so the acked-set
-    and search-answer comparison crosses the backend boundary.
-    """
-    from repro.net.live import LiveCluster
-
-    policy = _episode_policy(seed, config)
-    with LiveCluster(buckets=config.live_sites) as cluster:
-        network = cluster.connect(
-            run_timeout=config.live_run_timeout
-        )
-        network.enable_faults(seed=seed * 2 + 2)
-        chaos = _build_store(config, network, policy)
+            cluster = stack.enter_context(
+                LiveCluster(buckets=config.live_sites))
+            chaos_net = cluster.connect(
+                run_timeout=config.live_run_timeout)
+            chaos_net.enable_faults(seed=seed * 2 + 2)
+        else:
+            chaos_net = Network(
+                latency=JitterLatencyModel(seed=seed * 2 + 1,
+                                           jitter=0.002),
+                faults=FaultModel(seed=seed * 2 + 2),
+            )
+        chaos = _build_store(config, chaos_net, policy)
         twin = _build_store(config, Network(), RetryPolicy())
-        tracer = Tracer(network=network, capacity=65536)
+        tracer = Tracer(network=chaos_net, capacity=65536)
         with use_tracer(tracer):
             report = _run_episode_traced(
-                seed, config, events, chaos, twin, network,
-                _LiveBackend(network),
-            )
+                seed, config, events, chaos, twin, chaos_net)
         report.spans = list(tracer.finished)
         return report
 
@@ -429,7 +348,6 @@ def _run_episode_traced(
     chaos: EncryptedSearchableStore,
     twin: EncryptedSearchableStore,
     chaos_net: Network,
-    backend: Any,
 ) -> EpisodeReport:
     violations: list[Violation] = []
     model: dict[int, str] = {}
@@ -515,23 +433,34 @@ def _run_episode_traced(
             ).append("rejoin_up")
 
     rejoin_down: list[Any] = []
+    # Every coordinator-state read goes through ``read_state``: the
+    # live crash gate judges from the last snapshot per file name.
+    states: dict[str, dict] = {}
+
+    def read_state(file: Any) -> dict:
+        states[file.name] = snap = chaos_net.coordinator_state(file.name)
+        return snap
+
+    def level(file: Any) -> tuple[int, int]:
+        snap = read_state(file)
+        return snap["i"], snap["n"]
 
     def _apply_membership(op: int) -> None:
         """Perform the membership events planned for op ``op``."""
         file = chaos.record_file
         for kind in membership_plan.pop(op, ()):
             if kind == "leave":
-                i, n = backend.state(file)
-                count = (1 << i) + n
+                snap = read_state(file)
+                count = (1 << snap["i"]) + snap["n"]
                 address = count - 1
-                if count <= 1 or address in backend.dead(file):
+                if count <= 1 or address in snap["dead"]:
                     continue
                 try:
                     file.leave(address)
                 except SDDSError:
                     pass  # refused or drowned out; chaos moves on
             elif kind == "rejoin_down":
-                dump = backend.buckets(file)
+                dump = chaos_net.dump_buckets(file.name)
                 retired = [a for a, info in dump.items()
                            if info["retired"]]
                 if not retired:
@@ -545,8 +474,15 @@ def _run_episode_traced(
                 chaos_net.restore(rejoin_down.pop(0))
 
     nemesis = Nemesis(events)
-    backend.refresh(chaos)
-    nemesis.gate = backend.make_gate(chaos, config)
+    files = (chaos.record_file, chaos.index_file)
+    for file in files:
+        read_state(file)
+    if config.backend == "live":
+        nemesis.gate = _snapshot_gate(chaos, chaos_net, config, states)
+    else:
+        gates = [file.crash_gate() for file in files]
+        nemesis.gate = lambda node_id: any(
+            gate(node_id) for gate in gates)
     nemesis.attach(chaos_net)
 
     monitors = (
@@ -621,10 +557,8 @@ def _run_episode_traced(
             name = ("scan-coverage" if "coverage" in str(error)
                     else "runtime-error")
             violations.append(Violation(name, str(error)))
-        for monitor, file in zip(
-            monitors, (chaos.record_file, chaos.index_file)
-        ):
-            monitor.observe(backend.state(file), deleted)
+        for monitor, file in zip(monitors, files):
+            monitor.observe(level(file), deleted)
 
     # 3. Heal and settle.  Quiescing closes any still-open elasticity
     # windows, so drain their queued membership events (pending
@@ -634,14 +568,14 @@ def _run_episode_traced(
     while rejoin_down:
         chaos_net.restore(rejoin_down.pop(0))
     chaos_net.run()
-    _converge(chaos, chaos_net, backend)
+    _converge(chaos, chaos_net, read_state)
 
     # 4. The oracle battery.
     for monitor in monitors:
         violations.extend(monitor.violations)
-    for file in (chaos.record_file, chaos.index_file):
+    for file in files:
         violations.extend(check_heal_convergence_dead(
-            file.name, backend.dead(file)
+            file.name, read_state(file)["dead"]
         ))
     violations.extend(check_durability(chaos, model, uncertain))
     searches: dict[str, list[int]] = {}
@@ -660,8 +594,8 @@ def _run_episode_traced(
             pattern, result, twin.search(pattern), uncertain
         ))
     violations.extend(check_scan_coverage(chaos, model, uncertain))
-    violations.extend(backend.parity_violations(chaos.record_file))
-    violations.extend(backend.parity_violations(chaos.index_file))
+    for file in files:
+        violations.extend(check_parity_consistency(chaos_net, file))
     # Elasticity oracles: tombstone forwarding converges, membership
     # events lose/duplicate nothing, levels match the healed (i, n).
     # The record file's rids are the store's rids; the index file's
@@ -671,13 +605,13 @@ def _run_episode_traced(
         (chaos.record_file, set(model)),
         (chaos.index_file, set()),
     ):
-        dump = backend.buckets(file)
+        dump = chaos_net.dump_buckets(file.name)
         violations.extend(
             check_tombstone_convergence(file.name, dump))
         violations.extend(check_migration_integrity(
             file.name, dump, acked_rids, uncertain))
         violations.extend(check_post_heal_levels(
-            file.name, backend.state(file), dump))
+            file.name, level(file), dump))
 
     stats = chaos_net.stats
     return EpisodeReport(

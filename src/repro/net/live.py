@@ -175,7 +175,10 @@ class LiveNetwork(Transport):
     attached client nodes; bucket and coordinator attachment is
     forwarded to the hosting processes, and crash flags, partitions
     and fault rates are mirrored to every site over the control
-    plane."""
+    plane.  The operator verbs (``coordinator_state``,
+    ``dump_buckets``, ``dump_parity``, ``site_leave``,
+    ``decommission``) are asked of the hosting sites, which answer
+    them with the :class:`Transport` methods of the same name."""
 
     def __init__(self, config: ClusterConfig,
                  run_timeout: float = DEFAULT_RUN_TIMEOUT) -> None:
@@ -726,37 +729,29 @@ class LiveNetwork(Transport):
             result[key] = self._site_census(key)["metrics"]
         return result
 
-    def dump_buckets(self, name: str) -> dict[int, dict]:
-        """All hosted buckets of file ``name`` (the live counterpart
-        of reading ``file.buckets`` in the simulator)."""
-        result: dict[int, dict] = {}
-        for key in self._conns:
-            if key[0] != "bucket":
-                continue
-            reply = self._roundtrip(key, {"ctrl": "dump",
-                                          "name": name})
-            result.update(reply["buckets"])
+    # -- operator verbs: the Transport's, fanned out to the sites ---------
+
+    def _from_bucket_sites(self, ctrl: str, name: str,
+                           field: str) -> dict:
+        """Merge one control verb's ``field`` reply over every bucket
+        site, in site order (each site answers for what it hosts)."""
+        result: dict = {}
+        for key in list(self._conns):
+            if key[0] == "bucket":
+                result.update(self._roundtrip(
+                    key, {"ctrl": ctrl, "name": name})[field])
         return result
+
+    def dump_buckets(self, name: str) -> dict[int, dict]:
+        return self._from_bucket_sites("dump", name, "buckets")
 
     def dump_parity(self, name: str) -> dict[tuple, dict]:
-        """All hosted parity slot tables of file ``name``: one entry
-        per ``(group, index)``, each mapping rank -> payload/rids/
-        lengths — the raw material for the client-side
-        parity-consistency oracle."""
-        result: dict[tuple, dict] = {}
-        for key in list(self._conns):
-            if key[0] != "bucket":
-                continue
-            reply = self._roundtrip(key, {"ctrl": "dump_parity",
-                                          "name": name})
-            result.update(reply["slots"])
-        return result
+        return self._from_bucket_sites("dump_parity", name, "slots")
 
     def coordinator_state(self, name: str) -> dict:
-        return self._roundtrip(("coordinator",), {"ctrl": "state",
-                                                  "name": name})
-
-    # -- elasticity: graceful leave and tombstone reaping -----------------
+        reply = self._roundtrip(("coordinator",), {"ctrl": "state",
+                                                   "name": name})
+        return {key: reply[key] for key in ("i", "n", "dead")}
 
     def site_leave(self, name: str, address: int) -> bool:
         """Start a graceful departure of bucket ``address`` of file

@@ -26,9 +26,12 @@ Each process owns:
 * a control plane (unbilled, ``CHANNEL_CTRL``): node creation, crash
   and restore flags, fault-rule installation (loss / duplication /
   corruption / latency / partitions — see ``fault_set``, ``partition``,
-  ``heal``, ``delay``), census, record and parity dumps, shutdown.
+  ``heal``, ``delay``), census, the operator verbs, shutdown.
   Control traffic deliberately mirrors the simulator's unbilled
-  *method calls* (``Network.crash`` etc.).
+  *method calls* (``Network.crash`` etc.); the operator verbs
+  (``state``, ``dump``, ``dump_parity``, ``leave``, ``decommission``)
+  *are* those calls — the :class:`Transport` method of the same name
+  on this site's network.
 * conservation counters (data messages sent / delivered / buffered)
   the client's census sums to detect global quiescence — the live
   equivalent of the simulator's run-to-quiescence event loop.
@@ -546,6 +549,7 @@ class SiteServer:
 
     def _dispatch_ctrl(self, ctrl: str, payload: dict,
                        writer: asyncio.StreamWriter) -> dict | None:
+        network = self.network
         if ctrl == "ping":
             return {"role": self.role, "index": self.index}
         if ctrl == "register_client":
@@ -559,14 +563,26 @@ class SiteServer:
             return self._ctrl_create_parity(payload)
         if ctrl == "create_spare":
             return self._ctrl_create_spare(payload)
+        # The operator verbs are the Transport's own methods, the
+        # simulator's code: this site answers for the nodes it hosts.
+        if ctrl == "state":
+            return network.coordinator_state(payload["name"])
+        if ctrl == "dump":
+            return {"buckets": network.dump_buckets(payload["name"])}
+        if ctrl == "dump_parity":
+            return {"slots": network.dump_parity(payload["name"])}
         if ctrl == "leave":
-            return self._ctrl_leave(payload)
+            return {"started": network.site_leave(payload["name"],
+                                                  payload["address"])}
         if ctrl == "decommission":
-            return self._ctrl_decommission(payload)
+            # Reports whether the site hosts any node still, so the
+            # caller can retire the whole process.
+            network.decommission(payload["name"], payload["address"])
+            return {"empty": not network.nodes}
         if ctrl == "crash":
-            known = payload["node"] in self.network
+            known = payload["node"] in network
             if known:
-                self.network.crash(payload["node"])
+                network.crash(payload["node"])
             return {"known": known}
         if ctrl == "restore":
             return self._ctrl_restore(payload["node"])
@@ -574,13 +590,13 @@ class SiteServer:
             return self._ctrl_fault_set(payload)
         if ctrl == "partition":
             for src, dst in payload["links"]:
-                self.network.partition(src, dst, symmetric=False)
+                network.partition(src, dst, symmetric=False)
             return {}
         if ctrl == "heal":
             if payload.get("all"):
-                self.network.heal()
+                network.heal()
             for src, dst in payload.get("links", ()):
-                self.network.heal(src, dst, symmetric=False)
+                network.heal(src, dst, symmetric=False)
             return {}
         if ctrl == "delay":
             self.delay_extra = float(payload["extra"])
@@ -596,18 +612,12 @@ class SiteServer:
                              + sum(len(q) for q in
                                    self._parked.values())),
                 "timers": self.armed_timers(),
-                "stats": self.network.stats.snapshot(),
+                "stats": network.stats.snapshot(),
                 "metrics": self.metrics.to_dict(),
                 "missing": sorted(self._parked),
                 "handler_failures": self.handler_failures,
                 "first_failure": self.first_failure,
             }
-        if ctrl == "dump":
-            return self._ctrl_dump(payload["name"])
-        if ctrl == "dump_parity":
-            return self._ctrl_dump_parity(payload["name"])
-        if ctrl == "state":
-            return self._ctrl_state(payload["name"])
         if ctrl == "shutdown":
             assert self._stopping is not None
             self._loop.call_soon(self._stopping.set)
@@ -662,47 +672,6 @@ class SiteServer:
             payload["address"], payload["level"])
         return {}
 
-    def _ctrl_leave(self, payload: dict) -> dict:
-        """Trigger a graceful departure of bucket ``address``: the
-        hosted coordinator runs its ordinary ``begin_leave`` and the
-        drain itself (``leave`` trigger, ``recover_install`` shipment,
-        ``recover_done`` ack) flows over the billed data plane."""
-        if self.role != "coordinator":
-            raise ValueError("leave sent to a bucket site")
-        node = self.network.nodes.get(
-            ("coordinator", payload["name"]))
-        if node is None:
-            raise ValueError(
-                f"no coordinator for file {payload['name']!r}")
-        return {"started": node.begin_leave(payload["address"])}
-
-    def _ctrl_decommission(self, payload: dict) -> dict:
-        """Reap a retired (tombstone) bucket after its image catch-up
-        window: detach the node and forget it.  Refuses while the
-        tombstone still holds records or was never retired — reaping a
-        live bucket would lose data.  Reports whether the site hosts
-        any remaining nodes so the caller can retire the whole
-        process."""
-        if self.role != "bucket":
-            raise ValueError("decommission sent to the coordinator")
-        shell = self.files.get(payload["name"])
-        address = payload["address"]
-        bucket = None if shell is None else shell.buckets.get(address)
-        if bucket is None:
-            raise ValueError(
-                f"no bucket {address} to decommission on site "
-                f"{self.index}")
-        if not bucket.retired:
-            raise ValueError(
-                f"bucket {address} is not retired; only tombstones "
-                "can be decommissioned")
-        if bucket.records:
-            raise ValueError(
-                f"tombstone {address} still holds records")
-        self.network.detach(bucket.node_id)
-        del shell.buckets[address]
-        return {"empty": not self.network.nodes}
-
     def _ctrl_fault_set(self, payload: dict) -> dict:
         """Install (or retune) this site's seeded fault model.  The
         seed is salted per site so streams differ across processes but
@@ -737,47 +706,6 @@ class SiteServer:
             self._armed.add(timer)
             self._loop.call_later(0, self._fire, timer)
         return {"known": known, "was_crashed": was_crashed}
-
-    def _ctrl_dump(self, name: str) -> dict:
-        shell = self.files.get(name)
-        buckets = {}
-        if shell is not None:
-            for address, bucket in shell.buckets.items():
-                buckets[address] = {
-                    "level": bucket.level,
-                    "retired": bucket.retired,
-                    "merge_target": bucket.merge_target,
-                    "pending": bucket.pending,
-                    "records": sorted(bucket.records.values(),
-                                      key=lambda r: r.rid),
-                }
-        return {"buckets": buckets}
-
-    def _ctrl_dump_parity(self, name: str) -> dict:
-        """Snapshot locally hosted parity buckets: per (group, index),
-        the slot table (rank -> payload, rids, lengths) — the raw
-        material for a client-side parity-consistency oracle."""
-        shell = self.files.get(name)
-        slots: dict = {}
-        if shell is not None:
-            for node in self.network.nodes.values():
-                if (isinstance(node, ParityBucket)
-                        and node.file is shell):
-                    slots[(node.group, node.index)] = {
-                        rank: {"payload": slot.payload,
-                               "rids": list(slot.rids),
-                               "lengths": list(slot.lengths)}
-                        for rank, slot in node.slots.items()
-                    }
-        return {"slots": slots}
-
-    def _ctrl_state(self, name: str) -> dict:
-        node = self.network.nodes.get(("coordinator", name))
-        if node is None:
-            raise ValueError(f"no coordinator for file {name!r}")
-        return {"i": node.i, "n": node.n,
-                "dead": {addr: list(info)
-                         for addr, info in node.dead.items()}}
 
     # -- connection handling ---------------------------------------------
 

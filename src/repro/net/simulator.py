@@ -224,7 +224,10 @@ class Transport:
     :class:`repro.net.serve.SiteNetwork` are carriers: they only move
     what :meth:`_outgoing` hands them (event heap, client sockets, site
     routing) and feed arrivals to :meth:`_admit`, so billing and fault
-    semantics are the same code on the simulator and on sockets.
+    semantics are the same code on the simulator and on sockets.  The
+    operator verbs (:meth:`coordinator_state`, :meth:`dump_buckets`,
+    :meth:`dump_parity`, :meth:`site_leave`, :meth:`decommission`)
+    are one implementation too, over the nodes this transport holds.
     """
 
     def __init__(self, faults: "FaultModel | None" = None) -> None:
@@ -504,6 +507,86 @@ class Transport:
         self.stats.crashed_drops += 1
         if self.observer is not None:
             self.observer.on_drop(message.kind, message.size)
+
+    # -- operator verbs -------------------------------------------------------
+    #
+    # Unbilled reads and actions on the LH* file named ``name``, over
+    # the nodes this transport holds, found by node id.  The simulator
+    # answers them in-process and a site process answers its control
+    # verbs with them; ``LiveNetwork`` overrides them to ask the sites.
+
+    def _file_nodes(self, family: str, name: str) -> Iterable[Any]:
+        for node_id, node in self.nodes.items():
+            if (isinstance(node_id, tuple) and len(node_id) > 2
+                    and node_id[0] == family and node_id[1] == name):
+                yield node
+
+    def _coordinator(self, name: str) -> Any:
+        node = self.nodes.get(("coordinator", name))
+        if node is None:
+            raise ValueError(f"no coordinator for file {name!r}")
+        return node
+
+    def coordinator_state(self, name: str) -> dict[str, Any]:
+        """The authoritative ``{"i", "n", "dead"}`` of file ``name``
+        (``dead`` maps a bucket address to its coordinator entry)."""
+        node = self._coordinator(name)
+        return {"i": node.i, "n": node.n,
+                "dead": {address: list(info)
+                         for address, info in node.dead.items()}}
+
+    def dump_buckets(self, name: str) -> dict[int, dict]:
+        """Every data bucket of file ``name`` by address: ``level``,
+        ``retired``, ``merge_target``, ``pending`` and its records
+        sorted by rid."""
+        return {
+            bucket.address: {
+                "level": bucket.level,
+                "retired": bucket.retired,
+                "merge_target": bucket.merge_target,
+                "pending": bucket.pending,
+                "records": sorted(bucket.records.values(),
+                                  key=lambda r: r.rid),
+            }
+            for bucket in sorted(self._file_nodes("bucket", name),
+                                 key=lambda b: b.address)
+        }
+
+    def dump_parity(self, name: str) -> dict[tuple, dict]:
+        """Every parity bucket of file ``name`` by ``(group, index)``:
+        its slot table, rank -> ``payload`` / ``rids`` / ``lengths``."""
+        return {
+            (node.group, node.index): {
+                rank: {"payload": slot.payload,
+                       "rids": list(slot.rids),
+                       "lengths": list(slot.lengths)}
+                for rank, slot in node.slots.items()
+            }
+            for node in self._file_nodes("parity", name)
+        }
+
+    def site_leave(self, name: str, address: int) -> bool:
+        """Start the graceful departure of bucket ``address``: the
+        coordinator's ``begin_leave``; the drain itself is billed
+        protocol traffic.  Returns whether the departure started."""
+        return bool(self._coordinator(name).begin_leave(address))
+
+    def decommission(self, name: str, address: int) -> None:
+        """Reap the retired, record-free tombstone ``address``: detach
+        its node and drop it from its file's buckets.  Refused
+        (``ValueError``) for a live bucket or one still holding
+        records — reaping either would lose data."""
+        bucket = self.nodes.get(("bucket", name, address))
+        if bucket is None:
+            raise ValueError(f"no bucket {address} to decommission")
+        if not bucket.retired:
+            raise ValueError(
+                f"bucket {address} is not retired; only tombstones "
+                "can be decommissioned")
+        if bucket.records:
+            raise ValueError(f"tombstone {address} still holds records")
+        self.detach(bucket.node_id)
+        del bucket.file.buckets[address]
 
 
 class Network(Transport):

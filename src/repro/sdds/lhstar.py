@@ -1747,34 +1747,15 @@ class LHStarFile(FileView):
         no IAM, so client images never catch up with a shrink on
         their own, and a keyed operation aimed at a reaped address
         has nowhere to go.  On the live backend the hosting process
-        is reaped through the ``decommission`` control verb.
+        can then be reaped too (see ``LiveNetwork.decommission``).
         """
-        decommission = getattr(self.network, "decommission", None)
-        if decommission is not None:
-            decommission(self.name, address)
-            return
-        bucket = self.buckets.get(address)
-        if bucket is None:
-            raise ValueError(f"no bucket {address} to decommission")
-        if not bucket.retired:
-            raise ValueError(
-                f"bucket {address} is not retired; only tombstones "
-                "can be decommissioned")
-        if bucket.records:
-            raise ValueError(f"tombstone {address} still holds records")
-        self.network.detach(bucket.node_id)
-        del self.buckets[address]
+        self.network.decommission(self.name, address)
 
     def sync_client_images(self) -> None:
         """Clamp every local client's private image to the
         authoritative ``(i, n)`` — the operator-side image catch-up
         that precedes :meth:`decommission_bucket`."""
-        state = getattr(self.network, "coordinator_state", None)
-        if state is not None:
-            snap = state(self.name)
-            i, n = snap["i"], snap["n"]
-        else:
-            i, n = self.coordinator.i, self.coordinator.n
+        i, n = self.state
         for client in self.clients:
             client.i_image, client.n_image = i, n
 
@@ -1786,17 +1767,9 @@ class LHStarFile(FileView):
         crash/restore); the migration itself is billed protocol
         traffic.  Returns whether a migration started (live,
         non-dead, in-range addresses only)."""
-        site_leave = getattr(self.network, "site_leave", None)
-        if site_leave is not None:
-            started = site_leave(self.name, address)
-        else:
-            started = self.coordinator.begin_leave(address)
+        started = self.network.site_leave(self.name, address)
         self.network.run()
-        return bool(started)
-
-    @property
-    def live_bucket_count(self) -> int:
-        return sum(1 for b in self.buckets.values() if not b.retired)
+        return started
 
     def new_client(self) -> LHStarClient:
         client = LHStarClient(self, len(self.clients))
@@ -1806,12 +1779,20 @@ class LHStarFile(FileView):
 
     @property
     def state(self) -> tuple[int, int]:
-        """The authoritative file state ``(i, n)``."""
-        return self.coordinator.i, self.coordinator.n
+        """The authoritative file state ``(i, n)``, as the network's
+        coordinator holds it."""
+        snap = self.network.coordinator_state(self.name)
+        return snap["i"], snap["n"]
 
     @property
     def bucket_count(self) -> int:
-        return len(self.buckets)
+        """Data buckets on the network, tombstones included."""
+        return len(self.network.dump_buckets(self.name))
+
+    @property
+    def live_bucket_count(self) -> int:
+        dump = self.network.dump_buckets(self.name)
+        return sum(1 for info in dump.values() if not info["retired"])
 
     # -- synchronous operations ----------------------------------------------
 

@@ -48,7 +48,7 @@ def _sabotage(nemesis, network, event):
         key=lambda node_id: node_id[2],
     )
     for node_id in buckets:
-        records = getattr(network.nodes[node_id], "records", None)
+        records = network.nodes[node_id].records
         if records:
             records.pop(min(records))
             return

@@ -76,17 +76,6 @@ def run_shrink_episode(network):
     return answers, network.stats.snapshot()
 
 
-def dump_either(network, file):
-    """Bucket dump in the ``LiveNetwork.dump_buckets`` shape on
-    either backend."""
-    dump = getattr(network, "dump_buckets", None)
-    if dump is not None:
-        return dump(file.name)
-    from repro.chaos.invariants import dump_buckets_sim
-
-    return dump_buckets_sim(file)
-
-
 class TestClusterConfig:
     def test_roundtrip(self, tmp_path):
         config = ClusterConfig("127.0.0.1", 9000, [9001, 9002])
@@ -188,6 +177,27 @@ class TestEitherBackend:
         lookups = [("lookup", key) for key in range(10)]
         results = file.run_concurrent(lookups, concurrency=3)
         assert results == [b"c%d" % key for key in range(10)]
+
+    def test_file_reads_the_network_view(self, network_backend):
+        """``state`` and the bucket counts come from the network's
+        coordinator and bucket nodes on both backends — on the live
+        tier the client-process copies never receive a message."""
+        from repro.sdds.lhstar import LHStarFile
+
+        network = network_backend.make(sites=EPISODE_SITES)
+        file = LHStarFile(
+            name="view", network=network, bucket_capacity=2
+        )
+        for key in range(12):
+            file.insert(key, b"w%d" % key)
+        state = network.coordinator_state("view")
+        dump = network.dump_buckets("view")
+        assert state["i"] >= 2  # the file split
+        assert file.state == (state["i"], state["n"])
+        assert file.bucket_count == len(dump) == (
+            (1 << state["i"]) + state["n"])
+        assert file.live_bucket_count == sum(
+            1 for info in dump.values() if not info["retired"])
 
 
 @live
@@ -872,7 +882,7 @@ class TestRetiredTombstoneRaces:
         network.run()
         retired = sorted(
             address
-            for address, info in dump_either(network, file).items()
+            for address, info in network.dump_buckets(file.name).items()
             if info["retired"]
         )
         assert retired, "shrink produced no tombstones"
@@ -882,7 +892,7 @@ class TestRetiredTombstoneRaces:
     def _locate(network, file, rid):
         return [
             (address, info["retired"])
-            for address, info in dump_either(network, file).items()
+            for address, info in network.dump_buckets(file.name).items()
             if any(record.rid == rid for record in info["records"])
         ]
 
@@ -929,9 +939,8 @@ class TestRetiredTombstoneRaces:
 
         network = network_backend.make(sites=EPISODE_SITES)
         file, retired = self._tombstoned_file(network)
-        enable = getattr(network, "enable_faults", None)
-        if enable is not None:
-            enable(seed=1)
+        if network_backend.kind == "live":
+            network.enable_faults(seed=1)
             network.faults.loss_rate = 1.0
         else:
             from repro.net.faults import FaultModel
