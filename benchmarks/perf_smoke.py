@@ -341,7 +341,7 @@ def measure_matchers(directory):
     }
     word_haystack = BucketHaystack(word_records)
     trapdoor = word_store._swp.trapdoor("SCHWARZ")
-    word_matcher = WordScanMatcher(trapdoor)
+    word_matcher = WordScanMatcher((trapdoor,))
 
     csi_store = CompressedSearchStore(
         b"perf-smoke-csi", corpus, bucket_capacity=capacity
@@ -357,7 +357,7 @@ def measure_matchers(directory):
         csi_store._encrypt_stream(variant)
         for variant in csi_store.compressor.pattern_variants(b"SCHWARZ")
     )
-    csi_matcher = CompressedScanMatcher(needles)
+    csi_matcher = CompressedScanMatcher((needles,))
 
     def scalar_pass(matcher, records):
         return [

@@ -40,48 +40,17 @@ from repro.sdds.records import Record
 
 
 class CompressedScanMatcher:
-    """Scan matcher for one set of encrypted edge-variant needles.
-
-    Per-record calls are plain ``in`` membership (what degraded
-    parity scans use); :meth:`match_bucket` runs
-    each needle once over the bucket haystack, resuming after a
-    record's first hit at the record's end — the same early exit.
-    Membership lookups route through the multi-needle gram index when
-    its thresholds say the single sweep wins
-    (:mod:`repro.core.automaton`), else through
-    ``haystack.find_records``; candidate sets are identical either
-    way.
-    """
-
-    def __init__(self, needles: tuple[bytes, ...]) -> None:
-        self.needles = needles
-
-    @cached_property
-    def _automaton(self) -> ScanAutomaton:
-        return needles_automaton(self.needles)
-
-    def __call__(self, record: Record):
-        if any(needle in record.content for needle in self.needles):
-            return record.rid
-        return None
-
-    def match_bucket(self, haystack: BucketHaystack):
-        compiled = self._automaton
-        matched = set()
-        for needle in self.needles:
-            matched.update(compiled.lookup_records(haystack, needle))
-        return [rid for rid in haystack.rids if rid in matched]
-
-
-class MultiCompressedScanMatcher:
-    """Scan matcher multiplexing several compressed-index queries in
-    one round (:meth:`CompressedSearchStore.search_batch`).
+    """Scan matcher for a batch of compressed-index queries — one
+    pattern is a batch of one (:meth:`CompressedSearchStore.search_batch`).
 
     ``needle_groups[index]`` is pattern ``index``'s encrypted
     edge-variant tuple.  Hits are ``(rid, (pattern indexes...))`` in
-    record order, the per-record and per-bucket forms byte-identical —
-    all groups' needles share each bucket's gram index, so the
-    haystack is swept once for the whole batch.
+    record order.  Per-record calls are plain ``in`` membership (what
+    degraded parity scans use); :meth:`match_bucket` answers every
+    needle from one automaton over all groups' needles, routed through
+    the bucket's shared gram index when its thresholds say the single
+    sweep wins (:mod:`repro.core.automaton`), else through
+    ``haystack.find_records`` — the two forms are byte-identical.
     """
 
     def __init__(
@@ -115,16 +84,16 @@ class MultiCompressedScanMatcher:
             for needle in needles:
                 matched.update(compiled.lookup_records(haystack, needle))
             per_group.append(matched)
-        hits = []
-        for rid in haystack.rids:
-            indexes = tuple(
+        any_group = set().union(*per_group)
+        return [
+            (rid, tuple(
                 index
                 for index, matched in enumerate(per_group)
                 if rid in matched
-            )
-            if indexes:
-                hits.append((rid, indexes))
-        return hits
+            ))
+            for rid in haystack.rids
+            if rid in any_group
+        ]
 
 
 @dataclass(frozen=True)
@@ -237,37 +206,9 @@ class CompressedSearchStore:
 
     def search(self, pattern: str, verify: bool = True
                ) -> CompressedSearchResult:
-        """One-round parallel search via encrypted edge variants."""
-        raw_variants = self.compressor.pattern_variants(
-            pattern.encode("ascii")
-        )
-        needles = tuple(
-            self._encrypt_stream(variant) for variant in raw_variants
-        )
-        before = self.network.stats.snapshot()
-        matcher = CompressedScanMatcher(needles)
-        # Real serialized query size: a 1-byte variant count, then per
-        # needle a 2-byte length prefix plus the needle bytes (the
-        # variants have differing lengths, so bare concatenation would
-        # not be decodable).
-        request_size = 1 + sum(2 + len(n) for n in needles)
-        hits = self.index_file.scan(matcher, request_size=request_size)
-        candidates = set(hits)
-        if verify:
-            matches = {
-                rid
-                for rid in candidates
-                if (text := self.get(rid)) is not None and pattern in text
-            }
-        else:
-            matches = set(candidates)
-        return CompressedSearchResult(
-            pattern=pattern,
-            candidates=frozenset(candidates),
-            matches=frozenset(matches),
-            false_positives=frozenset(candidates - matches),
-            cost=self.network.stats.diff(before),
-        )
+        """One-round parallel search via encrypted edge variants: a
+        batch of one (:meth:`search_batch`)."""
+        return self.search_batch([pattern], verify)[pattern]
 
     def search_batch(
         self, patterns: list[str], verify: bool = True
@@ -296,9 +237,11 @@ class CompressedSearchStore:
             for pattern in unique
         )
         before = self.network.stats.snapshot()
-        matcher = MultiCompressedScanMatcher(needle_groups)
-        # Concatenation of the per-pattern query encodings (see
-        # ``search``'s request_size note).
+        matcher = CompressedScanMatcher(needle_groups)
+        # Real serialized query size, per pattern: a 1-byte variant
+        # count, then per needle a 2-byte length prefix plus the needle
+        # bytes (the variants have differing lengths, so bare
+        # concatenation would not be decodable).
         request_size = sum(
             1 + sum(2 + len(needle) for needle in needles)
             for needles in needle_groups

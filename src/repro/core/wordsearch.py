@@ -48,48 +48,17 @@ def tokenize(text: str) -> list[str]:
 
 
 class WordScanMatcher:
-    """Scan matcher for one SWP trapdoor.
-
-    Per-record calls are what degraded parity scans use;
-    :meth:`match_bucket` walks the bucket haystack's cell blobs.  Both
-    unmask a record's cells in one pass
-    (:meth:`repro.crypto.swp.SwpCipher.match_positions`).
-    """
-
-    def __init__(self, trapdoor: Trapdoor) -> None:
-        self.trapdoor = trapdoor
-
-    def _positions(self, cells: bytes | memoryview) -> tuple[int, ...]:
-        return tuple(SwpCipher.match_positions(cells, self.trapdoor))
-
-    def __call__(self, record: Record):
-        hits = self._positions(record.content)
-        if not hits:
-            return None
-        return (record.rid, hits)
-
-    def match_bucket(self, haystack: BucketHaystack):
-        hits = []
-        for rid, cells in haystack.segments():
-            positions = self._positions(cells)
-            if positions:
-                hits.append((rid, positions))
-        return hits
-
-
-class MultiWordScanMatcher:
-    """Scan matcher multiplexing several SWP trapdoors in one round
-    (:meth:`EncryptedWordStore.search_batch`).
+    """Scan matcher for a batch of SWP trapdoors — one word is a batch
+    of one (:meth:`EncryptedWordStore.search_batch`).
 
     Each record's cell blob is converted to a big integer **once** and
     unmasked per trapdoor
-    (:meth:`repro.crypto.swp.SwpCipher.match_positions_multi`), with
-    the per-trapdoor HMAC key schedules compiled once per matcher — K
+    (:meth:`repro.crypto.swp.SwpCipher.match_positions`), with the
+    per-trapdoor HMAC key schedules compiled once per matcher — K
     words cost one scan round and one blob conversion instead of K of
     each.  Hits are ``(rid, ((word index, positions), ...))``; the
-    per-record and per-bucket forms are byte-identical, and each
-    word's positions are exactly what a solo :class:`WordScanMatcher`
-    reports.
+    per-record form (what degraded parity scans use) and
+    :meth:`match_bucket` are byte-identical.
     """
 
     def __init__(self, trapdoors: tuple[Trapdoor, ...]) -> None:
@@ -98,16 +67,15 @@ class MultiWordScanMatcher:
     @cached_property
     def _compiled_checks(self) -> list:
         """The hoisted per-trapdoor HMAC closures, built once and
-        shared by every bucket this matcher scans."""
+        shared by every record this matcher scans."""
         return [
             SwpCipher._hoisted_check(trapdoor.word_key)
             for trapdoor in self.trapdoors
         ]
 
-    def _hits(self, cells: bytes | memoryview,
-              checks: list | None = None) -> tuple:
-        per_trapdoor = SwpCipher.match_positions_multi(
-            cells, self.trapdoors, checks
+    def _hits(self, cells: bytes | memoryview) -> tuple:
+        per_trapdoor = SwpCipher.match_positions(
+            cells, self.trapdoors, self._compiled_checks
         )
         return tuple(
             (index, tuple(positions))
@@ -122,10 +90,9 @@ class MultiWordScanMatcher:
         return (record.rid, reports)
 
     def match_bucket(self, haystack: BucketHaystack):
-        checks = self._compiled_checks
         hits = []
         for rid, cells in haystack.segments():
-            reports = self._hits(cells, checks)
+            reports = self._hits(cells)
             if reports:
                 hits.append((rid, reports))
         return hits
@@ -216,34 +183,21 @@ class EncryptedWordStore:
     # -- search -----------------------------------------------------------------
 
     def search(self, word: str) -> WordSearchResult:
-        """One-round parallel word search with a hidden query.
-
-        The scan request bills the trapdoor's real serialized size
-        (``X`` plus ``k``, 32 bytes) — what each index site actually
-        receives.
-        """
-        trapdoor = self._swp.trapdoor(word)
-        before = self.network.stats.snapshot()
-        raw_hits = self.index_file.scan(
-            WordScanMatcher(trapdoor), request_size=trapdoor.wire_size
-        )
-        positions = {rid: hits for rid, hits in raw_hits}
-        return WordSearchResult(
-            word=word,
-            matches=frozenset(positions),
-            positions=positions,
-            cost=self.network.stats.diff(before),
-        )
+        """One-round parallel word search with a hidden query: a batch
+        of one (:meth:`search_batch`)."""
+        return self.search_batch([word])[word]
 
     def search_batch(self, words: list[str]
                      ) -> dict[str, WordSearchResult]:
         """Run many independent word searches in one scan round.
 
-        K trapdoors ship in one scan message per bucket (billed at
-        their summed serialized size) and each index record's cell
-        blob is unmasked for all of them off a single big-integer
-        conversion.  The scan round is shared, so every per-word
-        result carries the shared cost — mirroring
+        The scan request bills the trapdoors' real serialized size
+        (``X`` plus ``k``, 32 bytes each) — what each index site
+        actually receives.  K trapdoors ship in one scan message per
+        bucket and each index record's cell blob is unmasked for all
+        of them off a single big-integer conversion.  The scan round
+        is shared, so every per-word result carries the shared cost —
+        mirroring
         :meth:`EncryptedSearchableStore.search_batch`.
         """
         if not words:
@@ -252,7 +206,7 @@ class EncryptedWordStore:
         trapdoors = tuple(self._swp.trapdoor(word) for word in unique)
         before = self.network.stats.snapshot()
         raw_hits = self.index_file.scan(
-            MultiWordScanMatcher(trapdoors),
+            WordScanMatcher(trapdoors),
             request_size=sum(t.wire_size for t in trapdoors),
         )
         per_word: list[dict[int, tuple[int, ...]]] = [

@@ -179,51 +179,22 @@ class SwpCipher:
         return SwpCipher._check(trapdoor.word_key, s) == t
 
     @staticmethod
-    def match_positions(cells: bytes | memoryview,
-                        trapdoor: Trapdoor) -> list[int]:
-        """Batched :meth:`match` over a whole cell blob.
-
-        Unmasks every 16-byte cell in one big-integer XOR (``X``
-        repeated across the blob) instead of a per-cell Python loop,
-        and hoists the HMAC key schedule out of the loop (see
-        :meth:`_hoisted_check`); one HMAC *finalisation* per cell is
-        irreducible — each position needs its own ``F_k(s)``.  Returns
-        the matching cell positions, ascending, exactly as per-cell
-        :meth:`match` calls would.
-        """
-        length = len(cells)
-        if length % WORD_BYTES:
-            raise ValueError("malformed SWP cell blob")
-        count = length // WORD_BYTES
-        if not count:
-            return []
-        mask = int.from_bytes(trapdoor.pre_encrypted * count, "big")
-        masked = (int.from_bytes(cells, "big") ^ mask).to_bytes(
-            length, "big"
-        )
-        check = SwpCipher._hoisted_check(trapdoor.word_key)
-        positions = []
-        for position in range(count):
-            base = position * WORD_BYTES
-            split = base + LEFT_BYTES
-            if check(masked[base:split]) == masked[
-                    split:base + WORD_BYTES]:
-                positions.append(position)
-        return positions
-
-    @staticmethod
-    def match_positions_multi(
+    def match_positions(
         cells: bytes | memoryview,
         trapdoors: "tuple[Trapdoor, ...] | list[Trapdoor]",
         checks: "list | None" = None,
     ) -> list[list[int]]:
-        """:meth:`match_positions` for several trapdoors over one cell
-        blob, sharing the big-integer conversion of the blob across
-        all of them.  ``checks`` optionally supplies the hoisted HMAC
-        closures (:meth:`_hoisted_check` per trapdoor) so a batched
-        matcher can compile them once per bucket instead of once per
-        record.  Each returned position list is exactly what
-        :meth:`match_positions` returns for that trapdoor alone.
+        """Batched :meth:`match` over a whole cell blob, per trapdoor.
+
+        The blob becomes one big integer once; each trapdoor unmasks
+        every 16-byte cell in one XOR against ``X`` repeated across the
+        blob instead of a per-cell Python loop.  ``checks`` optionally
+        supplies the hoisted HMAC closures (:meth:`_hoisted_check` per
+        trapdoor) so a matcher compiles them once instead of once per
+        record; one HMAC *finalisation* per cell is irreducible — each
+        position needs its own ``F_k(s)``.  Returns, per trapdoor, the
+        matching cell positions ascending, exactly as per-cell
+        :meth:`match` calls would.
         """
         length = len(cells)
         if length % WORD_BYTES:

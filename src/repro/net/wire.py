@@ -289,10 +289,7 @@ def _exactly(count: int, fields: tuple) -> tuple:
 
 def _build_registry() -> None:
     global _TYPES, _BY_ID
-    from repro.core.compressed_index import (
-        CompressedScanMatcher,
-        MultiCompressedScanMatcher,
-    )
+    from repro.core.compressed_index import CompressedScanMatcher
     from repro.core.search import (
         IndexKeyCodec,
         MultiPlanScanMatcher,
@@ -301,10 +298,7 @@ def _build_registry() -> None:
         SiteHit,
         _BatchHit,
     )
-    from repro.core.wordsearch import (
-        MultiWordScanMatcher,
-        WordScanMatcher,
-    )
+    from repro.core.wordsearch import WordScanMatcher
     from repro.crypto.swp import Trapdoor
     from repro.net.faults import RetryPolicy
     from repro.net.stats import FIELDS as STATS_FIELDS
@@ -373,12 +367,8 @@ def _build_registry() -> None:
         (9, Trapdoor,
          lambda t: (t.pre_encrypted, t.word_key),
          lambda f: Trapdoor(pre_encrypted=f[0], word_key=f[1])),
-        (10, WordScanMatcher,
-         lambda m: (m.trapdoor,),
-         lambda f: WordScanMatcher(*_exactly(1, f))),
-        (11, CompressedScanMatcher,
-         lambda m: (m.needles,),
-         lambda f: CompressedScanMatcher(*_exactly(1, f))),
+        # 10 and 11 retired: the single-word and single-pattern §8
+        # matchers, now batches of one under 15 and 16.
         (12, RetryPolicy,
          lambda p: (p.timeout, p.backoff, p.max_retries, p.jitter,
                     p.seed),
@@ -389,12 +379,12 @@ def _build_registry() -> None:
         (14, RidScanMatcher,
          lambda m: (),
          lambda f: RidScanMatcher()),
-        (15, MultiWordScanMatcher,
+        (15, WordScanMatcher,
          lambda m: (list(m.trapdoors),),
-         lambda f: MultiWordScanMatcher(tuple(_exactly(1, f)[0]))),
-        (16, MultiCompressedScanMatcher,
+         lambda f: WordScanMatcher(tuple(_exactly(1, f)[0]))),
+        (16, CompressedScanMatcher,
          lambda m: (list(m.needle_groups),),
-         lambda f: MultiCompressedScanMatcher(tuple(
+         lambda f: CompressedScanMatcher(tuple(
              tuple(group) for group in _exactly(1, f)[0]))),
     ]
     _TYPES = {cls: (type_id, pack, unpack)
@@ -548,7 +538,9 @@ MESSAGE_KINDS: tuple[KindSpec, ...] = (
              "query size (SearchPlan.request_size / trapdoor bytes)"),
     KindSpec("scan_reply", "bucket", "client",
              ("op", "address", "level", "hits", "forwarded"),
-             "H + Σ hit wire_size"),
+             "H + Σ hit wire_size; a §8 hit ships the batch shape even "
+             "for one word or pattern: 16 + 8·positions (word), 16 "
+             "(compressed)"),
     KindSpec("overflow", "bucket", "coordinator",
              ("address", "delta"), "H"),
     KindSpec("underflow", "bucket", "coordinator", ("address",), "H"),

@@ -171,10 +171,8 @@ class TestCaches:
         matchers = [
             search.PlanScanMatcher(plan, codec),
             search.MultiPlanScanMatcher([plan], codec),
-            compressed_index.CompressedScanMatcher((b"AB", b"CD")),
-            compressed_index.MultiCompressedScanMatcher(
-                ((b"AB",), (b"CD",))
-            ),
+            compressed_index.CompressedScanMatcher(((b"AB", b"CD"),)),
+            compressed_index.CompressedScanMatcher(((b"AB",), (b"CD",))),
         ]
         assert compiles == []
         for matcher in matchers:

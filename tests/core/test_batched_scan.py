@@ -387,7 +387,7 @@ class TestMergeInvalidation:
         for rid in range(32):
             file.insert(rid, b"PAYLOAD-%03d" % rid)
         needle = b"PAYLOAD"
-        batched = CompressedScanMatcher((needle,))
+        batched = CompressedScanMatcher(((needle,),))
         scalar = batched.__call__   # a plain callable: per-record loop
         assert sorted(file.scan(batched, request_size=8)) == sorted(
             file.scan(scalar, request_size=8)
@@ -396,32 +396,30 @@ class TestMergeInvalidation:
             file.delete(rid)
         assert sorted(file.scan(batched, request_size=8)) == sorted(
             file.scan(scalar, request_size=8)
-        ) == sorted(range(24, 32))
+        ) == [(rid, (0,)) for rid in range(24, 32)]
 
     def test_split_invalidation(self):
         """Scans straddling splits see exactly the resident records."""
         from repro.core.compressed_index import CompressedScanMatcher
 
         file = LHStarFile(name="splitter", bucket_capacity=2)
-        matcher = CompressedScanMatcher((b"R-",))
-        expected: list[int] = []
+        matcher = CompressedScanMatcher(((b"R-",),))
+        expected: list[tuple[int, tuple[int, ...]]] = []
         for rid in range(20):
             file.insert(rid, b"R-%02d" % rid)
-            expected.append(rid)
+            expected.append((rid, (0,)))
             assert sorted(file.scan(matcher, request_size=4)) == expected
 
     def test_multi_needle_automaton_across_split_and_merge(self):
         """Enough same-length needles to engage the gram index, swept
         across splits and merges: the index must die with each stale
         haystack, matching the scalar per-record matcher exactly."""
-        from repro.core.compressed_index import (
-            MultiCompressedScanMatcher,
-        )
+        from repro.core.compressed_index import CompressedScanMatcher
 
         groups = tuple(
             (b"PAY%d" % digit,) for digit in range(5)
         )  # 5 needles of one length on the shared lane: index engaged
-        batched = MultiCompressedScanMatcher(groups)
+        batched = CompressedScanMatcher(groups)
         ladder = [batched, batched.__call__]  # per-bucket, per-record
         file = LHStarFile(name="auto-churn", bucket_capacity=4,
                           shrink=True)

@@ -16,7 +16,7 @@ from repro.core import (
     SchemeParameters,
 )
 from repro.core.search import SiteHit
-from repro.sdds.lhstar import _hit_size
+from repro.sdds.lhstar import HEADER_SIZE, _hit_size
 
 RECORDS = {
     1: "SCHWARZ THOMAS",
@@ -141,6 +141,36 @@ class TestSection8RequestBilling:
         scans = result.cost.by_kind["scan"]
         assert scans > 0
         assert result.cost.bytes_by_kind["scan"] == scans * framed
+
+    def test_word_search_is_a_batch_of_one(self):
+        """A one-word search ships the batch hit shape
+        ``(rid, ((index, positions),))``: 16 + 8 bytes per position."""
+        store = EncryptedWordStore(b"billing-words")
+        for rid, text in RECORDS.items():
+            store.put(rid, text)
+        result = store.search("THOMAS")
+        assert result.matches == {1, 3, 5}
+        assert result == store.search_batch(["THOMAS"])["THOMAS"]
+        replies = result.cost.by_kind["scan_reply"]
+        assert result.cost.bytes_by_kind["scan_reply"] == (
+            HEADER_SIZE * replies
+            + sum(16 + 8 * len(p) for p in result.positions.values())
+        )
+
+    def test_compressed_search_is_a_batch_of_one(self):
+        """A one-pattern search ships the batch hit shape
+        ``(rid, (index,))``: 16 bytes per candidate."""
+        corpus = [t.encode("ascii") for t in RECORDS.values()]
+        store = CompressedSearchStore(b"billing-csi", corpus)
+        for rid, text in RECORDS.items():
+            store.put(rid, text)
+        result = store.search("SCHWARZ")
+        assert result.matches == {1, 3, 5}
+        assert result == store.search_batch(["SCHWARZ"])["SCHWARZ"]
+        replies = result.cost.by_kind["scan_reply"]
+        assert result.cost.bytes_by_kind["scan_reply"] == (
+            HEADER_SIZE * replies + 16 * len(result.candidates)
+        )
 
 
 class TestHitSizeAccounting:

@@ -148,17 +148,19 @@ class TestBatchedMatching:
                     cells[WORD_BYTES * p:WORD_BYTES * (p + 1)], trapdoor
                 )
             ]
-            assert SwpCipher.match_positions(cells, trapdoor) == reference
-        assert SwpCipher.match_positions(cells, hit_td) == [0, 2, 4]
+            assert SwpCipher.match_positions(cells, (trapdoor,))[0] == (
+                reference
+            )
+        assert SwpCipher.match_positions(cells, (hit_td,))[0] == [0, 2, 4]
 
     def test_empty_blob(self):
         _, trapdoor, _ = self._cells_and_trapdoor()
-        assert SwpCipher.match_positions(b"", trapdoor) == []
+        assert SwpCipher.match_positions(b"", (trapdoor,)) == [[]]
 
     def test_malformed_blob_rejected(self):
         _, trapdoor, _ = self._cells_and_trapdoor()
         with pytest.raises(ValueError):
-            SwpCipher.match_positions(b"short", trapdoor)
+            SwpCipher.match_positions(b"short", (trapdoor,))
 
     def test_matcher_forms_agree(self):
         from repro.sdds.haystack import BucketHaystack
@@ -175,9 +177,9 @@ class TestBatchedMatching:
             }.items()
         }
         trapdoor = swp.trapdoor("WORLD")
-        fused = WordScanMatcher(trapdoor)
+        fused = WordScanMatcher((trapdoor,))
         with reference_paths():     # per-cell SWP, no match_bucket
-            plain = WordScanMatcher(trapdoor)
+            plain = WordScanMatcher((trapdoor,))
             assert not hasattr(plain, "match_bucket")
             per_record = [plain(r) for r in records.values()]
         assert fused.match_bucket(BucketHaystack(records)) == [

@@ -501,7 +501,8 @@ class TestLiveScanSmoke:
             started = time.monotonic()
             with pytest.raises(LiveBackendError) as raised:
                 # An empty needle is rejected by the haystack sweep.
-                file.scan(CompressedScanMatcher((b"",)), request_size=1)
+                file.scan(CompressedScanMatcher(((b"",),)),
+                          request_size=1)
             assert time.monotonic() - started < 5
         message = str(raised.value)
         assert "('bucket', 0)" in message

@@ -13,10 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.compressed_index import (
-    CompressedScanMatcher,
-    MultiCompressedScanMatcher,
-)
+from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.search import (
     IndexKeyCodec,
     MultiPlanScanMatcher,
@@ -25,7 +22,7 @@ from repro.core.search import (
     SiteHit,
     _BatchHit,
 )
-from repro.core.wordsearch import MultiWordScanMatcher, WordScanMatcher
+from repro.core.wordsearch import WordScanMatcher
 from repro.crypto.swp import SwpCipher, Trapdoor
 from repro.net.faults import RetryPolicy
 from repro.net.simulator import Message, wire_checksum
@@ -273,26 +270,26 @@ class TestTypedObjects:
         trapdoor = Trapdoor(pre_encrypted=b"X" * 20,
                             word_key=b"k" * 20)
         assert roundtrip(trapdoor) == trapdoor
-        matcher = WordScanMatcher(SWP.trapdoor("WORLD"))
+        matcher = WordScanMatcher((SWP.trapdoor("WORLD"),))
         back = assert_matcher_survives(matcher, WORD_RECORDS)
-        assert back.trapdoor == matcher.trapdoor
+        assert back.trapdoors == matcher.trapdoors
 
     def test_compressed_matcher(self):
-        matcher = CompressedScanMatcher((b"ab", b"cd"))
+        matcher = CompressedScanMatcher(((b"ab", b"cd"),))
         back = assert_matcher_survives(matcher, BYTE_RECORDS)
-        assert back.needles == (b"ab", b"cd")
-        assert back(Record(rid=1, content=b"xxabxx")) == 1
+        assert back.needle_groups == ((b"ab", b"cd"),)
+        assert back(Record(rid=1, content=b"xxabxx")) == (1, (0,))
         assert back(Record(rid=1, content=b"zz")) is None
 
     def test_multi_word_matcher(self):
         trapdoors = (SWP.trapdoor("WORLD"), SWP.trapdoor("HELLO"))
-        matcher = MultiWordScanMatcher(trapdoors)
+        matcher = WordScanMatcher(trapdoors)
         back = assert_matcher_survives(matcher, WORD_RECORDS)
         assert back.trapdoors == trapdoors
 
     def test_multi_compressed_matcher(self):
         groups = ((b"ab", b"cd"), (b"zz",))
-        matcher = MultiCompressedScanMatcher(groups)
+        matcher = CompressedScanMatcher(groups)
         back = assert_matcher_survives(matcher, BYTE_RECORDS)
         assert back.needle_groups == groups
         assert back(Record(rid=1, content=b"xxabxx")) == (1, (0,))
@@ -302,10 +299,8 @@ class TestTypedObjects:
     @pytest.mark.parametrize("matcher", [
         PlanScanMatcher(sample_plan(), IndexKeyCodec(1, 1)),
         MultiPlanScanMatcher([sample_plan()], IndexKeyCodec(1, 1)),
-        WordScanMatcher(SWP.trapdoor("WORLD")),
-        MultiWordScanMatcher((SWP.trapdoor("WORLD"),)),
-        CompressedScanMatcher((b"ab",)),
-        MultiCompressedScanMatcher(((b"ab",),)),
+        WordScanMatcher((SWP.trapdoor("WORLD"),)),
+        CompressedScanMatcher(((b"ab",),)),
     ], ids=lambda matcher: type(matcher).__name__)
     def test_version_1_matcher_fields_rejected(self, matcher):
         """Wire version 1 shipped each matcher with one more field (a
@@ -320,11 +315,13 @@ class TestTypedObjects:
             encode_value(matcher)
         )
 
-    def test_retired_type_id_rejected(self):
-        """Type 6 was version 1's hit-report factory; it is gone, not
-        reassigned."""
-        with pytest.raises(WireDecodeError, match="type id 6"):
-            decode_value(b"O\x06" + encode_value((True,)))
+    @pytest.mark.parametrize("type_id", [6, 10, 11])
+    def test_retired_type_id_rejected(self, type_id):
+        """Type 6 was version 1's hit-report factory; 10 and 11 the
+        single-word and single-pattern §8 matchers, now batches of one
+        under 15 and 16.  Each is gone, not reassigned."""
+        with pytest.raises(WireDecodeError, match=f"type id {type_id}"):
+            decode_value(b"O" + bytes([type_id]) + encode_value((True,)))
 
     def test_retry_policy(self):
         policy = RetryPolicy(timeout=1.5, backoff=3.0, max_retries=4,

@@ -12,7 +12,7 @@ way they get there.
 * ``fused_codec`` where :mod:`repro.core.index` imports it, to return
   ``None`` — the per-chunk codec, which is what production runs for
   chunk domains above 2^16;
-* ``match_bucket`` off the six matcher classes — the per-record loop
+* ``match_bucket`` off the four matcher classes — the per-record loop
   of ``LHStarBucket._handle_scan``, which is what production runs for
   plain callables (and what degraded LH*_RS scans call directly);
 * the three table/one-pass shortcuts whose plain form no longer exists
@@ -33,22 +33,17 @@ from contextlib import contextmanager
 
 from repro.core import compressed_index, index
 from repro.core.chunking import record_chunks
-from repro.core.compressed_index import (
-    CompressedScanMatcher,
-    MultiCompressedScanMatcher,
-)
+from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.index import IndexPipeline
 from repro.core.search import MultiPlanScanMatcher, PlanScanMatcher
-from repro.core.wordsearch import MultiWordScanMatcher, WordScanMatcher
+from repro.core.wordsearch import WordScanMatcher
 from repro.crypto.swp import WORD_BYTES, SwpCipher
 
 MATCHERS = (
     PlanScanMatcher,
     MultiPlanScanMatcher,
     WordScanMatcher,
-    MultiWordScanMatcher,
     CompressedScanMatcher,
-    MultiCompressedScanMatcher,
 )
 
 
@@ -81,21 +76,20 @@ def per_chunking_streams(pipeline, content):
     return streams
 
 
-def per_cell_positions(cells, trapdoor):
+def per_cell_positions(cells, trapdoors, checks=None):
     """``SwpCipher.match_positions`` as one ``SwpCipher.match`` per
-    16-byte cell."""
+    16-byte cell and trapdoor."""
     return [
-        position
-        for position in range(len(cells) // WORD_BYTES)
-        if SwpCipher.match(
-            cells[WORD_BYTES * position:WORD_BYTES * (position + 1)],
-            trapdoor,
-        )
+        [
+            position
+            for position in range(len(cells) // WORD_BYTES)
+            if SwpCipher.match(
+                cells[WORD_BYTES * position:WORD_BYTES * (position + 1)],
+                trapdoor,
+            )
+        ]
+        for trapdoor in trapdoors
     ]
-
-
-def _per_cell_positions_multi(cells, trapdoors, checks=None):
-    return [per_cell_positions(cells, trapdoor) for trapdoor in trapdoors]
 
 
 #: Stands for "no such attribute" in the patch list below.
@@ -117,8 +111,6 @@ def reference_paths():
         (compressed_index, "fused_codec", PerCodeTable),
         (IndexPipeline, "build_index_streams", per_chunking_streams),
         (SwpCipher, "match_positions", staticmethod(per_cell_positions)),
-        (SwpCipher, "match_positions_multi",
-         staticmethod(_per_cell_positions_multi)),
     ] + [(matcher, "match_bucket", _ABSENT) for matcher in MATCHERS]
     saved = [
         (target, name, target.__dict__[name])

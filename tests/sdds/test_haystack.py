@@ -135,8 +135,8 @@ def build_file(**kwargs):
 def scan(file, needle=b"R-"):
     """A fresh, equal-valued matcher per call, as a live site decodes
     a new object per scan."""
-    return sorted(file.scan(CompressedScanMatcher((needle,)),
-                            request_size=4))
+    return sorted(rid for rid, _indexes in file.scan(
+        CompressedScanMatcher(((needle,),)), request_size=4))
 
 
 class TestBucketScansTrackMutations:
@@ -191,11 +191,13 @@ def test_handle_scan_needs_only_send_from_its_network():
         bucket.handle(Message(
             src=client, dst=bucket.node_id, kind="scan",
             payload={"op": op, "client": client, "level": 0,
-                     "matcher": CompressedScanMatcher((b"R-0",))},
+                     "matcher": CompressedScanMatcher(((b"R-0",),))},
         ))
     replies = bucket.network.sent
     assert [(dst, kind) for dst, kind, _, _ in replies] == [
         (client, "scan_reply")
     ] * 2
-    assert [reply[2]["hits"] for reply in replies] == [[0, 1, 2, 3]] * 2
+    assert [reply[2]["hits"] for reply in replies] == [
+        [(rid, (0,)) for rid in range(4)]
+    ] * 2
     assert replies[0][3] == replies[1][3]
