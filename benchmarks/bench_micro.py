@@ -1,16 +1,11 @@
 """Component microbenchmarks (proper pytest-benchmark timing runs)."""
 
-import pathlib
 import random
-import sys
 
 from repro.core import Disperser, FrequencyEncoder, IndexPipeline, \
     SchemeParameters
 from repro.core.search import aligned_find
 from repro.crypto import AES, FeistelPRP
-
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent))
-from tests.oracle import reference_paths  # noqa: E402
 
 
 def test_aes_block(benchmark):
@@ -23,12 +18,6 @@ def test_aes_block(benchmark):
 #: ``next(values) % 65536`` inside the timed lambda, so iterator and
 #: modulo overhead polluted the PRP measurement.
 PRP_VALUES = [(i * 2654435761) % 65536 for i in range(1000)]
-
-
-def test_feistel_prp(benchmark):
-    prp = FeistelPRP(b"bench-key", 2 ** 16)
-    values = PRP_VALUES
-    benchmark(lambda: [prp.encrypt(v) for v in values])
 
 
 def test_feistel_prp_stream(benchmark):
@@ -53,7 +42,8 @@ def test_encoder_throughput(benchmark, directory):
     )
 
 
-def _build_pipeline(directory):
+def test_index_pipeline_build(benchmark, directory):
+    """The fused fast path (default): table-driven index build."""
     sample = directory.sample(100, seed=2)
     corpus = [e.name.encode("ascii") for e in sample]
     params = SchemeParameters.full(4, n_codes=64, dispersal=2)
@@ -61,26 +51,10 @@ def _build_pipeline(directory):
         params, FrequencyEncoder.train(corpus, 4, 64)
     )
     texts = [e.record_text.encode("ascii") + b"\x00" for e in sample]
-    return pipeline, texts
-
-
-def test_index_pipeline_build(benchmark, directory):
-    """The fused fast path (default): table-driven index build."""
-    pipeline, texts = _build_pipeline(directory)
     pipeline.warm()  # codec tables built outside the timed region
     benchmark(
         lambda: [pipeline.build_index_streams(t) for t in texts]
     )
-
-
-def test_index_pipeline_build_reference(benchmark, directory):
-    """The per-chunk reference path (``tests/oracle.py``), for the
-    speedup comparison."""
-    with reference_paths():
-        pipeline, texts = _build_pipeline(directory)
-        benchmark(
-            lambda: [pipeline.build_index_streams(t) for t in texts]
-        )
 
 
 def test_aligned_find_large_haystack(benchmark):

@@ -53,7 +53,9 @@ GRID = [
 ]
 
 
-def build_store(make, bucket_capacity=8):
+def build_store(make, bucket_capacity=8, bulk=False):
+    """A store over ``TEXTS``, loaded one ``put`` at a time or, with
+    ``bulk``, through ``bulk_load`` (``LHStarFile.run_concurrent``)."""
     params, n_codes = make()
     encoder = (
         FrequencyEncoder.train(
@@ -66,8 +68,11 @@ def build_store(make, bucket_capacity=8):
     store = EncryptedSearchableStore(
         params, encoder=encoder, bucket_capacity=bucket_capacity,
     )
-    for rid, text in enumerate(TEXTS):
-        store.put(rid, text)
+    if bulk:
+        store.bulk_load(dict(enumerate(TEXTS)))
+    else:
+        for rid, text in enumerate(TEXTS):
+            store.put(rid, text)
     return store
 
 
@@ -93,6 +98,13 @@ def search_each(store, patterns):
 
 def index_bytes(store):
     return {r.rid: r.content for r in store.index_file.all_records()}
+
+
+def wire(store):
+    """The store's whole billed census: totals and the per-kind split."""
+    stats = store.network.stats
+    return (stats.messages, stats.bytes, dict(stats.by_kind),
+            dict(stats.bytes_by_kind))
 
 
 def mutate(store):
@@ -121,10 +133,15 @@ def test_the_two_sides_really_differ():
 class TestChunkIndexEquivalence:
     @pytest.mark.parametrize("make", GRID)
     def test_answers_and_wire_costs_identical(self, make):
+        """Index bytes, answers and the whole wire census, for a
+        put-loaded and a bulk-loaded store."""
         def run():
-            store = build_store(make)
-            return (search_each(store, searchable(store)),
-                    index_bytes(store), store.network.stats.bytes)
+            return [
+                (search_each(store, searchable(store)),
+                 index_bytes(store), wire(store))
+                for store in (build_store(make),
+                              build_store(make, bulk=True))
+            ]
 
         fused, plain = both(run)
         assert fused == plain
@@ -183,7 +200,7 @@ class TestWordStoreEquivalence:
                     for word in ("SCHWARZ", "THOMAS", "453-2234",
                                  "MISSING", "AAAABBBBCCCCDDDD")
                 }),
-                store.network.stats.bytes,
+                wire(store),
             )
 
         fused, plain = both(run)
@@ -220,10 +237,11 @@ class TestCompressedEquivalence:
             store = compressed_store(b"csi-equiv")
             # Index streams (translate table ≡ per-code PRP) first,
             # then answers and their wire cost.
-            return index_bytes(store), answers({
+            found = answers({
                 pattern: store.search(pattern)
                 for pattern in ("CHWAR", "WITOLD", "BBBBCC", "ZZZ")
             })
+            return index_bytes(store), found, wire(store)
 
         fused, plain = both(run)
         assert fused == plain
@@ -258,8 +276,7 @@ class TestAutomatonEquivalence:
     def test_search_grid(self, make):
         def run():
             store = build_store(make)
-            return (search_each(store, searchable(store)),
-                    store.network.stats.bytes)
+            return search_each(store, searchable(store)), wire(store)
 
         fused, scalar = both(run)
         assert fused == scalar

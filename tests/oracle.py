@@ -3,9 +3,8 @@
 ``src/`` has no switch between a fused and a reference code path: a
 store runs the fused codec tables whenever the chunk domain allows
 them, and a bucket runs ``match_bucket`` whenever the matcher has
-one.  The equivalence suites (and ``benchmarks/perf_smoke.py``) still
-compare every fused path with the plain one; this module is the one
-way they get there.
+one.  The equivalence suites still compare every fused path with the
+plain one; this module is the one way they get there.
 
 :func:`reference_paths` patches, for the length of a ``with`` block:
 
@@ -102,9 +101,9 @@ def reference_paths():
     the reference paths (see the module docstring).
 
     Patches by hand rather than through pytest's ``monkeypatch``:
-    hypothesis bodies and ``benchmarks/perf_smoke.py`` come through
-    here too, and merely importing pytest moves the latter's gated
-    ratios (``multi_needle_scan_speedup`` ~3.7 -> ~2.4, under its floor).
+    hypothesis bodies come through here too, once per example, and
+    ``monkeypatch`` is a function-scoped fixture that a hypothesis
+    body cannot take (it would not be reset between examples).
     """
     patches = [
         (index, "fused_codec", lambda **_parameters: None),
