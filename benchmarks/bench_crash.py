@@ -57,10 +57,11 @@ def data_bucket_gate(file):
 
 def run_cell(mttf, parity, seed=2006):
     crashes = None
+    net = Network()
     if mttf is not None:
         crashes = CrashFaultModel(seed=seed, mttf=mttf,
                                   mttr=mttf / 4, horizon=10_000.0)
-    net = Network(crashes=crashes)
+        net.schedules.append(crashes)
     file = make_file(net, parity)
     for key in range(RECORDS // 2):
         file.insert(key, b"%06d-payload\x00" % key)

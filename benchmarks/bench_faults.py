@@ -11,7 +11,7 @@ baseline.
 """
 
 from repro.bench.tables import TableResult
-from repro.net import RetryPolicy, UnreliableNetwork
+from repro.net import FaultModel, Network, RetryPolicy
 from repro.sdds import LHStarFile
 
 RECORDS = 300
@@ -23,9 +23,9 @@ POLICIES = {
 
 
 def run_workload(loss_rate: float, policy: RetryPolicy, seed: int = 2006):
-    net = UnreliableNetwork(
+    net = Network(faults=FaultModel(
         seed=seed, loss_rate=loss_rate, duplication_rate=loss_rate / 5
-    )
+    ))
     file = LHStarFile(
         network=net, bucket_capacity=16, retry_policy=policy
     )

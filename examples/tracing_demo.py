@@ -10,7 +10,7 @@ by the per-operation cost breakdown table and the metrics dump.
 """
 
 from repro import EncryptedSearchableStore, SchemeParameters
-from repro.net import RetryPolicy, UnreliableNetwork
+from repro.net import FaultModel, Network, RetryPolicy
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -29,9 +29,9 @@ PHONEBOOK = {
 
 
 def main() -> None:
-    net = UnreliableNetwork(
+    net = Network(faults=FaultModel(
         seed=2006, loss_rate=0.10, duplication_rate=0.02
-    )
+    ))
     store = EncryptedSearchableStore(
         SchemeParameters.full(4, master_key=b"tracing-demo-key"),
         network=net,

@@ -202,20 +202,8 @@ DISK_FORMAT_VERSION = 1
 _DISK_MAGIC = b"RPCC"
 _DISK_HEADER = struct.Struct(">4sBBHI")
 
-_cache_dir_override: Path | None = None
-
-
-def set_codec_cache_dir(path: str | os.PathLike | None) -> None:
-    """Set (or, with ``None``, clear) an explicit cache directory,
-    overriding :data:`CODEC_CACHE_ENV`."""
-    global _cache_dir_override
-    _cache_dir_override = Path(path) if path is not None else None
-
-
 def codec_cache_dir() -> Path | None:
     """The active on-disk cache directory, or ``None`` (cache off)."""
-    if _cache_dir_override is not None:
-        return _cache_dir_override
     env = os.environ.get(CODEC_CACHE_ENV)
     return Path(env) if env else None
 
@@ -336,7 +324,6 @@ def fused_codec(
     disperser: Disperser | None,
     piece_width: int,
     domain: int,
-    max_bits: int = MAX_FUSED_BITS,
 ) -> FusedCodec | None:
     """Build (or fetch from the registry) the fused codec for one
     chunking's parameters, or None when the domain exceeds the fused
@@ -346,7 +333,7 @@ def fused_codec(
     ``disperser=None`` fuses an identity Stage 3 (``k=1``), leaving
     just PRP + packing.
     """
-    if domain > (1 << max_bits):
+    if domain > (1 << MAX_FUSED_BITS):
         return None
     if disperser is not None and disperser.dispersal_table() is None:
         return None
@@ -363,7 +350,7 @@ def fused_codec(
         started = time.perf_counter()
         if prp is not None:
             encrypted = prp.permutation_table()
-            if encrypted is None:  # domain within max_bits always
+            if encrypted is None:  # domain within MAX_FUSED_BITS always
                 encrypted = [
                     prp.encrypt(value) for value in range(domain)
                 ]

@@ -155,7 +155,7 @@ class EncryptedSearchableStore:
         bucket_capacity: int = 128,
         high_availability: bool = False,
         name: str = "ess",
-        retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
+        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         group_size: int = 4,
         parity_count: int = 2,
         shrink: bool = False,

@@ -21,7 +21,6 @@ from repro.net.faults import (
     FaultModel,
     RetryExhaustedError,
     RetryPolicy,
-    UnreliableNetwork,
 )
 from repro.net.simulator import (
     JitterLatencyModel,
@@ -36,7 +35,6 @@ from repro.net.stats import NetworkStats
 
 __all__ = [
     "Network",
-    "UnreliableNetwork",
     "Node",
     "Message",
     "Timer",

@@ -8,14 +8,12 @@ machinery.  This module supplies the missing adversity:
 * :class:`FaultModel` — seeded, deterministic message loss and
   duplication, plugged into :class:`~repro.net.simulator.Network`.
   Structural server-to-server messages (bucket splits, record
-  shipments, parity deltas) are *reliable by default*: they model TCP
+  shipments, parity deltas) are *reliable*: they model TCP
   transfers whose retransmission happens below our abstraction, while
   the client path (keyed operations, scans, replies, IAMs) is the
   lossy datagram traffic the LH* client protocol must survive.
 * :class:`RetryPolicy` — per-operation timeout, exponential backoff
   and a retry budget for :class:`~repro.sdds.lhstar.LHStarClient`.
-* :class:`UnreliableNetwork` — convenience ``Network`` subclass wiring
-  a fault model in.
 * :class:`RetryExhaustedError` — raised by the synchronous facades
   when an operation's retry budget is spent without an answer.
 * :class:`CrashFaultModel` — a seeded MTTF/MTTR schedule of node
@@ -40,9 +38,9 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from repro.errors import SDDSError, UnknownNodeError
-from repro.net.simulator import LatencyModel, Network
+from repro.net.simulator import Network
 
-#: Message kinds exempt from injected faults by default: structural
+#: Message kinds exempt from injected faults: structural
 #: server-to-server transfers whose loss would violate assumptions the
 #: LH* papers make of the underlying transport (record shipments are
 #: TCP transfers, the coordinator is reliable).  The client datagram
@@ -96,8 +94,8 @@ class FaultModel:
     probabilities in [0, 1].  A dropped message is charged to the
     sender (it went onto the wire) but never delivered; a duplicated
     message is delivered twice, the copy arriving after the original
-    (pairwise FIFO is preserved).  Kinds in ``reliable_kinds`` are
-    never dropped or duplicated.
+    (pairwise FIFO is preserved).  Kinds in :data:`RELIABLE_KINDS`
+    are never dropped or duplicated.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class FaultModel:
         loss_rate: float = 0.0,
         duplication_rate: float = 0.0,
         corruption_rate: float = 0.0,
-        reliable_kinds: frozenset[str] | None = None,
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss rate must lie in [0, 1]")
@@ -118,15 +115,11 @@ class FaultModel:
         self.loss_rate = loss_rate
         self.duplication_rate = duplication_rate
         self.corruption_rate = corruption_rate
-        self.reliable_kinds = (
-            RELIABLE_KINDS if reliable_kinds is None
-            else frozenset(reliable_kinds)
-        )
         self._rng = random.Random(seed)
 
     def applies(self, kind: str) -> bool:
         """Whether messages of ``kind`` are subject to faults."""
-        return kind not in self.reliable_kinds
+        return kind not in RELIABLE_KINDS
 
     def drops(self) -> bool:
         """Decide the fate of the next eligible message."""
@@ -161,36 +154,6 @@ class FaultModel:
             f"FaultModel(seed={self.seed}, loss_rate={self.loss_rate}, "
             f"duplication_rate={self.duplication_rate}, "
             f"corruption_rate={self.corruption_rate})"
-        )
-
-
-class UnreliableNetwork(Network):
-    """A :class:`Network` with a seeded :class:`FaultModel` attached.
-
-    >>> net = UnreliableNetwork(seed=7, loss_rate=0.05,
-    ...                         duplication_rate=0.01)
-    >>> net.faults.loss_rate
-    0.05
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        loss_rate: float = 0.0,
-        duplication_rate: float = 0.0,
-        corruption_rate: float = 0.0,
-        latency: LatencyModel | None = None,
-        reliable_kinds: frozenset[str] | None = None,
-    ) -> None:
-        super().__init__(
-            latency=latency,
-            faults=FaultModel(
-                seed=seed,
-                loss_rate=loss_rate,
-                duplication_rate=duplication_rate,
-                corruption_rate=corruption_rate,
-                reliable_kinds=reliable_kinds,
-            ),
         )
 
 
@@ -257,12 +220,12 @@ class CrashFaultModel:
     exponential distribution with mean ``mttf`` and down-time with
     mean ``mttr``, out to ``horizon`` simulated seconds — the classic
     MTTF/MTTR availability model.  The schedule is planned up front
-    (:meth:`plan`) but *applied lazily*: ``Network.run`` calls
-    :meth:`advance` before processing each queued event, so crashes
-    land exactly where the workload's clock has reached.  Scheduling
-    them as network timers instead would break run-to-quiescence —
-    the first synchronous operation would drain the entire crash
-    schedule before returning.
+    (:meth:`plan`) but *applied lazily*: appended to
+    ``Network.schedules``, it is advanced before each queued event is
+    processed, so crashes land exactly where the workload's clock has
+    reached.  Scheduling them as network timers instead would break
+    run-to-quiescence — the first synchronous operation would drain
+    the entire crash schedule before returning.
 
     An optional ``gate`` callable (e.g.
     ``LHStarRSFile.crash_gate()``) lets a test or bench veto crashes

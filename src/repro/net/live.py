@@ -27,10 +27,10 @@ its sender's site, at its declared size.
 
 Scope (v3): plain :class:`~repro.sdds.lhstar.LHStarFile` *and*
 :class:`~repro.sdds.lhstar_rs.LHStarRSFile` (parity buckets hosted on
-bucket sites, recovery over TCP) with every split policy and with
-``shrink=True`` (merges, retired tombstones and level drops flow over
-the billed data plane); graceful site leave with online bucket
-migration (:meth:`LiveNetwork.site_leave`) and tombstone reaping
+bucket sites, recovery over TCP), including ``shrink=True`` (merges,
+retired tombstones and level drops flow over the billed data plane);
+graceful site leave with online bucket migration
+(:meth:`LiveNetwork.site_leave`) and tombstone reaping
 (:meth:`LiveNetwork.decommission` plus
 :meth:`LiveCluster.reap_site`); crash/restore of hosted nodes; seeded
 fault injection (loss, duplication, corruption, latency spikes,
@@ -193,11 +193,10 @@ class LiveNetwork(Transport):
         #: model) broadcasts its ``extra`` as a sender-side hold to
         #: every site through the ``delay`` control verb.
         self._latency: Any = LatencyModel()
-        #: Optional :class:`~repro.net.faults.CrashFaultModel`,
-        #: advanced inside :meth:`run` like the simulator does.
-        self.crashes = None
-        #: Attached schedules (the chaos nemesis appends itself);
-        #: advanced inside :meth:`run` on the wall clock.
+        #: Lazily-advanced fault schedules (a
+        #: :class:`~repro.net.faults.CrashFaultModel`, the chaos
+        #: nemesis), advanced inside :meth:`run` on the wall clock
+        #: under the simulator's ``Network.schedules`` contract.
         self.schedules: list[Any] = []
         #: LH*_RS layout per file name (group_size, parity_count),
         #: learned at attach time; places parity ids on host sites.
@@ -819,8 +818,6 @@ class LiveNetwork(Transport):
                     f"delivered={self.delivered})"
                 )
             self.now = max(self.now, self._mono())
-            if self.crashes is not None:
-                self.crashes.advance(self, self.now)
             for schedule in list(self.schedules):
                 schedule.advance(self, self.now)
             if self._service(0.002):
@@ -888,22 +885,11 @@ class LiveCluster:
     """
 
     def __init__(self, buckets: int = 4, host: str = "127.0.0.1",
-                 log_dir: str | os.PathLike | None = None,
-                 env: dict[str, str] | None = None,
-                 startup_timeout: float = CONNECT_TIMEOUT,
-                 codec_cache_dir: str | os.PathLike | None = None
-                 ) -> None:
+                 log_dir: str | os.PathLike | None = None) -> None:
         if buckets < 1:
             raise ValueError("a cluster needs at least one bucket site")
         self.buckets = buckets
         self.host = host
-        self.extra_env = dict(env or {})
-        self.startup_timeout = startup_timeout
-        #: Where site processes persist fused codec tables (see
-        #: ``repro.core.kernels``).  ``None`` = a cluster-private
-        #: directory inside the workdir, so a cluster's N bucket
-        #: processes build each table once instead of N times.
-        self.codec_cache_dir = codec_cache_dir
         self._log_dir = Path(log_dir) if log_dir else None
         self._tmp: tempfile.TemporaryDirectory | None = None
         self._site_log_dir: Path | None = None
@@ -928,11 +914,14 @@ class LiveCluster:
         self.config.dump(str(self._config_path))
 
         env = dict(os.environ)
-        env.update(self.extra_env)
         from repro.core.kernels import CODEC_CACHE_ENV
 
-        cache_dir = Path(self.codec_cache_dir
-                         or workdir / "codec-cache")
+        # Site processes persist fused codec tables (see
+        # ``repro.core.kernels``) in the directory the environment
+        # names, or else in a cluster-private one inside the workdir,
+        # so a cluster's N bucket processes build each table once
+        # instead of N times.
+        cache_dir = workdir / "codec-cache"
         cache_dir.mkdir(parents=True, exist_ok=True)
         env.setdefault(CODEC_CACHE_ENV, str(cache_dir))
         src_root = str(Path(__file__).resolve().parents[2])
@@ -947,7 +936,7 @@ class LiveCluster:
             for index in range(self.buckets):
                 self._spawn(("bucket", index), "bucket", index)
             self._spawn(("coordinator",), "coordinator", 0)
-            deadline = time.monotonic() + self.startup_timeout
+            deadline = time.monotonic() + CONNECT_TIMEOUT
             for key in list(self._procs):
                 self._probe_ready(key, deadline)
         except BaseException:
@@ -992,7 +981,7 @@ class LiveCluster:
             if time.monotonic() > deadline:
                 raise LiveBackendError(
                     f"site {key!r} did not answer a ping within "
-                    f"{self.startup_timeout}s; log tail:\n"
+                    f"{CONNECT_TIMEOUT}s; log tail:\n"
                     + _tail(self._logs[key])
                 )
             if self._try_ping(host, port):
@@ -1040,7 +1029,7 @@ class LiveCluster:
         # ClusterConfig object and sees the growth immediately.
         self.config.buckets.extend(new_ports)
         self.config.dump(str(self._config_path))
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + CONNECT_TIMEOUT
         for offset in range(len(new_ports)):
             index = start_index + offset
             self._spawn(("bucket", index), "bucket", index)

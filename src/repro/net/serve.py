@@ -48,15 +48,15 @@ gather run over TCP, billed), and elastic growth: a frame for a
 bucket address beyond the provisioned site count is *parked* and reported in the census so
 the cluster can spawn the missing site and re-deliver (``config``).
 
-v3 additions: elasticity in both directions.  Shrinking files and
-controlled split policies are hosted (buckets of load-tracking files
-report ``load``/``underflow`` deltas so the remote coordinator's
-global record count stays exact), merges retire live tombstones whose
-``merge_records`` shipments ride the billed data plane, a ``leave``
-control verb triggers the coordinator's graceful-departure drain, and
-a ``decommission`` control verb reaps an empty tombstone after its
-image catch-up window (reporting when the site has no hosted nodes
-left, so the whole process can be retired).
+v3 additions: elasticity in both directions.  Shrinking files are
+hosted (their buckets report ``load``/``underflow`` deltas so the
+remote coordinator's global record count stays exact), merges retire
+live tombstones whose ``merge_records`` shipments ride the billed data
+plane, a ``leave`` control verb triggers the coordinator's
+graceful-departure drain, and a ``decommission`` control verb reaps
+an empty tombstone after its image catch-up window (reporting when
+the site has no hosted nodes left, so the whole process can be
+retired).
 
 See ``docs/SERVING.md`` for the topology and wire format.
 """

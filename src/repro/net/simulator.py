@@ -25,7 +25,7 @@ from repro.errors import UnknownNodeError
 from repro.net.stats import NetworkStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.faults import CrashFaultModel, FaultModel
+    from repro.net.faults import FaultModel
 
 
 def _stable_bytes(value: Any) -> bytes:
@@ -596,20 +596,18 @@ class Network(Transport):
         self,
         latency: LatencyModel | None = None,
         faults: "FaultModel | None" = None,
-        crashes: "CrashFaultModel | None" = None,
     ) -> None:
         super().__init__(faults)
         self.latency = latency or LatencyModel()
-        #: Optional crash schedule (see
-        #: :class:`repro.net.faults.CrashFaultModel`).  Consulted
-        #: lazily by :meth:`run` as the clock advances, so crash and
-        #: restore events interleave with the workload instead of
-        #: being drained up front by the first run-to-quiescence.
-        self.crashes = crashes
-        #: Additional lazily-advanced fault schedules (duck-typed:
-        #: ``advance(network, until)``), consulted exactly like
-        #: :attr:`crashes` before each queued event — this is where a
-        #: :class:`repro.chaos.nemesis.Nemesis` plugs in.
+        #: Lazily-advanced fault schedules, duck-typed as
+        #: ``advance(network, until)``: before each queued event,
+        #: :meth:`run` calls ``advance(self, arrival)`` on every
+        #: schedule in list order, which applies the schedule's
+        #: events due by that time.  Crash and restore events thus
+        #: interleave with the workload instead of being drained up
+        #: front by the first run-to-quiescence.  A
+        #: :class:`repro.net.faults.CrashFaultModel` or a
+        #: :class:`repro.chaos.nemesis.Nemesis` plugs in here.
         self.schedules: list[Any] = []
         self._queue: list[tuple[float, int, Message]] = []
         self._sequence = itertools.count()
@@ -723,14 +721,10 @@ class Network(Transport):
                     f"network did not quiesce within {max_events} events"
                 )
             arrival, __, item = heapq.heappop(self._queue)
-            if self.crashes is not None:
-                # Apply crash/restore events scheduled before this
-                # item's time: the crash schedule advances with the
-                # traffic, never ahead of it.
-                self.crashes.advance(self, arrival)
             for schedule in self.schedules:
-                # Additional lazily-advanced schedules (the chaos
-                # nemesis) compose the same way.
+                # Apply fault events scheduled before this item's
+                # time: schedules advance with the traffic, never
+                # ahead of it.
                 schedule.advance(self, arrival)
             if isinstance(item, Timer):
                 if item.cancelled:

@@ -53,6 +53,11 @@ HEADER_SIZE = 32
 #: before firing and behaviour is identical to the retry-free past.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
+#: Thrash guard of a shrinking file: a merge threshold at or above
+#: this load factor would merge buckets that the next insert burst
+#: splits again.
+MERGE_THRASH_BOUND = 0.8
+
 #: Bucket-side idempotence caches (request id -> cached reply) are
 #: bounded LRU; old entries only matter while their operation can
 #: still be retransmitted, which the retry budget bounds tightly.
@@ -386,8 +391,8 @@ class LHStarBucket(Node):
                  "delta": 1 if old is None else 0},
                 size=HEADER_SIZE,
             )
-        elif self.file.tracks_load and old is None:
-            # Load-tracking files report every net-new record so the
+        elif self.file.shrink and old is None:
+            # Shrinking files report every net-new record so the
             # coordinator's global count stays exact even when it runs
             # in another process and cannot read bucket contents.
             self.send(
@@ -423,7 +428,7 @@ class LHStarBucket(Node):
         )
         if removed is not None:
             self.file.on_remove(self.address, removed)
-            if self.file.tracks_load:
+            if self.file.shrink:
                 self.send(
                     self.file.coordinator_id,
                     "underflow",
@@ -678,18 +683,11 @@ class LHStarBucket(Node):
 
 
 class LHStarCoordinator(Node):
-    """The split coordinator: authoritative ``(i, n)``, split policy.
+    """The split coordinator: authoritative ``(i, n)``.
 
-    Two policies from the linear-hashing literature:
-
-    * ``"uncontrolled"`` (default) — every overflow notification
-      triggers a split of bucket ``n``.  Simple, keeps buckets shallow,
-      over-allocates sites.
-    * ``"load_factor"`` — split only while the file-wide load factor
-      (records / (buckets x capacity)) exceeds the threshold.  Fewer,
-      fuller buckets; the classic space/overflow trade-off.  The
-      coordinator only acts on overflow notifications, so the achieved
-      load may drift above the threshold while no bucket overflows.
+    Splits are uncontrolled: every overflow notification triggers a
+    split of bucket ``n`` — simple, keeps buckets shallow,
+    over-allocates sites.
     """
 
     def __init__(self, file: "LHStarFile") -> None:
@@ -717,7 +715,7 @@ class LHStarCoordinator(Node):
         self._reporters: dict[int, set[Hashable]] = {}
         #: Global record count, maintained from bucket notifications
         #: ("load"/"underflow" and the delta field on "overflow") when
-        #: the file tracks load.  Splits and merges move records
+        #: the file shrinks.  Splits and merges move records
         #: without changing the global count, so this stays exact —
         #: and works identically when the coordinator is a remote
         #: process that cannot read ``file.record_count``.
@@ -729,7 +727,7 @@ class LHStarCoordinator(Node):
 
     def _load_factor(self) -> float:
         capacity = self.bucket_count * self.file.bucket_capacity
-        if self.file.tracks_load:
+        if self.file.shrink:
             return self.records_reported / capacity
         return self.file.record_count / capacity
 
@@ -760,15 +758,7 @@ class LHStarCoordinator(Node):
                 f"coordinator: unknown message kind {kind!r}"
             )
         self.records_reported += message.payload.get("delta", 0)
-        if self.file.split_policy == "load_factor":
-            # Gate, don't force: an overflow only earns a split when
-            # the file as a whole is loaded — a hot bucket alone is
-            # allowed to run deep (overflow-chained in a real LH;
-            # oversized in this simulation).
-            if self._load_factor() > self.file.load_factor_threshold:
-                self._split_next()
-        else:
-            self._split_next()
+        self._split_next()
 
     # -- failure detection and recovery ------------------------------------
 
@@ -794,7 +784,7 @@ class LHStarCoordinator(Node):
             return  # probe already outstanding; verdict will fan out
         self.send(self.file.bucket_id(address), "probe",
                   {"address": address}, size=HEADER_SIZE)
-        policy = self.file.retry_policy or DEFAULT_RETRY_POLICY
+        policy = self.file.retry_policy
         self._probes[address] = self.network.schedule(
             policy.timeout,
             lambda: self._probe_timeout(address),
@@ -935,7 +925,7 @@ class LHStarCoordinator(Node):
         return True
 
     def _arm_leave_retry(self, address: int) -> None:
-        policy = self.file.retry_policy or DEFAULT_RETRY_POLICY
+        policy = self.file.retry_policy
         # Deterministic backoff, never policy.delay(): that draws from
         # the policy's shared jitter stream, and the coordinator may
         # be a remote process with its own policy instance — a draw
@@ -961,7 +951,7 @@ class LHStarCoordinator(Node):
         self._leave_timers.pop(address, None)
         if address not in self._leaving:
             return
-        policy = self.file.retry_policy or DEFAULT_RETRY_POLICY
+        policy = self.file.retry_policy
         self._leaving[address] += 1
         if self._leaving[address] <= policy.max_retries:
             self.send(self.file.bucket_id(address), "leave",
@@ -1044,8 +1034,8 @@ class LHStarCoordinator(Node):
 class LHStarClient(Node):
     """A client with a private image; entry point for all operations.
 
-    When its file carries a :class:`~repro.net.faults.RetryPolicy`,
-    every operation arms a virtual-clock timeout: unanswered keyed
+    Every operation arms a virtual-clock timeout from its file's
+    :class:`~repro.net.faults.RetryPolicy`: unanswered keyed
     operations are retransmitted (re-addressed under the *current*
     image) with exponential backoff, and scans retransmit only to the
     buckets whose coverage fractions are still missing.  Bucket-side
@@ -1079,13 +1069,12 @@ class LHStarClient(Node):
         if kind == "reply":
             op = message.payload["op"]
             pending = self._pending_keyed.pop(op, None)
-            if pending is not None and pending.timer is not None:
-                pending.timer.cancel()
-            if pending is None and self.file.retry_policy is not None:
+            if pending is None:
                 # A duplicate/late reply for an operation that already
-                # completed (every live op has pending state while a
-                # retry policy is in force).
+                # completed (every live op has pending state).
                 return
+            if pending.timer is not None:
+                pending.timer.cancel()
             self.responses[op] = message.payload
         elif kind == "iam":
             self.iam_count += 1
@@ -1100,14 +1089,13 @@ class LHStarClient(Node):
             op = payload["op"]
             if op not in self._scan_hits:
                 return  # late reply for a scan already collected
-            state = self._scan_state.get(op)
-            if state is not None:
-                address = payload["address"]
-                if address in state.replied:
-                    return  # redelivered reply: already accounted
-                state.replied.add(address)
-                for child, level in payload.get("forwarded", ()):
-                    state.expected.setdefault(child, level)
+            state = self._scan_state[op]
+            address = payload["address"]
+            if address in state.replied:
+                return  # redelivered reply: already accounted
+            state.replied.add(address)
+            for child, level in payload.get("forwarded", ()):
+                state.expected.setdefault(child, level)
             self._scan_hits[op].extend(payload["hits"])
             if payload["level"] is not None:
                 self._scan_coverage[op] += Fraction(
@@ -1115,7 +1103,7 @@ class LHStarClient(Node):
                 )
             # Retired buckets reply with level None: zero coverage —
             # their merge target answers for the key range.
-            if state is not None and self._scan_coverage[op] == 1:
+            if self._scan_coverage[op] == 1:
                 state.done = True
                 if state.timer is not None:
                     state.timer.cancel()
@@ -1149,10 +1137,6 @@ class LHStarClient(Node):
     def start_keyed(self, kind: str, key: int, content: bytes | None = None) -> int:
         """Send a keyed operation using the current image; returns op id."""
         op = next(self._ops)
-        policy = self.file.retry_policy
-        if policy is None:
-            self._send_keyed(op, kind, key, content)
-            return op
         self._pending_keyed[op] = _PendingKeyed(
             kind=kind, key=key, content=content
         )
@@ -1260,16 +1244,13 @@ class LHStarClient(Node):
         kind: str,
         key: int,
         content: bytes | None,
-        address: int | None = None,
+        address: int,
     ) -> None:
-        """(Re)transmit one keyed operation under the current image.
-
-        ``address`` overrides the image address when the routing layer
-        already chased the key past known-dead buckets — a dead bucket
-        cannot forward, so the client must aim past it itself.
+        """(Re)transmit one keyed operation to ``address``: the image
+        address, chased by the routing layer past known-dead buckets —
+        a dead bucket cannot forward, so the client aims past it
+        itself.
         """
-        if address is None:
-            address = client_address(key, self.i_image, self.n_image)
         payload: dict[str, Any] = {"key": key, "op": op, "client": self.node_id}
         size = HEADER_SIZE
         if kind == "insert":
@@ -1341,15 +1322,15 @@ class LHStarClient(Node):
             expected=dict(expected),
         )
         self._scan_state[op] = state
-        policy = self.file.retry_policy
         for address, level in expected.items():
-            if policy is not None and address in self.dead:
+            if address in self.dead:
                 self._scan_chase(op, address)
             else:
                 self._send_scan(op, address, level)
-        if policy is not None and not state.failed:
+        if not state.failed:
             state.timer = self.network.schedule(
-                policy.timeout, lambda: self._scan_timeout(op),
+                self.file.retry_policy.timeout,
+                lambda: self._scan_timeout(op),
                 owner=self.node_id,
             )
         return op
@@ -1496,10 +1477,10 @@ class LHStarClient(Node):
 
     def take_scan(self, op: int) -> list[Any]:
         """Pop scan hits for ``op``, verifying full coverage."""
-        state = self._scan_state.pop(op, None)
+        state = self._scan_state.pop(op)
         coverage = self._scan_coverage.pop(op)
         hits = self._scan_hits.pop(op)
-        if state is not None and state.failed:
+        if state.failed:
             if state.unavailable is not None:
                 raise BucketUnavailableError(
                     f"scan cannot complete: bucket {state.unavailable} "
@@ -1531,8 +1512,7 @@ class FileView:
     """
 
     #: The creation parameters, in the order :meth:`params` ships them.
-    PARAMETERS = ("name", "bucket_capacity", "shrink", "split_policy",
-                  "load_factor_threshold", "merge_threshold",
+    PARAMETERS = ("name", "bucket_capacity", "shrink", "merge_threshold",
                   "retry_policy", "rs")
 
     #: LH*_RS layout (``{"group_size": m, "parity_count": k}``), or
@@ -1545,44 +1525,31 @@ class FileView:
         name: str,
         network: Transport,
         bucket_capacity: int = 64,
-        split_policy: str = "uncontrolled",
-        load_factor_threshold: float = 0.8,
         shrink: bool = False,
         merge_threshold: float = 0.4,
-        retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
+        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         if bucket_capacity < 1:
             raise ValueError("bucket capacity must be positive")
-        if split_policy not in ("uncontrolled", "load_factor"):
-            raise ValueError(
-                f"unknown split policy {split_policy!r}"
-            )
-        if not 0 < load_factor_threshold <= 1:
-            raise ValueError("load factor threshold must be in (0, 1]")
         if not 0 < merge_threshold < 1:
             raise ValueError("merge threshold must be in (0, 1)")
-        if shrink and merge_threshold >= load_factor_threshold:
+        if shrink and merge_threshold >= MERGE_THRASH_BOUND:
             raise ValueError(
-                "merge threshold must lie below the load-factor "
-                "threshold or the file would thrash"
+                f"merge threshold must lie below {MERGE_THRASH_BOUND} "
+                "or the file would thrash"
             )
         self.name = name
         self.network = network
-        #: Timeout/retry discipline for this file's clients; ``None``
-        #: disables retransmission entirely (pre-robustness behaviour).
+        #: Timeout/retry discipline for this file's clients.
         self.retry_policy = retry_policy
         self.bucket_capacity = bucket_capacity
-        self.split_policy = split_policy
-        self.load_factor_threshold = load_factor_threshold
+        #: Whether the file merges buckets when it runs empty.  A
+        #: shrinking file's buckets report per-record load changes
+        #: ("load" / "underflow" messages and a delta field on
+        #: "overflow"), so the coordinator holds an exact global
+        #: record count even when it is a remote process.
         self.shrink = shrink
         self.merge_threshold = merge_threshold
-        #: Whether buckets report per-record load changes ("load" /
-        #: "underflow" messages and a delta field on "overflow") to
-        #: the coordinator.  Both shrink decisions and load-factor
-        #: split gating need an exact global record count at the
-        #: coordinator; counting from billed messages makes that work
-        #: identically when the coordinator is a remote process.
-        self.tracks_load = shrink or split_policy == "load_factor"
         self.record_count = 0
         #: The buckets this process hosts, by address (the coordinator
         #: site hosts none and keeps the set of created addresses).
@@ -1719,15 +1686,13 @@ class LHStarFile(FileView):
         name: str = "lh",
         network: Network | None = None,
         bucket_capacity: int = 64,
-        split_policy: str = "uncontrolled",
-        load_factor_threshold: float = 0.8,
         shrink: bool = False,
         merge_threshold: float = 0.4,
-        retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
+        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         super().__init__(
-            name, network or Network(), bucket_capacity, split_policy,
-            load_factor_threshold, shrink, merge_threshold, retry_policy,
+            name, network or Network(), bucket_capacity, shrink,
+            merge_threshold, retry_policy,
         )
         self.coordinator = LHStarCoordinator(self)
         self.network.attach(self.coordinator)
@@ -1796,38 +1761,31 @@ class LHStarFile(FileView):
 
     # -- synchronous operations ----------------------------------------------
 
-    def insert(self, key: int, content: bytes, client: LHStarClient | None = None) -> None:
-        client = client or self.client
-        op = client.start_keyed("insert", key, content)
+    def insert(self, key: int, content: bytes) -> None:
+        op = self.client.start_keyed("insert", key, content)
         self.network.run()
-        reply = client.take_reply(op)
+        reply = self.client.take_reply(op)
         if not reply["ok"]:
             raise InsertFailedError(f"insert of key {key} failed")
 
-    def lookup(self, key: int, client: LHStarClient | None = None) -> bytes | None:
-        client = client or self.client
-        op = client.start_keyed("lookup", key)
+    def lookup(self, key: int) -> bytes | None:
+        op = self.client.start_keyed("lookup", key)
         self.network.run()
-        reply = client.take_reply(op)
+        reply = self.client.take_reply(op)
         return reply["content"] if reply["ok"] else None
 
-    def delete(self, key: int, client: LHStarClient | None = None) -> bool:
-        client = client or self.client
-        op = client.start_keyed("delete", key)
+    def delete(self, key: int) -> bool:
+        op = self.client.start_keyed("delete", key)
         self.network.run()
-        return client.take_reply(op)["ok"]
+        return self.client.take_reply(op)["ok"]
 
     def scan(
-        self,
-        matcher: ScanMatcher,
-        client: LHStarClient | None = None,
-        request_size: int = HEADER_SIZE,
+        self, matcher: ScanMatcher, request_size: int = HEADER_SIZE
     ) -> list[Any]:
         """Parallel content scan: returns all non-None matcher outcomes."""
-        client = client or self.client
-        op = client.start_scan(matcher, request_size=request_size)
+        op = self.client.start_scan(matcher, request_size=request_size)
         self.network.run()
-        return client.take_scan(op)
+        return self.client.take_scan(op)
 
     def run_concurrent(
         self,
@@ -1879,11 +1837,13 @@ class LHStarFile(FileView):
         return results
 
     def all_records(self) -> list[Record]:
-        """Direct (out-of-band) record dump, for tests and analysis."""
-        records = []
-        for bucket in self.buckets.values():
-            records.extend(bucket.records.values())
-        return records
+        """Direct (out-of-band) record dump, for tests and analysis:
+        every bucket's records as the network's sites hold them."""
+        return [
+            record
+            for info in self.network.dump_buckets(self.name).values()
+            for record in info["records"]
+        ]
 
 
 def _hit_size(hit: Any) -> int:

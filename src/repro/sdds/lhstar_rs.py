@@ -38,7 +38,6 @@ from repro.obs.trace import emit as obs_emit
 from repro.obs.trace import span as obs_span
 from repro.sdds.lhstar import (
     DEDUP_CACHE_LIMIT,
-    DEFAULT_RETRY_POLICY,
     HEADER_SIZE,
     MAX_ESCALATIONS,
     LHStarFile,
@@ -311,7 +310,7 @@ class ParityBucket(Node):
             self._arm_gather_timer(gid, gather)
 
     def _arm_gather_timer(self, gid: int, gather: _ParityGather) -> None:
-        policy = self.file.retry_policy or DEFAULT_RETRY_POLICY
+        policy = self.file.retry_policy
         gather.timer = self.network.schedule(
             policy.delay(gather.escalations),
             lambda: self._gather_timeout(gid),
@@ -797,19 +796,17 @@ class LHStarRSFile(ParityBookkeeping, LHStarFile):
                 self.network.attach(parity)
         return bucket
 
-    def crash_gate(self, limit: int | None = None):
+    def crash_gate(self):
         """A veto callable for :class:`~repro.net.faults.CrashFaultModel`.
 
         Permits a crash only of this file's live data buckets, and
-        only while the group's failure count stays within ``limit``
-        (default: the parity count) — the regime the paper's
-        k-availability guarantee covers.  Buckets that are retired,
-        pending (spares under recovery) or already declared dead are
-        never crashed: killing them would wedge an in-flight recovery
-        rather than model an independent failure.
+        only while the group's failure count stays within the parity
+        count — the regime the paper's k-availability guarantee
+        covers.  Buckets that are retired, pending (spares under
+        recovery) or already declared dead are never crashed: killing
+        them would wedge an in-flight recovery rather than model an
+        independent failure.
         """
-        allowed = self.parity_count if limit is None else limit
-
         def gate(node_id: Hashable) -> bool:
             if not (isinstance(node_id, tuple) and len(node_id) == 3
                     and node_id[0] == "bucket"
@@ -831,7 +828,7 @@ class LHStarRSFile(ParityBookkeeping, LHStarFile):
                         or self.network.is_crashed(
                             self.bucket_id(member))):
                     down += 1
-            return down + 1 <= allowed
+            return down + 1 <= self.parity_count
 
         return gate
 

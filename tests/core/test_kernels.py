@@ -23,7 +23,6 @@ from repro.core.kernels import (
     clear_codec_cache,
     codec_cache_size,
     fused_codec,
-    set_codec_cache_dir,
 )
 from repro.crypto.feistel import FeistelPRP
 from repro.gf import GF2, identity_matrix
@@ -271,15 +270,15 @@ class TestDiskCache:
         clear_codec_cache()
 
     def teardown_method(self):
-        set_codec_cache_dir(None)
         clear_codec_cache()
 
-    def test_off_by_default(self, tmp_path):
+    def test_off_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CODEC_CACHE_ENV, raising=False)
         fused_codec(FeistelPRP(b"key-d", 64), None, 1, 64)
         assert list(tmp_path.iterdir()) == []
 
-    def test_roundtrip_is_byte_identical(self, tmp_path):
-        set_codec_cache_dir(tmp_path)
+    def test_roundtrip_is_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CODEC_CACHE_ENV, str(tmp_path))
         values = list(range(64)) * 3
         registry = MetricsRegistry()
         with use_metrics(registry):
@@ -295,8 +294,10 @@ class TestDiskCache:
             "kernels.codec.build_seconds"
         ).count == 1  # the load produced no build
 
-    def test_roundtrip_with_dispersal_and_wide_pieces(self, tmp_path):
-        set_codec_cache_dir(tmp_path)
+    def test_roundtrip_with_dispersal_and_wide_pieces(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(CODEC_CACHE_ENV, str(tmp_path))
         for disperser, piece_width, domain in (
             (Disperser(k=2, piece_bits=4), 1, 256),
             (Disperser(k=2, piece_bits=8), 2, 1 << 16),
@@ -312,14 +313,14 @@ class TestDiskCache:
             )
             assert loaded.sites == disperser.k
 
-    def test_distinct_keys_get_distinct_files(self, tmp_path):
-        set_codec_cache_dir(tmp_path)
+    def test_distinct_keys_get_distinct_files(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CODEC_CACHE_ENV, str(tmp_path))
         fused_codec(FeistelPRP(b"key-a", 64), None, 1, 64)
         fused_codec(FeistelPRP(b"key-b", 64), None, 1, 64)
         assert len(list(tmp_path.glob("codec-v*.bin"))) == 2
 
-    def test_corrupt_file_rebuilds_cleanly(self, tmp_path):
-        set_codec_cache_dir(tmp_path)
+    def test_corrupt_file_rebuilds_cleanly(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CODEC_CACHE_ENV, str(tmp_path))
         reference = fused_codec(FeistelPRP(b"key-c", 64), None, 1, 64)
         streams = reference.site_streams(list(range(64)))
         (path,) = tmp_path.glob("codec-v*.bin")

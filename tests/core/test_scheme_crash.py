@@ -64,7 +64,8 @@ class TestCrashWorkload:
 
         crashes = CrashFaultModel(seed=7, mttf=0.3, mttr=0.15,
                                   horizon=300.0)
-        net = Network(crashes=crashes)
+        net = Network()
+        net.schedules.append(crashes)
         store = build_store(network=net)
         rids = sorted(CORPUS)
         for rid in rids[:6]:

@@ -9,7 +9,7 @@ and the recovery retries visible in the network statistics.
 import pytest
 
 from repro.core import EncryptedSearchableStore, SchemeParameters
-from repro.net import Network, RetryPolicy, UnreliableNetwork
+from repro.net import FaultModel, Network, RetryPolicy
 
 RECORDS = {
     rid: text
@@ -27,9 +27,9 @@ FAST = RetryPolicy(timeout=0.05, backoff=2.0, max_retries=8)
 
 
 def faulty_store(seed=42, loss=0.05, dup=0.01):
-    network = UnreliableNetwork(
+    network = Network(faults=FaultModel(
         seed=seed, loss_rate=loss, duplication_rate=dup
-    )
+    ))
     return EncryptedSearchableStore(
         SchemeParameters.full(4),
         network=network,
@@ -99,7 +99,7 @@ class TestZeroLossEquivalence:
 
         reliable = workload(Network())
         faulty = workload(
-            UnreliableNetwork(seed=5, loss_rate=0.0,
-                              duplication_rate=0.0)
+            Network(faults=FaultModel(seed=5, loss_rate=0.0,
+                                      duplication_rate=0.0))
         )
         assert reliable == faulty

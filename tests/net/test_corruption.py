@@ -8,7 +8,6 @@ from repro.net import (
     Network,
     Node,
     RetryPolicy,
-    UnreliableNetwork,
     wire_checksum,
 )
 from repro.sdds.lhstar import LHStarFile
@@ -24,7 +23,7 @@ class Collector(Node):
 
 
 def corrupt_net(rate=1.0, seed=0):
-    net = UnreliableNetwork(seed=seed, corruption_rate=rate)
+    net = Network(faults=FaultModel(seed=seed, corruption_rate=rate))
     net.attach(Collector("src"))
     sink = net.attach(Collector("sink"))
     return net, sink
@@ -78,7 +77,7 @@ class TestCorruptionDelivery:
         assert sink.received[0].checksum == 0
         assert net.stats.corrupted == 0
 
-    def test_reliable_kinds_never_corrupted(self):
+    def test_structural_kinds_never_corrupted(self):
         net, sink = corrupt_net(rate=1.0)
         net.send("src", "sink", "split", {"n": 1})
         assert net.run() == 1
@@ -121,7 +120,7 @@ class TestCorruptionRecovery:
     def test_keyed_ops_recover_through_retry(self):
         """Corruption degrades cost, never correctness: every op
         lands exactly once, paid for by retransmissions."""
-        net = UnreliableNetwork(seed=3, corruption_rate=0.3)
+        net = Network(faults=FaultModel(seed=3, corruption_rate=0.3))
         file = LHStarFile(
             name="f", network=net, bucket_capacity=4,
             retry_policy=RetryPolicy(timeout=0.05, backoff=2.0,
@@ -135,7 +134,7 @@ class TestCorruptionRecovery:
         assert net.stats.retries > 0
 
     def test_corrupted_scan_reply_retried(self):
-        net = UnreliableNetwork(seed=5, corruption_rate=0.25)
+        net = Network(faults=FaultModel(seed=5, corruption_rate=0.25))
         file = LHStarFile(
             name="f", network=net, bucket_capacity=4,
             retry_policy=RetryPolicy(timeout=0.05, backoff=2.0,

@@ -188,7 +188,8 @@ class TestCrashFaultModel:
         # reaches t~0.001.
         crashes = CrashFaultModel(seed=0)
         crashes.schedule_crash(1.0, "b")
-        net = Network(crashes=crashes)
+        net = Network()
+        net.schedules.append(crashes)
         net.attach(Echo("a"))
         b = net.attach(Echo("b"))
         net.send("a", "b", "ping")
@@ -205,7 +206,8 @@ class TestCrashFaultModel:
         crashes = CrashFaultModel(seed=0)
         crashes.schedule_crash(0.5, "b")
         crashes.schedule_restore(1.0, "b")
-        net = Network(crashes=crashes)
+        net = Network()
+        net.schedules.append(crashes)
         net.attach(Echo("a"))
         b = net.attach(Echo("b"))
         net.schedule(0.6, lambda: net.send("a", "b", "ping"))
@@ -222,7 +224,8 @@ class TestCrashFaultModel:
         crashes.schedule_crash(0.5, "b")
         crashes.schedule_restore(1.0, "b")
         crashes.gate = lambda node_id: False
-        net = Network(crashes=crashes)
+        net = Network()
+        net.schedules.append(crashes)
         net.attach(Echo("a"))
         net.attach(Echo("b"))
         net.schedule(2.0, lambda: None)
@@ -241,7 +244,8 @@ class TestCrashFaultModel:
         crashes = CrashFaultModel(seed=0)
         crashes.schedule_crash(0.5, "b")
         crashes.schedule_restore(1.0, "b")
-        net = Network(crashes=crashes)
+        net = Network()
+        net.schedules.append(crashes)
         net.attach(Echo("a"))
         net.attach(Echo("b"))
         tracer = Tracer(network=net)

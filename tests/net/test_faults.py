@@ -10,7 +10,6 @@ from repro.net import (
     Network,
     Node,
     RetryPolicy,
-    UnreliableNetwork,
 )
 
 
@@ -24,7 +23,7 @@ class Collector(Node):
 
 
 def lossy_net(**kwargs):
-    net = UnreliableNetwork(**kwargs)
+    net = Network(faults=FaultModel(**kwargs))
     sink = net.attach(Collector("sink"))
     net.attach(Collector("src"))
     return net, sink
@@ -57,11 +56,6 @@ class TestFaultModel:
             assert not model.applies(kind)
         assert model.applies("insert")
         assert model.applies("scan_reply")
-
-    def test_custom_reliable_kinds(self):
-        model = FaultModel(loss_rate=1.0, reliable_kinds=frozenset({"x"}))
-        assert not model.applies("x")
-        assert model.applies("split")
 
 
 class TestLoss:
@@ -160,8 +154,8 @@ class TestZeroRatesAreFree:
 
         reliable = exchange(Network())
         faulty = exchange(
-            UnreliableNetwork(seed=3, loss_rate=0.0,
-                              duplication_rate=0.0)
+            Network(faults=FaultModel(seed=3, loss_rate=0.0,
+                                      duplication_rate=0.0))
         )
         assert reliable == faulty
         assert reliable[0] == 40

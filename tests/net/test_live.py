@@ -221,6 +221,26 @@ class TestWireCostParity:
         # simulated one.
         assert stats_l == stats_s
 
+    def test_footprint_matches_simulator(self, tmp_path):
+        """Out-of-band record dumps read what the sites hold, not the
+        client's inert bucket shadows: a live store's footprint
+        equals its simulator twin's."""
+        from repro.net.live import LiveCluster
+
+        def footprint(network):
+            store = EncryptedSearchableStore(
+                SchemeParameters.full(4), network=network,
+                bucket_capacity=4, name="fp",
+            )
+            for rid, text in TEXTS.items():
+                store.put(rid, text)
+            return store.footprint()
+
+        expected = footprint(Network())
+        assert expected.index_records > 0
+        with LiveCluster(buckets=4, log_dir=tmp_path) as cluster:
+            assert footprint(cluster.connect()) == expected
+
 
 @live
 class TestCrashSemantics:
@@ -283,10 +303,9 @@ class TestCrashSemantics:
 
 @live
 class TestScopeGuards:
-    def test_v3_hosts_shrink_and_load_factor_policies(self):
-        """v3 lifts the last v2 fences: a shrinking file and a
-        load-factor split policy attach and serve over sockets
-        instead of raising LiveUnsupportedError."""
+    def test_v3_hosts_shrinking_file(self):
+        """v3 lifts the last v2 fence: a shrinking file attaches and
+        serves over sockets instead of raising LiveUnsupportedError."""
         from repro.net.live import LiveCluster
         from repro.sdds.lhstar import LHStarFile
 
@@ -304,13 +323,6 @@ class TestScopeGuards:
             assert shrinking.lookup(8) == b"s8"
             assert shrinking.lookup(0) is None
             assert network.stats.by_kind["merge"] > 0
-            controlled = LHStarFile(
-                name="lf", network=network, bucket_capacity=4,
-                split_policy="load_factor",
-            )
-            for key in range(8):
-                controlled.insert(key, b"c%d" % key)
-            assert controlled.lookup(3) == b"c3"
 
     def test_remaining_scope_raises(self):
         """The one attach-time fence left in v3: parity placement
@@ -990,7 +1002,7 @@ class TestCodecCachePersistence:
             return store.get(0)
 
         clear_codec_cache()
-        with LiveCluster(buckets=4, codec_cache_dir=cache) as cluster:
+        with LiveCluster(buckets=4) as cluster:
             first = put_some(cluster.connect())
         files = list(cache.glob("codec-v*.bin"))
         assert files, "no codec tables were persisted"
@@ -998,9 +1010,7 @@ class TestCodecCachePersistence:
         clear_codec_cache()
         registry = MetricsRegistry()
         with use_metrics(registry):
-            with LiveCluster(
-                buckets=4, codec_cache_dir=cache
-            ) as cluster:
+            with LiveCluster(buckets=4) as cluster:
                 second = put_some(cluster.connect())
         assert first == second == TEXTS[0]
         assert registry.counter("kernels.codec.disk_hit").value > 0

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.net.simulator import Network, Node
-from repro.net import UnreliableNetwork
+from repro.net import FaultModel
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -180,8 +180,8 @@ class TestLHStarInstrumentation:
 
     def test_retry_and_dedup_metrics_under_faults(self):
         registry = MetricsRegistry()
-        net = UnreliableNetwork(seed=3, loss_rate=0.15,
-                                duplication_rate=0.1)
+        net = Network(faults=FaultModel(seed=3, loss_rate=0.15,
+                                        duplication_rate=0.1))
         with use_metrics(registry):
             file = LHStarFile(network=net, bucket_capacity=8)
             for key in range(60):
@@ -217,12 +217,13 @@ class TestNetworkObserver:
 
     def test_watch_network_counts_drops(self):
         registry = MetricsRegistry()
-        net = UnreliableNetwork(seed=1, loss_rate=1.0)
-        file = LHStarFile(network=net, retry_policy=None)
+        net = Network(faults=FaultModel(seed=1, loss_rate=1.0))
+        file = LHStarFile(network=net)
         watch_network(net, registry)
         file.client.start_keyed("lookup", 7)
         net.run()
-        assert registry.counter("net.dropped").value == 1
+        assert net.stats.dropped > 0
+        assert registry.counter("net.dropped").value == net.stats.dropped
 
     def test_watch_network_requires_registry(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.core import EncryptedSearchableStore, SchemeParameters
-from repro.net import RetryPolicy, UnreliableNetwork
+from repro.net import FaultModel, RetryPolicy
 from repro.net.simulator import Network
 from repro.obs.trace import (
     NULL_SPAN,
@@ -170,7 +170,7 @@ class TestInstrumentedScheme:
         assert sum(s.stats.bytes for s in tracer.roots()) == delta.bytes
 
     def test_retry_events_recorded_under_loss(self):
-        net = UnreliableNetwork(seed=11, loss_rate=0.15)
+        net = Network(faults=FaultModel(seed=11, loss_rate=0.15))
         store = make_store(
             network=net,
             retry_policy=RetryPolicy(timeout=0.05, max_retries=10),

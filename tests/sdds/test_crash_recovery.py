@@ -238,9 +238,9 @@ class TestErrorHierarchy:
         assert issubclass(InsertFailedError, RuntimeError)
 
     def test_retry_exhaustion_still_raised_on_total_loss(self):
-        from repro.net import UnreliableNetwork
+        from repro.net import FaultModel
 
-        net = UnreliableNetwork(seed=1, loss_rate=1.0)
+        net = Network(faults=FaultModel(seed=1, loss_rate=1.0))
         file = LHStarFile(
             network=net, bucket_capacity=4,
             retry_policy=RetryPolicy(timeout=0.01, max_retries=1),
@@ -253,7 +253,8 @@ class TestCrashFaultModelWorkload:
     def test_seeded_crashes_under_gate_preserve_correctness(self):
         crashes = CrashFaultModel(seed=5, mttf=0.4, mttr=0.1,
                                   horizon=60.0)
-        net = Network(crashes=crashes)
+        net = Network()
+        net.schedules.append(crashes)
         file = LHStarRSFile(
             network=net, bucket_capacity=4, group_size=4,
             parity_count=2, retry_policy=FAST,

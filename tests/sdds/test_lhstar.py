@@ -185,7 +185,9 @@ class TestScan:
         for k in range(150):
             file.insert(k, b"v\x00")
         stale = file.new_client()  # believes there is 1 bucket
-        hits = file.scan(lambda r: r.rid, client=stale)
+        op = stale.start_scan(lambda r: r.rid)
+        file.network.run()
+        hits = stale.take_scan(op)
         assert sorted(hits) == list(range(150))
 
     def test_scan_cost_is_linear_in_buckets(self):

@@ -9,11 +9,11 @@ one the original request earned.
 import pytest
 
 from repro.net import (
+    FaultModel,
     JitterLatencyModel,
     Network,
     RetryExhaustedError,
     RetryPolicy,
-    UnreliableNetwork,
 )
 from repro.sdds import LHStarFile
 
@@ -22,9 +22,10 @@ FAST = RetryPolicy(timeout=0.05, backoff=2.0, max_retries=8)
 
 def faulty_file(seed=0, loss=0.05, dup=0.0, latency=None,
                 policy=FAST, capacity=4):
-    net = UnreliableNetwork(
-        seed=seed, loss_rate=loss, duplication_rate=dup,
+    net = Network(
         latency=latency,
+        faults=FaultModel(seed=seed, loss_rate=loss,
+                          duplication_rate=dup),
     )
     return LHStarFile(
         network=net, bucket_capacity=capacity, retry_policy=policy
@@ -77,16 +78,6 @@ class TestKeyedRetry:
         )
         with pytest.raises(RetryExhaustedError):
             file.insert(1, b"v\x00")
-
-    def test_no_policy_means_no_retransmission(self):
-        """retry_policy=None restores the pre-robustness behaviour:
-        a lost request simply never answers."""
-        file = faulty_file(seed=1, loss=1.0, policy=None)
-        op = file.client.start_keyed("insert", 1, b"v\x00")
-        file.network.run()
-        with pytest.raises(RuntimeError, match="no reply"):
-            file.client.take_reply(op)
-        assert file.network.stats.retries == 0
 
 
 class TestScanRetry:
@@ -174,8 +165,8 @@ class TestZeroLossEquivalence:
 
         reliable = workload(Network())
         faulty = workload(
-            UnreliableNetwork(seed=99, loss_rate=0.0,
-                              duplication_rate=0.0)
+            Network(faults=FaultModel(seed=99, loss_rate=0.0,
+                                      duplication_rate=0.0))
         )
         assert reliable == faulty
         assert reliable[3] == 0

@@ -19,8 +19,7 @@ class TestShrink:
         with pytest.raises(ValueError):
             LHStarFile(shrink=True, merge_threshold=0.0)
         with pytest.raises(ValueError):
-            LHStarFile(shrink=True, merge_threshold=0.9,
-                       load_factor_threshold=0.8)
+            LHStarFile(shrink=True, merge_threshold=0.9)
 
     def test_file_shrinks_after_mass_deletion(self):
         file = grown_file()
@@ -73,7 +72,9 @@ class TestShrink:
             stale.take_reply(op)
         for k in range(180):
             file.delete(k)
-        hits = file.scan(lambda r: r.rid, client=stale)
+        op = stale.start_scan(lambda r: r.rid)
+        file.network.run()
+        hits = stale.take_scan(op)
         assert sorted(hits) == list(range(180, 200))
 
     def test_regrowth_revives_tombstones(self):
