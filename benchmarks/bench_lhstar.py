@@ -1,10 +1,7 @@
 """SDDS cost claims: constant-cost lookups, bounded hops, 1-round
-scans — plus wall-clock microbenches of the simulated operations."""
-
-import random
+scans, and a file that shrinks and grows again."""
 
 from repro.bench.experiments import exp_elasticity, exp_lhstar
-from repro.sdds import LHStarFile
 
 
 def test_lhstar_scaling(benchmark, emit):
@@ -25,60 +22,3 @@ def test_elasticity(benchmark, emit):
     grow, shrink, regrow = buckets
     assert shrink < grow          # the file actually shrank
     assert regrow > shrink        # and grew again
-
-
-def test_concurrent_batch_throughput(benchmark):
-    """Operations per second through concurrent multi-client batches."""
-    file = LHStarFile(bucket_capacity=32)
-    for k in range(1000):
-        file.insert(k, b"seed-record\x00")
-    counter = iter(range(10 ** 9))
-
-    def run_batch():
-        base = 10_000 + next(counter) * 200
-        ops = [("insert", base + i, b"batch\x00") for i in range(100)]
-        ops += [("lookup", i) for i in range(100)]
-        results = file.run_concurrent(ops, concurrency=8)
-        assert all(r is not None for r in results[100:])
-
-    benchmark(run_batch)
-
-
-def test_lookup_throughput(benchmark):
-    """Simulated lookups per second (harness overhead measure)."""
-    file = LHStarFile(bucket_capacity=32)
-    rng = random.Random(1)
-    keys = [rng.randrange(10 ** 6) for __ in range(2000)]
-    for key in keys:
-        file.insert(key, b"payload-0123456789\x00")
-
-    probe = iter(keys * 100)
-
-    def lookup_one():
-        assert file.lookup(next(probe)) is not None
-
-    benchmark(lookup_one)
-
-
-def test_insert_throughput(benchmark):
-    counter = iter(range(10 ** 9))
-    file = LHStarFile(bucket_capacity=64)
-
-    def insert_one():
-        file.insert(next(counter), b"payload-0123456789\x00")
-
-    benchmark(insert_one)
-
-
-def test_scan_latency(benchmark):
-    file = LHStarFile(bucket_capacity=32)
-    for key in range(3000):
-        file.insert(key, b"%06d-payload\x00" % key)
-
-    def scan_once():
-        return file.scan(
-            lambda r: r.rid if b"00042-" in r.content else None
-        )
-
-    hits = benchmark(scan_once)
-    assert hits == [42]

@@ -11,7 +11,7 @@ from repro import (
     SchemeParameters,
     generate_directory,
 )
-from repro.core.wordsearch import EncryptedWordStore
+from repro.extensions import EncryptedWordStore
 
 
 def main() -> None:

@@ -16,13 +16,16 @@ import random
 
 from repro.analysis.collusion import collusion_sweep
 from repro.bench.tables import TableResult
-from repro.core.compression import PairCompressor
 from repro.core.config import SchemeParameters
 from repro.core.dispersion import Disperser
 from repro.core.encoder import FrequencyEncoder
 from repro.core.scheme import EncryptedSearchableStore
-from repro.core.wordsearch import EncryptedWordStore
 from repro.data.phonebook import Directory
+from repro.extensions import (
+    CompressedSearchStore,
+    EncryptedWordStore,
+    PairCompressor,
+)
 
 
 def exp_wordsearch(
@@ -184,8 +187,6 @@ def exp_index_designs(
     compression.  Same corpus, same query workload, the full triangle
     of trade-offs: query power, precision, storage and wire cost.
     """
-    from repro.core.compressed_index import CompressedSearchStore
-
     sample = directory.sample(n_records, seed=seed)
     corpus = [e.name.encode("ascii") for e in sample]
     rng = random.Random(seed)

@@ -100,6 +100,18 @@ NAME_POOL = [
 #: Search patterns (>= the full(4) layout's minimum query length).
 PATTERNS = ["SCHW", "ARCH", "PETER", "ANNE", "WITO", "LITW"]
 
+#: Chunk size of every episode's scheme (``SchemeParameters.full``).
+CHUNK_SIZE = 4
+
+#: The chaos store's retransmission policy (its seed is the episode's).
+RETRY_TIMEOUT = 0.2
+RETRY_BACKOFF = 2.0
+RETRY_MAX = 6
+RETRY_JITTER = 0.5
+
+#: Quiescence deadline per ``run()`` call on the live backend.
+LIVE_RUN_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class EpisodeConfig:
@@ -110,11 +122,6 @@ class EpisodeConfig:
     bucket_capacity: int = 4
     group_size: int = 4
     parity_count: int = 2
-    chunk_size: int = 4
-    retry_timeout: float = 0.2
-    retry_backoff: float = 2.0
-    retry_max: int = 6
-    retry_jitter: float = 0.5
     #: Shrinking files (delete-driven merges); required for episodes
     #: whose profile schedules elasticity events.
     shrink: bool = False
@@ -131,8 +138,6 @@ class EpisodeConfig:
     #: Initial site-process count for ``backend="live"`` (splits past
     #: it spawn more on demand).
     live_sites: int = 12
-    #: Quiescence deadline per ``run()`` call on the live backend.
-    live_run_timeout: float = 30.0
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -204,7 +209,7 @@ def _build_store(
     policy: RetryPolicy,
 ) -> EncryptedSearchableStore:
     return EncryptedSearchableStore(
-        SchemeParameters.full(config.chunk_size),
+        SchemeParameters.full(CHUNK_SIZE),
         network=network,
         bucket_capacity=config.bucket_capacity,
         high_availability=True,
@@ -310,10 +315,10 @@ def run_episode(
             f"unknown episode backend {config.backend!r}"
         )
     policy = RetryPolicy(
-        timeout=config.retry_timeout,
-        backoff=config.retry_backoff,
-        max_retries=config.retry_max,
-        jitter=config.retry_jitter,
+        timeout=RETRY_TIMEOUT,
+        backoff=RETRY_BACKOFF,
+        max_retries=RETRY_MAX,
+        jitter=RETRY_JITTER,
         seed=seed,
     )
     with contextlib.ExitStack() as stack:
@@ -323,7 +328,7 @@ def run_episode(
             cluster = stack.enter_context(
                 LiveCluster(buckets=config.live_sites))
             chaos_net = cluster.connect(
-                run_timeout=config.live_run_timeout)
+                run_timeout=LIVE_RUN_TIMEOUT)
             chaos_net.enable_faults(seed=seed * 2 + 2)
         else:
             chaos_net = Network(

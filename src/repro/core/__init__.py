@@ -42,13 +42,7 @@ from repro.core.scheme import (
     SearchResult,
     StorageFootprint,
 )
-from repro.core.compressed_index import (
-    CompressedSearchResult,
-    CompressedSearchStore,
-)
-from repro.core.compression import PairCompressor
 from repro.core.search import HitAggregator, SearchPlan, SiteHit, aligned_find
-from repro.core.wordsearch import EncryptedWordStore, WordSearchResult
 
 __all__ = [
     "StorageLayout",
@@ -71,11 +65,6 @@ __all__ = [
     "EncryptedSearchableStore",
     "SearchResult",
     "StorageFootprint",
-    "EncryptedWordStore",
-    "WordSearchResult",
-    "PairCompressor",
-    "CompressedSearchStore",
-    "CompressedSearchResult",
     "SchemeError",
     "ConfigurationError",
     "QueryTooShortError",

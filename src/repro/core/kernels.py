@@ -189,10 +189,11 @@ _REGISTRY: OrderedDict[tuple, FusedCodec] = OrderedDict()
 # ---------------------------------------------------------------------------
 
 #: Environment variable naming the on-disk codec cache directory.
-#: When set (the live serving tier's :class:`~repro.net.live.LiveCluster`
-#: exports it to every bucket process), built tables are persisted and
-#: later processes load them instead of re-running the Feistel PRP over
-#: the whole chunk domain — the dominant cold-start cost.
+#: When set in a client's environment, built tables are persisted and
+#: later client processes load them instead of re-running the Feistel
+#: PRP over the whole chunk domain — the dominant cold-start cost.
+#: Site processes never build a codec: only the client runs the
+#: index pipeline.
 CODEC_CACHE_ENV = "REPRO_CODEC_CACHE_DIR"
 
 #: On-disk format version; bumped on any layout change so stale files

@@ -1,10 +1,11 @@
 """Persistence for trained scheme artifacts.
 
-A deployment trains the Stage-2 encoder (and optionally the pair
-compressor) once on a representative corpus, then ships the same
-artifact to every client — otherwise searches would not match the
-stored streams.  These helpers serialise the trained state to plain
-JSON-compatible dicts (and strings), with strict validation on load.
+A deployment trains the Stage-2 encoder once on a representative
+corpus, then ships the same artifact to every client — otherwise
+searches would not match the stored streams.  These helpers serialise
+the trained state to plain JSON-compatible dicts (and strings), with
+strict validation on load.  (The §8 pair compressor persists in the
+same format, next to its class.)
 
 Scheme parameters serialise too, so a whole configuration can live in
 a config file:
@@ -23,7 +24,6 @@ from collections import Counter
 from typing import Any
 
 from repro.core.chunking import StorageLayout
-from repro.core.compression import PairCompressor
 from repro.core.config import SchemeParameters
 from repro.core.encoder import FrequencyEncoder
 from repro.core.errors import ConfigurationError
@@ -114,49 +114,6 @@ def encoder_from_json(text: str) -> FrequencyEncoder:
                 _unb64(chunk): count
                 for chunk, count in data["training_counts"].items()
             }
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# PairCompressor
-# ---------------------------------------------------------------------------
-
-def compressor_to_json(compressor: PairCompressor) -> str:
-    payload = {
-        "version": _FORMAT_VERSION,
-        "left": sorted(compressor.left),
-        "right": sorted(compressor.right),
-        "pair_codes": [
-            [a, b, code]
-            for (a, b), code in sorted(compressor.pair_codes.items())
-        ],
-        "single_codes": sorted(compressor.single_codes.items()),
-        "n_codes": compressor.n_codes,
-        "lossy_map": (
-            sorted(compressor.lossy_map.items())
-            if compressor.lossy_map is not None else None
-        ),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def compressor_from_json(text: str) -> PairCompressor:
-    data = json.loads(text)
-    _check_version(data)
-    return PairCompressor(
-        left=set(data["left"]),
-        right=set(data["right"]),
-        pair_codes={
-            (a, b): code for a, b, code in data["pair_codes"]
-        },
-        single_codes=dict(
-            (symbol, code) for symbol, code in data["single_codes"]
-        ),
-        n_codes=data["n_codes"],
-        lossy_map=(
-            {code: bucket for code, bucket in data["lossy_map"]}
-            if data["lossy_map"] is not None else None
         ),
     )
 

@@ -914,16 +914,6 @@ class LiveCluster:
         self.config.dump(str(self._config_path))
 
         env = dict(os.environ)
-        from repro.core.kernels import CODEC_CACHE_ENV
-
-        # Site processes persist fused codec tables (see
-        # ``repro.core.kernels``) in the directory the environment
-        # names, or else in a cluster-private one inside the workdir,
-        # so a cluster's N bucket processes build each table once
-        # instead of N times.
-        cache_dir = workdir / "codec-cache"
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        env.setdefault(CODEC_CACHE_ENV, str(cache_dir))
         src_root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH", "")
         if src_root not in existing.split(os.pathsep):

@@ -8,8 +8,8 @@ same tagged-value discipline as the simulator's ``_stable_bytes``
 (one ASCII tag byte per value, scalars by value, containers
 recursively), extended with length prefixes so it can be *decoded*,
 and with explicit type tags for the protocol's opaque objects:
-records, search plans, site hits, scan matchers, SWP trapdoors and
-retry policies.  ``docs/SERVING.md`` documents the format;
+records, search plans, site hits, scan matchers and retry
+policies.  ``docs/SERVING.md`` documents the format;
 ``docs/PROTOCOLS.md`` §11 carries the normative message-kind table
 rendered from :data:`MESSAGE_KINDS` below (``python -m
 repro.net.wire`` regenerates it, and the docs test suite diffs the
@@ -43,7 +43,7 @@ from repro.net.simulator import Message
 
 #: Wire format version, first byte of every frame body.  Bump on any
 #: incompatible change to tags, framing or the typed-object registry.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Channel byte: a protocol :class:`Message` billed to NetworkStats.
 CHANNEL_DATA = 0
@@ -289,7 +289,6 @@ def _exactly(count: int, fields: tuple) -> tuple:
 
 def _build_registry() -> None:
     global _TYPES, _BY_ID
-    from repro.core.compressed_index import CompressedScanMatcher
     from repro.core.search import (
         IndexKeyCodec,
         MultiPlanScanMatcher,
@@ -298,8 +297,6 @@ def _build_registry() -> None:
         SiteHit,
         _BatchHit,
     )
-    from repro.core.wordsearch import WordScanMatcher
-    from repro.crypto.swp import Trapdoor
     from repro.net.faults import RetryPolicy
     from repro.net.stats import FIELDS as STATS_FIELDS
     from repro.net.stats import NetworkStats
@@ -357,18 +354,12 @@ def _build_registry() -> None:
         (5, PlanScanMatcher,
          pack_plan_matcher,
          lambda f: PlanScanMatcher(*_exactly(2, f))),
-        # 6 retired with wire version 1 (a hit-report factory).
         (7, MultiPlanScanMatcher,
          pack_multi_matcher,
          lambda f: MultiPlanScanMatcher(*_exactly(2, f))),
         (8, _BatchHit,
          lambda h: (h.index, h.hit, h.tagged),
          lambda f: _BatchHit(index=f[0], hit=f[1], tagged=f[2])),
-        (9, Trapdoor,
-         lambda t: (t.pre_encrypted, t.word_key),
-         lambda f: Trapdoor(pre_encrypted=f[0], word_key=f[1])),
-        # 10 and 11 retired: the single-word and single-pattern §8
-        # matchers, now batches of one under 15 and 16.
         (12, RetryPolicy,
          lambda p: (p.timeout, p.backoff, p.max_retries, p.jitter,
                     p.seed),
@@ -379,13 +370,10 @@ def _build_registry() -> None:
         (14, RidScanMatcher,
          lambda m: (),
          lambda f: RidScanMatcher()),
-        (15, WordScanMatcher,
-         lambda m: (list(m.trapdoors),),
-         lambda f: WordScanMatcher(tuple(_exactly(1, f)[0]))),
-        (16, CompressedScanMatcher,
-         lambda m: (list(m.needle_groups),),
-         lambda f: CompressedScanMatcher(tuple(
-             tuple(group) for group in _exactly(1, f)[0]))),
+        # Retired ids, never to be reused: 6 (version 1's hit-report
+        # factory); 9-11, 15 and 16 (the §8 designs' SWP trapdoor and
+        # scan matchers, dropped in version 3: those designs run on
+        # the simulator only).
     ]
     _TYPES = {cls: (type_id, pack, unpack)
               for type_id, cls, pack, unpack in table}
@@ -535,12 +523,10 @@ MESSAGE_KINDS: tuple[KindSpec, ...] = (
     KindSpec("iam", "bucket", "client", ("address", "level"), "H"),
     KindSpec("scan", "client | bucket (forward)", "bucket",
              ("op", "client", "matcher", "level"),
-             "query size (SearchPlan.request_size / trapdoor bytes)"),
+             "query size (SearchPlan.request_size)"),
     KindSpec("scan_reply", "bucket", "client",
              ("op", "address", "level", "hits", "forwarded"),
-             "H + Σ hit wire_size; a §8 hit ships the batch shape even "
-             "for one word or pattern: 16 + 8·positions (word), 16 "
-             "(compressed)"),
+             "H + Σ hit wire_size"),
     KindSpec("overflow", "bucket", "coordinator",
              ("address", "delta"), "H"),
     KindSpec("underflow", "bucket", "coordinator", ("address",), "H"),

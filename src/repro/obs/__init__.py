@@ -19,8 +19,8 @@ Nothing here costs anything until installed: the hot-path hooks
 (:func:`repro.obs.trace.span`, :func:`repro.obs.trace.emit`, the
 metrics helpers) are ``None``-check no-ops until :func:`set_tracer` /
 :func:`set_metrics` (or their ``use_*`` context-manager forms) turn
-observability on.  ``benchmarks/bench_obs_overhead.py`` enforces
-message-count parity between instrumented and uninstrumented runs.
+observability on.  ``tests/obs/test_trace.py`` enforces
+``NetworkStats`` parity between instrumented and uninstrumented runs.
 """
 
 from repro.obs.metrics import (

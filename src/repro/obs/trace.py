@@ -23,8 +23,8 @@ A :class:`Tracer` automates exactly that discipline:
 Installation is global and explicit: hot paths call the module-level
 :func:`span` / :func:`emit` hooks, which are no-ops — a ``None`` check
 and nothing else — until :func:`set_tracer` (or the :func:`use_tracer`
-context manager) installs a tracer.  ``benchmarks/bench_obs_overhead``
-holds the layer to message-count parity with uninstrumented runs.
+context manager) installs a tracer.  ``tests/obs/test_trace.py``
+holds the layer to ``NetworkStats`` parity with uninstrumented runs.
 
 >>> from repro.net.simulator import Network
 >>> net = Network()

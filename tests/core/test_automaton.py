@@ -147,7 +147,8 @@ class TestCaches:
     def test_matchers_compile_their_automaton_once(self, monkeypatch):
         """One compile per matcher instance, shared by every bucket it
         scans — and none at all until a bucket-level scan asks."""
-        from repro.core import compressed_index, search
+        from repro.core import search
+        from repro.extensions import compressed_index
 
         compiles = []
 

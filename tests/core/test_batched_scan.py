@@ -13,14 +13,13 @@ mutation (insert, overwrite, delete, split, merge).
 import pytest
 
 from repro.core import (
-    CompressedSearchStore,
     EncryptedSearchableStore,
-    EncryptedWordStore,
     FrequencyEncoder,
     SchemeParameters,
 )
 from repro.core.automaton import plans_automaton
 from repro.core.search import PlanScanMatcher, bucket_plan_hits
+from repro.extensions import CompressedSearchStore, EncryptedWordStore
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import LHStarFile
@@ -397,7 +396,7 @@ class TestMergeInvalidation:
     def test_shrinking_file_keeps_batched_scans_exact(self):
         """Deletes that trigger merges (bucket retirement + record
         re-absorption) must drop stale haystacks."""
-        from repro.core.compressed_index import CompressedScanMatcher
+        from repro.extensions.compressed_index import CompressedScanMatcher
 
         file = LHStarFile(name="shrinker", bucket_capacity=4,
                           shrink=True)
@@ -417,7 +416,7 @@ class TestMergeInvalidation:
 
     def test_split_invalidation(self):
         """Scans straddling splits see exactly the resident records."""
-        from repro.core.compressed_index import CompressedScanMatcher
+        from repro.extensions.compressed_index import CompressedScanMatcher
 
         file = LHStarFile(name="splitter", bucket_capacity=2)
         matcher = CompressedScanMatcher(((b"R-",),))
@@ -431,7 +430,7 @@ class TestMergeInvalidation:
         """Enough same-length needles to engage the gram index, swept
         across splits and merges: the index must die with each stale
         haystack, matching the scalar per-record matcher exactly."""
-        from repro.core.compressed_index import CompressedScanMatcher
+        from repro.extensions.compressed_index import CompressedScanMatcher
 
         groups = tuple(
             (b"PAY%d" % digit,) for digit in range(5)

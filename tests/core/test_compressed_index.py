@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compressed_index import CompressedSearchStore
 from repro.core.errors import ConfigurationError
+from repro.extensions.compressed_index import CompressedSearchStore
 from tests.oracle import reference_paths
 
 RECORDS = {
@@ -43,6 +43,20 @@ class TestBasics:
 
     def test_multi_record_match(self, store):
         assert store.search("MARIA").matches == frozenset({3, 4})
+
+    def test_result_splits_cost_and_clock(self, store):
+        """The core's SearchResult, every field filled: the scan round
+        and the candidate fetches add up to the billed cost, and the
+        query took simulated time."""
+        result = store.search("MARIA")
+        assert result.verify_cost.messages > 0
+        assert (result.scan_cost.messages + result.verify_cost.messages
+                == result.cost.messages)
+        assert (result.scan_cost.bytes + result.verify_cost.bytes
+                == result.cost.bytes)
+        assert result.elapsed > 0
+        unverified = store.search("MARIA", verify=False)
+        assert unverified.verify_cost.messages == 0
 
     def test_delete(self):
         corpus = [t.encode("ascii") for t in RECORDS.values()]

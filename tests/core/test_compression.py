@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compression import PairCompressor
 from repro.core.errors import ConfigurationError
+from repro.extensions.compression import PairCompressor
 
 
 @pytest.fixture(scope="module")

@@ -9,13 +9,9 @@ regardless of its positions payload.
 
 import pytest
 
-from repro.core import (
-    CompressedSearchStore,
-    EncryptedSearchableStore,
-    EncryptedWordStore,
-    SchemeParameters,
-)
+from repro.core import EncryptedSearchableStore, SchemeParameters
 from repro.core.search import SiteHit
+from repro.extensions import CompressedSearchStore, EncryptedWordStore
 from repro.sdds.lhstar import HEADER_SIZE, _hit_size
 
 RECORDS = {

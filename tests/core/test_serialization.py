@@ -3,15 +3,17 @@
 import pytest
 
 from repro.core import FrequencyEncoder, SchemeParameters
-from repro.core.compression import PairCompressor
 from repro.core.errors import ConfigurationError
 from repro.core.serialization import (
-    compressor_from_json,
-    compressor_to_json,
     encoder_from_json,
     encoder_to_json,
     params_from_dict,
     params_to_dict,
+)
+from repro.extensions.compression import (
+    PairCompressor,
+    compressor_from_json,
+    compressor_to_json,
 )
 
 

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.errors import RecordNotFoundError, SchemeError
-from repro.core.wordsearch import (
+from repro.errors import ReproError
+from repro.extensions.swp import WORD_BYTES, SwpCipher
+from repro.extensions.wordsearch import (
     EncryptedWordStore,
     WordScanMatcher,
     tokenize,
 )
-from repro.crypto.swp import WORD_BYTES, SwpCipher
-from repro.errors import ReproError
 from tests.oracle import reference_paths
 
 KEY = b"wordsearch-test"

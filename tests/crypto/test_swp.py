@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.swp import CHECK_BYTES, WORD_BYTES, SwpCipher, Trapdoor
+from repro.extensions.swp import CHECK_BYTES, WORD_BYTES, SwpCipher, Trapdoor
 
 KEY = b"swp-test-master"
 

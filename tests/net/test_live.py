@@ -501,7 +501,11 @@ class TestLiveScanSmoke:
         """A matcher that raises inside the bucket process must come
         back as a typed error naming site, kind and exception — not as
         a quiescence timeout after the retry timers ran out."""
-        from repro.core.compressed_index import CompressedScanMatcher
+        from repro.core.search import (
+            IndexKeyCodec,
+            PlanScanMatcher,
+            SearchPlan,
+        )
         from repro.net.live import LiveBackendError
         from repro.sdds.lhstar import LHStarFile
 
@@ -511,9 +515,14 @@ class TestLiveScanSmoke:
                               bucket_capacity=64)
             file.insert(1, b"payload")
             started = time.monotonic()
+            plan = SearchPlan(
+                pattern=b"", needles={(0, 0): (b"",)}, piece_width=1,
+                sites=1, group_count=1, alignments=(0,),
+                required_groups=1,
+            )
             with pytest.raises(LiveBackendError) as raised:
                 # An empty needle is rejected by the haystack sweep.
-                file.scan(CompressedScanMatcher(((b"",),)),
+                file.scan(PlanScanMatcher(plan, IndexKeyCodec(0, 0)),
                           request_size=1)
             assert time.monotonic() - started < 5
         message = str(raised.value)
@@ -977,8 +986,8 @@ class TestCodecCachePersistence:
         """Two consecutive cluster episodes against one cache
         directory: the first run writes the fused tables, the second
         loads them from disk instead of rebuilding (cold-start win).
-        ``LiveCluster`` exports the same directory to every site
-        process, so server-side codec users share it too."""
+        The client builds every table: site processes never run the
+        index pipeline."""
         from repro.core.kernels import (
             CODEC_CACHE_ENV,
             clear_codec_cache,

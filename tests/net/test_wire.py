@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.search import (
     IndexKeyCodec,
     MultiPlanScanMatcher,
@@ -22,8 +21,9 @@ from repro.core.search import (
     SiteHit,
     _BatchHit,
 )
-from repro.core.wordsearch import WordScanMatcher
-from repro.crypto.swp import SwpCipher, Trapdoor
+from repro.extensions.compressed_index import CompressedScanMatcher
+from repro.extensions.swp import SwpCipher
+from repro.extensions.wordsearch import WordScanMatcher
 from repro.net.faults import RetryPolicy
 from repro.net.simulator import Message, wire_checksum
 from repro.net.stats import NetworkStats
@@ -188,17 +188,6 @@ PLAN_RECORDS = [
     Record(rid=(7 << 2) | (1 << 1) | 1, content=b"\x07\x08"),
     Record(rid=(3 << 2) | 0, content=b"\x09\x09"),
 ]
-SWP = SwpCipher(b"wire-test-words")
-WORD_RECORDS = [
-    Record(rid, b"".join(SWP.encrypt_words(rid, words)))
-    for rid, words in {1: ["HELLO", "WORLD"], 2: ["WORLD"],
-                       3: ["NOPE"], 4: []}.items()
-]
-BYTE_RECORDS = [
-    Record(rid=1, content=b"xxabxx"),
-    Record(rid=2, content=b"zzcd"),
-    Record(rid=3, content=b"qq"),
-]
 
 
 class TestTypedObjects:
@@ -266,41 +255,27 @@ class TestTypedObjects:
         with pytest.raises(WireEncodeError):
             encode_value(matcher)
 
-    def test_trapdoor_and_word_matcher(self):
-        trapdoor = Trapdoor(pre_encrypted=b"X" * 20,
-                            word_key=b"k" * 20)
-        assert roundtrip(trapdoor) == trapdoor
-        matcher = WordScanMatcher((SWP.trapdoor("WORLD"),))
-        back = assert_matcher_survives(matcher, WORD_RECORDS)
-        assert back.trapdoors == matcher.trapdoors
+    def test_registry_type_ids(self):
+        """The production registry carries only the paper's scheme,
+        the LH* file's own matcher and the transport's types."""
+        assert sorted(type_id for type_id, _pack, _unpack
+                      in _registry().values()) == [
+            1, 2, 3, 4, 5, 7, 8, 12, 13, 14]
 
-    def test_compressed_matcher(self):
-        matcher = CompressedScanMatcher(((b"ab", b"cd"),))
-        back = assert_matcher_survives(matcher, BYTE_RECORDS)
-        assert back.needle_groups == ((b"ab", b"cd"),)
-        assert back(Record(rid=1, content=b"xxabxx")) == (1, (0,))
-        assert back(Record(rid=1, content=b"zz")) is None
-
-    def test_multi_word_matcher(self):
-        trapdoors = (SWP.trapdoor("WORLD"), SWP.trapdoor("HELLO"))
-        matcher = WordScanMatcher(trapdoors)
-        back = assert_matcher_survives(matcher, WORD_RECORDS)
-        assert back.trapdoors == trapdoors
-
-    def test_multi_compressed_matcher(self):
-        groups = ((b"ab", b"cd"), (b"zz",))
-        matcher = CompressedScanMatcher(groups)
-        back = assert_matcher_survives(matcher, BYTE_RECORDS)
-        assert back.needle_groups == groups
-        assert back(Record(rid=1, content=b"xxabxx")) == (1, (0,))
-        assert back(Record(rid=2, content=b"zzcd")) == (2, (0, 1))
-        assert back(Record(rid=3, content=b"qq")) is None
+    @pytest.mark.parametrize("value", [
+        WordScanMatcher((SwpCipher(b"wire-test").trapdoor("WORLD"),)),
+        CompressedScanMatcher(((b"ab", b"cd"),)),
+    ], ids=lambda value: type(value).__name__)
+    def test_extension_matcher_refused(self, value):
+        """The §8 designs run on the simulator only: the production
+        registry has no type for their matchers, so one never reaches
+        a socket."""
+        with pytest.raises(WireEncodeError, match=type(value).__name__):
+            encode_value(value)
 
     @pytest.mark.parametrize("matcher", [
         PlanScanMatcher(sample_plan(), IndexKeyCodec(1, 1)),
         MultiPlanScanMatcher([sample_plan()], IndexKeyCodec(1, 1)),
-        WordScanMatcher((SWP.trapdoor("WORLD"),)),
-        CompressedScanMatcher(((b"ab",),)),
     ], ids=lambda matcher: type(matcher).__name__)
     def test_version_1_matcher_fields_rejected(self, matcher):
         """Wire version 1 shipped each matcher with one more field (a
@@ -315,11 +290,11 @@ class TestTypedObjects:
             encode_value(matcher)
         )
 
-    @pytest.mark.parametrize("type_id", [6, 10, 11])
+    @pytest.mark.parametrize("type_id", [6, 9, 10, 11, 15, 16])
     def test_retired_type_id_rejected(self, type_id):
-        """Type 6 was version 1's hit-report factory; 10 and 11 the
-        single-word and single-pattern §8 matchers, now batches of one
-        under 15 and 16.  Each is gone, not reassigned."""
+        """Type 6 was version 1's hit-report factory; 9-11, 15 and 16
+        the §8 designs' SWP trapdoor and scan matchers, dropped in
+        version 3.  Each is gone, not reassigned."""
         with pytest.raises(WireDecodeError, match=f"type id {type_id}"):
             decode_value(b"O" + bytes([type_id]) + encode_value((True,)))
 
@@ -471,13 +446,15 @@ class TestFraming:
             decode_frame_body(bytes(frame)[4:])
 
     def test_version_1_frame_rejected(self):
-        """Version 2 dropped the matchers' flag fields and type 6: a
-        peer still speaking version 1 is refused at the frame."""
-        assert WIRE_VERSION == 2
+        """Version 2 dropped the matchers' flag fields and type 6,
+        version 3 the §8 types: a peer still speaking an older version
+        is refused at the frame."""
+        assert WIRE_VERSION == 3
         frame = bytearray(encode_frame(CHANNEL_DATA, 1))
-        frame[4] = 1
-        with pytest.raises(WireDecodeError, match="version"):
-            decode_frame_body(bytes(frame)[4:])
+        for old in (1, 2):
+            frame[4] = old
+            with pytest.raises(WireDecodeError, match="version"):
+                decode_frame_body(bytes(frame)[4:])
 
     def test_bad_channel_rejected(self):
         frame = bytearray(encode_frame(CHANNEL_DATA, 1))

@@ -5,8 +5,10 @@ import io
 import pytest
 
 from repro.core import EncryptedSearchableStore, SchemeParameters
+from repro.data.phonebook import generate_directory
 from repro.net import FaultModel, RetryPolicy
 from repro.net.simulator import Network
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.trace import (
     NULL_SPAN,
     Span,
@@ -201,6 +203,37 @@ class TestInstrumentedScheme:
         assert splits  # 40 records through capacity-4 buckets split
         assert all("file" in e.attrs and "new" in e.attrs
                    for e in splits)
+
+
+class TestFidelity:
+    """Tracing observes, never perturbs: the simulated protocol is
+    byte-identical with and without a tracer and metrics registry."""
+
+    PATTERNS = ["SCHWARZ", "MARTINEZ", "WONG", "NGUYEN", "GARCIA"]
+
+    def run_workload(self, entries, tracer=None, registry=None):
+        params = SchemeParameters.full(4, master_key=b"obs-overhead")
+        store = EncryptedSearchableStore(params, bucket_capacity=32)
+        if tracer is not None:
+            tracer.network = store.network
+        with use_tracer(tracer), use_metrics(registry):
+            for entry in entries:
+                store.put(entry.rid, entry.record_text)
+            for pattern in self.PATTERNS:
+                store.search(pattern)
+            for entry in entries[:20]:
+                store.get(entry.rid)
+            store.rekey(b"obs-overhead-rotated")
+        return store.network.stats
+
+    def test_network_stats_identical_with_and_without_tracing(self):
+        entries = generate_directory(300, seed=2006).entries
+        plain = self.run_workload(entries)
+        tracer = Tracer(network=None)
+        traced = self.run_workload(entries, tracer, MetricsRegistry())
+        assert tracer.finished
+        # Every field: messages, bytes, the per-kind census, faults.
+        assert traced == plain
 
 
 class TestJsonlRoundTrip:

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.core import compressed_index, index
+from repro.core import index
 from repro.core.chunking import record_chunks
-from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.index import IndexPipeline
 from repro.core.search import MultiPlanScanMatcher, PlanScanMatcher
-from repro.core.wordsearch import WordScanMatcher
-from repro.crypto.swp import WORD_BYTES, SwpCipher
+from repro.extensions import compressed_index
+from repro.extensions.compressed_index import CompressedScanMatcher
+from repro.extensions.swp import WORD_BYTES, SwpCipher
+from repro.extensions.wordsearch import WordScanMatcher
 
 MATCHERS = (
     PlanScanMatcher,

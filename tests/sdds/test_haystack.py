@@ -10,8 +10,8 @@ record mutation, so a scan always answers from the resident records.
 
 import pytest
 
-from repro.core.compressed_index import CompressedScanMatcher
 from repro.core.search import aligned_find
+from repro.extensions.compressed_index import CompressedScanMatcher
 from repro.net.simulator import Message
 from repro.sdds.haystack import GAP, SENTINEL_BYTE, BucketHaystack
 from repro.sdds.lhstar import LHStarFile
