@@ -13,6 +13,7 @@ baseline.
 from repro.bench.tables import TableResult
 from repro.net import FaultModel, Network, RetryPolicy
 from repro.sdds import LHStarFile
+from repro.sdds.lhstar import RidScanMatcher
 
 RECORDS = 300
 LOSS_RATES = [0.0, 0.01, 0.05, 0.10, 0.20]
@@ -31,7 +32,7 @@ def run_workload(loss_rate: float, policy: RetryPolicy, seed: int = 2006):
     )
     for key in range(RECORDS):
         file.insert(key, b"%06d-payload\x00" % key)
-    hits = file.scan(lambda r: r.rid)
+    hits = file.scan(RidScanMatcher())
     found = sum(
         1 for key in range(RECORDS)
         if file.lookup(key) is not None

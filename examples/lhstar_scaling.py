@@ -12,6 +12,17 @@ import random
 from repro.sdds import LHStarFile
 
 
+class Contains:
+    """Scan matcher: every bucket reports the rids of its records that
+    contain ``needle``."""
+
+    def __init__(self, needle: bytes) -> None:
+        self.needle = needle
+
+    def match_bucket(self, haystack):
+        return list(haystack.find_records(self.needle))
+
+
 def main() -> None:
     file = LHStarFile(bucket_capacity=16)
     rng = random.Random(42)
@@ -60,7 +71,7 @@ def main() -> None:
           "round):")
     needle = f"record-{probe[0]}".encode()
     before = file.network.stats.snapshot()
-    hits = file.scan(lambda r: r.rid if needle in r.content else None)
+    hits = file.scan(Contains(needle))
     delta = file.network.stats.diff(before)
     print(f"  {len(hits)} hit(s) for {needle.decode()!r}, "
           f"{delta.messages} messages "

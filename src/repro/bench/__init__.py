@@ -7,7 +7,7 @@ benchmarks under ``benchmarks/`` and the standalone CLI
 entry points can never drift apart.
 
 Dataset size: the paper uses the 282,965-entry SF directory.  The
-pytest benches default to a 60,000-entry synthetic directory to keep
+pytest benches default to a 20,000-entry synthetic directory to keep
 the suite responsive; ``python -m repro.bench --full`` (or the
 ``REPRO_BENCH_RECORDS`` environment variable) runs paper-scale.
 """

@@ -29,7 +29,7 @@ from repro.core.encoder import FrequencyEncoder
 from repro.core.index import IndexPipeline
 from repro.core.scheme import EncryptedSearchableStore
 from repro.data.phonebook import Directory, generate_directory
-from repro.sdds.lhstar import LHStarFile
+from repro.sdds.lhstar import LHStarFile, RidScanMatcher
 
 #: Default bench-scale directory size; the paper's full scale is
 #: 282,965 (use ``python -m repro.bench --full``).
@@ -447,7 +447,7 @@ def exp_lhstar(
                 hops += 1
             max_hops = max(max_hops, hops)
         before = file.network.stats.snapshot()
-        file.scan(lambda record: None)
+        file.scan(RidScanMatcher())
         scan_msgs = file.network.stats.diff(before).messages
         table.add_row(
             n, file.bucket_count, f"{converged:.2f}", f"{stale_cost:.2f}",

@@ -11,8 +11,8 @@ Stages are individually optional, matching the paper's staged
 presentation:
 
 * ``n_codes=None`` disables Stage 2 (no lossy compression);
-* ``encrypt=False`` disables Stage 1's ECB (used by the Table-4/5
-  reproductions, which evaluate encoding+chunking in the clear);
+* ``encrypt=False`` disables Stage 1's ECB (no paper table needs it:
+  Tables 4/5 count on plaintext in :mod:`repro.bench.falsepos`);
 * ``dispersal=1`` disables Stage 3.
 """
 
@@ -43,9 +43,9 @@ class SchemeParameters:
     drop_partial_chunks: bool = False
     symbol_width: int = 1
     #: "auto" — the layout's sound threshold (ALL groups for §2.3,
-    #: ANY for §2.5); "any" — force the OR rule, which is what the
-    #: paper's §7 false-positive experiments use (FP2 counts hits in
-    #: *either* chunking).
+    #: ANY for §2.5); "any" — force the OR rule, the store-side form
+    #: of the §7 FP2 count (a hit in *either* chunking), which
+    #: :mod:`repro.bench.falsepos` measures without a store.
     aggregation: str = "auto"
     master_key: bytes = field(default=b"repro-master-key", repr=False)
 

@@ -38,7 +38,6 @@ from repro.core.automaton import plans_automaton
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.automaton import ScanAutomaton
     from repro.sdds.haystack import BucketHaystack
-    from repro.sdds.records import Record
 
 
 def aligned_find(haystack: bytes, needle: bytes, width: int) -> list[int]:
@@ -77,18 +76,6 @@ class SearchPlan:
     group_count: int
     alignments: tuple[int, ...]
     required_groups: int
-
-    def match_site(
-        self, group: int, site: int, stream: bytes
-    ) -> dict[int, list[int]]:
-        """Hits of one site's index stream: alignment -> positions."""
-        hits: dict[int, list[int]] = {}
-        for alignment in self.alignments:
-            needle = self.needles[(group, alignment)][site]
-            positions = aligned_find(stream, needle, self.piece_width)
-            if positions:
-                hits[alignment] = positions
-        return hits
 
     def request_size(self) -> int:
         """Accounted wire size of shipping all needles to one site."""
@@ -176,10 +163,10 @@ def _site_partition(
     The bucket mixes index records of different chunking groups and
     dispersal sites; a needle may only legally hit records of its own
     (group, site).  Scanning the mixed blob would find — then discard —
-    every cross-site coincidence, which makes the batched path *slower*
-    than the scalar loop on dispersed layouts.  The partition restores
-    the invariant that every ``find`` sweep only touches bytes the
-    needle could match.
+    every cross-site coincidence, which makes one sweep *slower* than
+    matching each record on its own on dispersed layouts.  The
+    partition restores the invariant that every ``find`` sweep only
+    touches bytes the needle could match.
     """
     from repro.sdds.haystack import BucketHaystack
 
@@ -214,8 +201,7 @@ def bucket_plan_hits(
     per-needle ``find_all`` sweep (the reference the equivalence tests
     compare against) — the hit stream is byte-identical either way.
     Position lists come out ascending per record and alignment keys
-    keep the plan's needle iteration order, matching the per-record
-    :meth:`SearchPlan.match_site` path exactly.
+    keep the plan's needle iteration order.
     """
     width = plan.piece_width
     partition = haystack.view(
@@ -248,19 +234,9 @@ def bucket_plan_hits(
 
 
 class PlanScanMatcher:
-    """The scan matcher of one single-plan query.
-
-    Two server-side forms, byte-identical in what they report:
-
-    * **per record** (``matcher(record)``) — the only form degraded
-      parity scans can use (reconstructed records arrive one at a
-      time);
-    * **per bucket** (:meth:`match_bucket`) — each needle sweeps the
-      bucket's concatenated haystack once.
-
-    Alignment keys inside each hit keep the plan's needle iteration
-    order and position lists stay ascending, so replies are
-    byte-identical between the two forms.
+    """The scan matcher of one single-plan query: each needle sweeps
+    the bucket's concatenated haystack once, and every record with a
+    hit reports one :class:`SiteHit`, in haystack order.
     """
 
     def __init__(
@@ -275,14 +251,6 @@ class PlanScanMatcher:
     def _automaton(self) -> "ScanAutomaton":
         # Compiled once per matcher: every bucket of a scan reuses it.
         return plans_automaton([self.plan])
-
-    def __call__(self, record: "Record") -> SiteHit | None:
-        rid, group, site = self.decode(record.rid)
-        positions = self.plan.match_site(group, site, record.content)
-        if not positions:
-            return None
-        return SiteHit(rid=rid, group=group, site=site,
-                       positions=positions)
 
     def match_bucket(self, haystack: "BucketHaystack") -> list[SiteHit]:
         per_record = bucket_plan_hits(self.plan, haystack, self.decode,
@@ -301,8 +269,8 @@ class MultiPlanScanMatcher:
     """Scan matcher multiplexing several plans in one round
     (``search_all`` / ``search_batch``).
 
-    Per-record reports are lists of :class:`_BatchHit`, demux-tagged
-    only when the round actually ships several plans.
+    Each record with a hit reports a list of :class:`_BatchHit`,
+    demux-tagged only when the round actually ships several plans.
     """
 
     def __init__(
@@ -316,21 +284,6 @@ class MultiPlanScanMatcher:
     @cached_property
     def _automaton(self) -> "ScanAutomaton":
         return plans_automaton(self.plans)
-
-    def __call__(self, record: "Record") -> list | None:
-        rid, group, site = self.decode(record.rid)
-        tagged = len(self.plans) > 1
-        reports = []
-        for index, plan in enumerate(self.plans):
-            positions = plan.match_site(group, site, record.content)
-            if positions:
-                reports.append(_BatchHit(
-                    index,
-                    SiteHit(rid=rid, group=group, site=site,
-                            positions=positions),
-                    tagged,
-                ))
-        return reports or None
 
     def match_bucket(self, haystack: "BucketHaystack") -> list[list]:
         compiled = self._automaton

@@ -35,7 +35,6 @@ from repro.extensions.compression import PairCompressor
 from repro.net.simulator import Network
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import LHStarFile
-from repro.sdds.records import Record
 
 
 class CompressedScanMatcher:
@@ -44,12 +43,11 @@ class CompressedScanMatcher:
 
     ``needle_groups[index]`` is pattern ``index``'s encrypted
     edge-variant tuple.  Hits are ``(rid, (pattern indexes...))`` in
-    record order.  Per-record calls are plain ``in`` membership (what
-    degraded parity scans use); :meth:`match_bucket` answers every
-    needle from one automaton over all groups' needles, routed through
-    the bucket's shared gram index when its thresholds say the single
-    sweep wins (:mod:`repro.core.automaton`), else through
-    ``haystack.find_records`` — the two forms are byte-identical.
+    record order.  :meth:`match_bucket` answers every needle from one
+    automaton over all groups' needles, routed through the bucket's
+    shared gram index when its thresholds say the single sweep wins
+    (:mod:`repro.core.automaton`), else through
+    ``haystack.find_records``.
     """
 
     def __init__(
@@ -64,16 +62,6 @@ class CompressedScanMatcher:
             for needles in self.needle_groups
             for needle in needles
         ])
-
-    def __call__(self, record: Record):
-        indexes = tuple(
-            index
-            for index, needles in enumerate(self.needle_groups)
-            if any(needle in record.content for needle in needles)
-        )
-        if not indexes:
-            return None
-        return (record.rid, indexes)
 
     def match_bucket(self, haystack: BucketHaystack):
         compiled = self._automaton

@@ -37,7 +37,6 @@ from repro.net.simulator import Network
 from repro.net.stats import NetworkStats
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import LHStarFile
-from repro.sdds.records import Record
 
 _WORD_RE = re.compile(r"[A-Za-z0-9&'-]+")
 
@@ -56,9 +55,8 @@ class WordScanMatcher:
     (:meth:`repro.extensions.swp.SwpCipher.match_positions`), with the
     per-trapdoor HMAC key schedules compiled once per matcher — K
     words cost one scan round and one blob conversion instead of K of
-    each.  Hits are ``(rid, ((word index, positions), ...))``; the
-    per-record form (what degraded parity scans use) and
-    :meth:`match_bucket` are byte-identical.
+    each.  Hits are ``(rid, ((word index, positions), ...))`` in
+    record order.
     """
 
     def __init__(self, trapdoors: tuple[Trapdoor, ...]) -> None:
@@ -82,12 +80,6 @@ class WordScanMatcher:
             for index, positions in enumerate(per_trapdoor)
             if positions
         )
-
-    def __call__(self, record: Record):
-        reports = self._hits(record.content)
-        if not reports:
-            return None
-        return (record.rid, reports)
 
     def match_bucket(self, haystack: BucketHaystack):
         hits = []

@@ -32,7 +32,7 @@ def _stable_bytes(value: Any) -> bytes:
     """A deterministic byte encoding of a message's checksummable view.
 
     Scalars and containers encode by value; opaque objects (records,
-    matcher callables) contribute only their type name — the transport
+    scan matchers) contribute only their type name — the transport
     cannot see into them, and the checksum only needs to be a pure
     function of the message that both the sender and the receiver
     compute identically.  Deliberately free of ``repr`` of arbitrary

@@ -1,10 +1,11 @@
-"""Per-bucket concatenated haystacks for batched scans.
+"""Per-bucket concatenated haystacks: what every scan matches against.
 
-The paper's one-round parallel scan makes the per-bucket matcher loop
-the entire server-side cost of a query.  The scalar loop calls the
-matcher once per resident record, which means ``bytes.find`` restarts
-once per record — thousands of Python-level iterations per bucket for
-a needle that C code could sweep in one pass.
+The paper's one-round parallel scan makes the per-bucket match the
+entire server-side cost of a query.  A scan matcher answers for a
+whole bucket in one ``match_bucket(haystack)`` call — a live bucket
+passes its cached haystack, a degraded LH*_RS scan one built from the
+records it rebuilt from parity — so a needle is one C-level sweep per
+bucket rather than one ``bytes.find`` restart per record.
 
 A :class:`BucketHaystack` is the bucket's records concatenated into
 one blob, separated by sentinel gaps, together with an offset table
@@ -57,9 +58,9 @@ _SENTINEL = bytes([SENTINEL_BYTE]) * GAP
 class BucketHaystack:
     """Immutable concatenated view of one bucket's records.
 
-    Built from the bucket's record dict in its iteration order, so
-    batched hit lists come back in the same record order as the scalar
-    per-record loop produces them.
+    Built from the bucket's record dict in its iteration order (or
+    from ``(key, content)`` pairs in list order), so hit lists come
+    back in record order.
     """
 
     __slots__ = ("blob", "rids", "_starts", "_ends", "_views")
@@ -74,7 +75,8 @@ class BucketHaystack:
         cls, pairs: Iterable[tuple[int, bytes]]
     ) -> "BucketHaystack":
         """Build directly from ``(record key, content)`` pairs — used
-        for derived sub-haystacks carved out of a parent's segments."""
+        for derived sub-haystacks carved out of a parent's segments and
+        for the records a degraded scan rebuilt from parity."""
         self = cls.__new__(cls)
         self._build(pairs)
         return self

@@ -26,7 +26,7 @@ import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable, Protocol
 
 from repro.errors import BucketUnavailableError, InsertFailedError
 from repro.net.faults import RetryExhaustedError, RetryPolicy
@@ -70,22 +70,23 @@ DEDUP_CACHE_LIMIT = 4096
 #: datagrams are all lost.
 MAX_ESCALATIONS = 3
 
-ScanMatcher = Callable[[Record], Any]
+
+class ScanMatcher(Protocol):
+    """What a scan ships to every bucket: one call answers for the
+    bucket's whole share, live or rebuilt from parity, with the hits
+    in the haystack's record order."""
+
+    def match_bucket(self, haystack: BucketHaystack) -> list[Any]: ...
 
 
 class RidScanMatcher:
-    """Wire-encodable matcher returning every record's rid.
-
-    A plain lambda works for in-process scans, but the live backend
-    ships matchers to bucket processes by parameters (see the typed
-    protocol objects in :mod:`repro.net.wire`), so full-coverage
-    scans — the chaos runner's scan oracle — use this instead.
-    """
+    """Wire-encodable matcher returning every record's rid — the
+    full-coverage scan of the chaos runner's scan oracle."""
 
     __slots__ = ()
 
-    def __call__(self, record: Record) -> int:
-        return record.rid
+    def match_bucket(self, haystack: BucketHaystack) -> list[int]:
+        return list(haystack.rids)
 
     def __eq__(self, other: Any) -> bool:
         return type(other) is RidScanMatcher
@@ -183,11 +184,11 @@ class LHStarBucket(Node):
             tuple[Hashable, int], dict[str, Any]
         ] = OrderedDict()
         # Lazily built concatenated view of the resident records for
-        # batched scans; dropped on any record mutation and rebuilt on
-        # the next batch-capable scan (see repro.sdds.haystack).
+        # scans; dropped on any record mutation and rebuilt on the
+        # next scan (see repro.sdds.haystack).
         self._haystack: BucketHaystack | None = None
 
-    # -- batched-scan haystack -------------------------------------------
+    # -- scan haystack ----------------------------------------------------
 
     def haystack(self) -> BucketHaystack:
         """The bucket's current haystack, (re)built on demand."""
@@ -478,23 +479,9 @@ class LHStarBucket(Node):
                 size=message.size,
                 hops=message.hops + 1,
             )
-        matcher: ScanMatcher = payload["matcher"]
-        # Server-side matching: a matcher exposing ``match_bucket``
-        # runs once against the bucket's concatenated haystack (each
-        # needle is one C-level ``bytes.find`` sweep per bucket);
-        # plain callables take the per-record loop — one matcher call
-        # per resident record.  Degraded parity scans always use the
-        # per-record form (records are reconstructed one at a time),
-        # so every matcher stays callable.
-        bucket_match = getattr(matcher, "match_bucket", None)
-        if bucket_match is not None:
-            hits = bucket_match(self.haystack())
-        else:
-            hits = [
-                outcome
-                for record in self.records.values()
-                if (outcome := matcher(record)) is not None
-            ]
+        # Server-side matching: one call over the bucket's
+        # concatenated haystack (each needle one C-level sweep).
+        hits = payload["matcher"].match_bucket(self.haystack())
         reply = {
             "op": payload["op"],
             "address": self.address,
@@ -1782,7 +1769,7 @@ class LHStarFile(FileView):
     def scan(
         self, matcher: ScanMatcher, request_size: int = HEADER_SIZE
     ) -> list[Any]:
-        """Parallel content scan: returns all non-None matcher outcomes."""
+        """Parallel content scan: returns every bucket's hits."""
         op = self.client.start_scan(matcher, request_size=request_size)
         self.network.run()
         return self.client.take_scan(op)

@@ -36,6 +36,7 @@ from repro.net.simulator import Message, Network, Node
 from repro.obs.metrics import inc as metric_inc
 from repro.obs.trace import emit as obs_emit
 from repro.obs.trace import span as obs_span
+from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import (
     DEDUP_CACHE_LIMIT,
     HEADER_SIZE,
@@ -534,12 +535,11 @@ class ParityBucket(Node):
     def _finish_scan(
         self, payload: dict[str, Any], records: list[Record]
     ) -> None:
-        matcher = payload["matcher"]
-        hits = []
-        for record in records:
-            outcome = matcher(record)
-            if outcome is not None:
-                hits.append(outcome)
+        hits = payload["matcher"].match_bucket(
+            BucketHaystack.from_segments(
+                (record.rid, record.content) for record in records
+            )
+        )
         self._reply(
             payload,
             "scan_reply",

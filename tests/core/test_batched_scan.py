@@ -1,12 +1,13 @@
 """Batched bucket scans ≡ per-record reference scans, byte for byte.
 
-PR-5 pinned fused *client-side* codecs to the reference path; this
-suite pins the *server-side* batched scan the same way.  Matchers that
-expose ``match_bucket`` run each needle once over the bucket's
-concatenated haystack — the grids here assert the resulting hits,
-candidate sets, answers and wire costs are identical to the scalar
-per-record loop, across chunk sizes, dispersal, Stage-2 on/off and
-both §8 stores, and that the haystack cache survives every record
+The fused codec tests pin the *client-side* codecs to the reference
+path; this suite pins the *server-side* batched scan the same way.
+Every matcher's ``match_bucket`` runs each needle once over the
+bucket's cached, concatenated haystack — the grids here assert the
+resulting hits, candidate sets, answers and wire costs are identical
+to the record-at-a-time reference loop over a freshly built haystack
+(``tests/oracle.py``), across chunk sizes, dispersal, Stage-2 on/off
+and both §8 stores, and that the haystack cache survives every record
 mutation (insert, overwrite, delete, split, merge).
 """
 
@@ -20,10 +21,11 @@ from repro.core import (
 from repro.core.automaton import plans_automaton
 from repro.core.search import PlanScanMatcher, bucket_plan_hits
 from repro.extensions import CompressedSearchStore, EncryptedWordStore
+from repro.extensions.compressed_index import CompressedScanMatcher
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import LHStarFile
-from tests.oracle import both
+from tests.oracle import both, reference_match
 
 TEXTS = [
     "SCHWARZ THOMAS J 453-2234",
@@ -115,7 +117,8 @@ def mutate(store):
 def test_the_two_sides_really_differ():
     """The comparisons below mean nothing if ``reference_paths()``
     silently left a store on the fused paths: the reference side must
-    build no codec table and no haystack, the fused side both."""
+    build no codec table and never go through a bucket's haystack
+    cache, the fused side both."""
     def run():
         registry = MetricsRegistry()
         with use_metrics(registry):
@@ -264,7 +267,7 @@ class TestAutomatonEquivalence:
     """Fused (batched scans through the compiled automaton, which
     picks gram index or per-needle sweep per lane) ≡ scalar reference.
 
-    The reference side runs the scalar per-record loop.  Answers and
+    The reference side runs the record-at-a-time loop.  Answers and
     wire costs must be byte-identical on every layout, for single
     searches and ``search_batch``; the per-needle sweep keeps its own
     direct check at function level (``bucket_plan_hits`` without an
@@ -364,7 +367,7 @@ class TestAutomatonEquivalence:
 
 
 class TestMatcherUnit:
-    """PlanScanMatcher: per-record and per-bucket forms agree."""
+    """PlanScanMatcher: ``match_bucket`` ≡ the per-record reference."""
 
     def _bucket(self, store):
         """Harvest every index record of a store into one dict, as if
@@ -376,15 +379,12 @@ class TestMatcherUnit:
 
     def test_per_record_vs_match_bucket(self):
         store = build_store(GRID[1], bucket_capacity=1024)
-        records = self._bucket(store)
+        haystack = BucketHaystack(self._bucket(store))
         for pattern in PATTERNS:
             plan = store.pipeline.plan_query(pattern.encode("ascii"))
             matcher = PlanScanMatcher(plan, store.decode_index_key)
-            scalar = [
-                hit for record in records.values()
-                if (hit := matcher(record)) is not None
-            ]
-            batched = matcher.match_bucket(BucketHaystack(records))
+            scalar = reference_match(matcher, haystack)
+            batched = matcher.match_bucket(haystack)
             assert [
                 (h.rid, h.group, h.site, h.positions) for h in scalar
             ] == [
@@ -396,28 +396,23 @@ class TestMergeInvalidation:
     def test_shrinking_file_keeps_batched_scans_exact(self):
         """Deletes that trigger merges (bucket retirement + record
         re-absorption) must drop stale haystacks."""
-        from repro.extensions.compressed_index import CompressedScanMatcher
+        def run():
+            file = LHStarFile(name="shrinker", bucket_capacity=4,
+                              shrink=True)
+            for rid in range(32):
+                file.insert(rid, b"PAYLOAD-%03d" % rid)
+            matcher = CompressedScanMatcher(((b"PAYLOAD",),))
+            before = sorted(file.scan(matcher, request_size=8))
+            for rid in range(24):        # force merges
+                file.delete(rid)
+            return before, sorted(file.scan(matcher, request_size=8))
 
-        file = LHStarFile(name="shrinker", bucket_capacity=4,
-                          shrink=True)
-        for rid in range(32):
-            file.insert(rid, b"PAYLOAD-%03d" % rid)
-        needle = b"PAYLOAD"
-        batched = CompressedScanMatcher(((needle,),))
-        scalar = batched.__call__   # a plain callable: per-record loop
-        assert sorted(file.scan(batched, request_size=8)) == sorted(
-            file.scan(scalar, request_size=8)
-        )
-        for rid in range(24):        # force merges
-            file.delete(rid)
-        assert sorted(file.scan(batched, request_size=8)) == sorted(
-            file.scan(scalar, request_size=8)
-        ) == [(rid, (0,)) for rid in range(24, 32)]
+        fused, scalar = both(run)
+        assert fused == scalar
+        assert fused[1] == [(rid, (0,)) for rid in range(24, 32)]
 
     def test_split_invalidation(self):
         """Scans straddling splits see exactly the resident records."""
-        from repro.extensions.compressed_index import CompressedScanMatcher
-
         file = LHStarFile(name="splitter", bucket_capacity=2)
         matcher = CompressedScanMatcher(((b"R-",),))
         expected: list[tuple[int, tuple[int, ...]]] = []
@@ -429,28 +424,22 @@ class TestMergeInvalidation:
     def test_multi_needle_automaton_across_split_and_merge(self):
         """Enough same-length needles to engage the gram index, swept
         across splits and merges: the index must die with each stale
-        haystack, matching the scalar per-record matcher exactly."""
-        from repro.extensions.compressed_index import CompressedScanMatcher
-
+        haystack, matching the per-record reference exactly."""
         groups = tuple(
             (b"PAY%d" % digit,) for digit in range(5)
         )  # 5 needles of one length on the shared lane: index engaged
-        batched = CompressedScanMatcher(groups)
-        ladder = [batched, batched.__call__]  # per-bucket, per-record
-        file = LHStarFile(name="auto-churn", bucket_capacity=4,
-                          shrink=True)
-        for rid in range(32):
-            file.insert(rid, b"xxPAY%dxx" % (rid % 5))
-        first = [
-            sorted(file.scan(matcher, request_size=16))
-            for matcher in ladder
-        ]
-        assert first[0] == first[1]
-        for rid in range(24):        # force merges
-            file.delete(rid)
-        after = [
-            sorted(file.scan(matcher, request_size=16))
-            for matcher in ladder
-        ]
-        assert after[0] == after[1]
-        assert [rid for rid, _groups in after[0]] == list(range(24, 32))
+
+        def run():
+            matcher = CompressedScanMatcher(groups)
+            file = LHStarFile(name="auto-churn", bucket_capacity=4,
+                              shrink=True)
+            for rid in range(32):
+                file.insert(rid, b"xxPAY%dxx" % (rid % 5))
+            first = sorted(file.scan(matcher, request_size=16))
+            for rid in range(24):        # force merges
+                file.delete(rid)
+            return first, sorted(file.scan(matcher, request_size=16))
+
+        fused, scalar = both(run)
+        assert fused == scalar
+        assert [rid for rid, _groups in fused[1]] == list(range(24, 32))

@@ -120,12 +120,13 @@ class TestRekey:
         longer matches the stored index streams."""
         store = make_store()
         from repro.core.index import IndexPipeline
+        from repro.core.search import PlanScanMatcher
+        from repro.sdds.haystack import BucketHaystack
         old_pipeline = IndexPipeline(SchemeParameters.full(4))
         store.rekey(b"rotated")
         plan = old_pipeline.plan_query(b"SCHWARZ ")
-        hit = False
-        for record in store.index_file.all_records():
-            rid, group, site = store.decode_index_key(record.rid)
-            if plan.match_site(group, site, record.content):
-                hit = True
-        assert not hit
+        matcher = PlanScanMatcher(plan, store.decode_index_key)
+        assert matcher.match_bucket(BucketHaystack({
+            record.rid: record
+            for record in store.index_file.all_records()
+        })) == []

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.search import HitAggregator, SearchPlan, SiteHit, aligned_find
+from repro.core.search import (
+    HitAggregator,
+    PlanScanMatcher,
+    SearchPlan,
+    SiteHit,
+    aligned_find,
+)
+from repro.sdds.haystack import BucketHaystack
 
 
 class TestAlignedFind:
@@ -53,19 +60,25 @@ def make_plan(sites=2, groups=2, alignments=(0, 1), required=2):
     )
 
 
+def site_positions(plan, stream):
+    """What site (0, 0) reports for one index record holding
+    ``stream``: alignment -> positions."""
+    matcher = PlanScanMatcher(plan, lambda key: (key, 0, 0))
+    hits = matcher.match_bucket(BucketHaystack.from_segments([(1, stream)]))
+    return hits[0].positions if hits else {}
+
+
 class TestMatchSite:
     def test_reports_per_alignment_positions(self):
         plan = make_plan()
         # Site (0,0): needle for alignment 0 is bytes([0]), for 1 is
         # bytes([4]).
         stream = bytes([9, 0, 4, 0])
-        hits = plan.match_site(0, 0, stream)
-        assert hits[0] == [1, 3]
-        assert hits[1] == [2]
+        assert site_positions(plan, stream) == {0: [1, 3], 1: [2]}
 
     def test_no_hits_is_empty(self):
         plan = make_plan()
-        assert plan.match_site(0, 0, bytes([99, 98])) == {}
+        assert site_positions(plan, bytes([99, 98])) == {}
 
     def test_request_size_counts_all_needles(self):
         plan = make_plan(sites=2, groups=2, alignments=(0, 1))

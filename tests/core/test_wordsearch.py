@@ -176,13 +176,11 @@ class TestBatchedMatching:
                 4: [],
             }.items()
         }
-        trapdoor = swp.trapdoor("WORLD")
-        fused = WordScanMatcher((trapdoor,))
-        with reference_paths():     # per-cell SWP, no match_bucket
-            plain = WordScanMatcher((trapdoor,))
-            assert not hasattr(plain, "match_bucket")
-            per_record = [plain(r) for r in records.values()]
-        assert fused.match_bucket(BucketHaystack(records)) == [
-            hit for hit in per_record if hit is not None
+        matcher = WordScanMatcher((swp.trapdoor("WORLD"),))
+        haystack = BucketHaystack(records)
+        with reference_paths():     # per-cell SWP, one record at a time
+            per_record = matcher.match_bucket(haystack)
+        assert matcher.match_bucket(haystack) == per_record == [
+            (1, ((0, (1,)),)),
+            (2, ((0, (0,)),)),
         ]
-        assert [fused(r) for r in records.values()] == per_record

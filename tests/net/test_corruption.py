@@ -11,6 +11,7 @@ from repro.net import (
     wire_checksum,
 )
 from repro.sdds.lhstar import LHStarFile
+from tests.oracle import RecordsContaining
 
 
 class Collector(Node):
@@ -142,8 +143,5 @@ class TestCorruptionRecovery:
         )
         for key in range(16):
             file.insert(key, b"V" + bytes([key]))
-        hits = file.scan(
-            lambda record: record.rid
-            if record.content.startswith(b"V") else None
-        )
+        hits = file.scan(RecordsContaining(b"V"))
         assert sorted(hits) == list(range(16))

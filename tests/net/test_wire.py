@@ -49,6 +49,7 @@ from repro.net.wire import (
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import _hit_size
 from repro.sdds.records import Record
+from tests.oracle import reference_match
 
 
 def roundtrip(value):
@@ -56,22 +57,19 @@ def roundtrip(value):
 
 
 def bucket_hits(matcher, records, per_bucket):
-    """One bucket's scan hits through either of a matcher's two forms:
-    ``match_bucket`` over the haystack, or one call per record."""
+    """One bucket's scan hits: the matcher's own ``match_bucket``, or
+    with ``per_bucket`` false the record-at-a-time reference loop
+    (``tests/oracle.py``)."""
+    haystack = BucketHaystack({record.rid: record for record in records})
     if per_bucket:
-        return matcher.match_bucket(
-            BucketHaystack({record.rid: record for record in records})
-        )
-    return [
-        hit for record in records
-        if (hit := matcher(record)) is not None
-    ]
+        return matcher.match_bucket(haystack)
+    return reference_match(matcher, haystack)
 
 
 def assert_matcher_survives(matcher, records, forms=(True, False)):
     """A matcher is its needles: the decoded one must answer the same
-    bucket with the same hits at the same billed size, in both forms
-    (or the one asked for)."""
+    bucket with the same hits at the same billed size, through its own
+    ``match_bucket`` and the reference loop (or the one asked for)."""
     back = roundtrip(matcher)
     assert type(back) is type(matcher)
     for per_bucket in forms:
@@ -425,8 +423,10 @@ class TestMessageCodec:
         back = decode_message(encode_message(message))
         matcher = back.payload["matcher"]
         original = message.payload["matcher"]
-        record = Record(rid=(3 << 2) | 0, content=b"\x01\x02")
-        assert matcher(record) == original(record)
+        haystack = BucketHaystack.from_segments([((3 << 2) | 0, b"\x01\x02")])
+        assert matcher.match_bucket(haystack) == (
+            original.match_bucket(haystack)
+        )
 
 
 # -- framing -----------------------------------------------------------------

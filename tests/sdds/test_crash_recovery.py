@@ -10,6 +10,12 @@ reads issued meanwhile are served degraded through the parity group.
 
 import pytest
 
+from repro.core.search import (
+    IndexKeyCodec,
+    MultiPlanScanMatcher,
+    PlanScanMatcher,
+    SearchPlan,
+)
 from repro.errors import (
     BucketUnavailableError,
     InsertFailedError,
@@ -20,6 +26,8 @@ from repro.net import CrashFaultModel, Network, RetryPolicy
 from repro.net.faults import RetryExhaustedError
 from repro.obs import Tracer, use_tracer
 from repro.sdds import LHStarFile, LHStarRSFile
+from repro.sdds.lhstar import HEADER_SIZE, RidScanMatcher
+from tests.oracle import RecordsContaining
 
 FAST = RetryPolicy(timeout=0.05, backoff=2.0, max_retries=3)
 
@@ -149,13 +157,54 @@ class TestDetectionAndRecovery:
         assert file.network.stats.by_kind.get("recover", 0) == 0
 
 
+def substring_plan(needle):
+    """A one-site, one-group plan: a hit wherever ``needle`` occurs."""
+    return SearchPlan(pattern=needle, needles={(0, 0): (needle,)},
+                      piece_width=1, sites=1, group_count=1,
+                      alignments=(0,), required_groups=1)
+
+
+SCAN_MATCHERS = {
+    "plan": PlanScanMatcher(substring_plan(b"-04"), IndexKeyCodec(0, 0)),
+    "two-plan": MultiPlanScanMatcher(
+        [substring_plan(b"-04"), substring_plan(b"d-0")],
+        IndexKeyCodec(0, 0),
+    ),
+    "rid": RidScanMatcher(),
+}
+
+
+def scan_with_reply_sizes(file, matcher):
+    """Scan once: the hits, sorted, and the first ``scan_reply`` the
+    client received for each bucket — address -> (billed size,
+    degraded).  Later copies (retries answered after a recovery) are
+    ignored, as the client ignores them."""
+    replies = {}
+    handle = file.client.handle
+
+    def spy(message):
+        if message.kind == "scan_reply":
+            payload = message.payload
+            replies.setdefault(payload["address"], (
+                message.size, payload.get("degraded", False)
+            ))
+        handle(message)
+
+    file.client.handle = spy
+    try:
+        hits = file.scan(matcher)
+    finally:
+        del file.client.handle
+    return sorted(hits, key=repr), replies
+
+
 class TestDegradedScan:
     def test_scan_correct_under_k_crashes_same_group(self):
         file = rs_file(keys=120, parity_count=2)
-        expected = sorted(file.scan(lambda r: r.rid))
+        expected = sorted(file.scan(RidScanMatcher()))
         crash_bucket(file, 1)
         crash_bucket(file, 2)
-        degraded = sorted(file.scan(lambda r: r.rid))
+        degraded = sorted(file.scan(RidScanMatcher()))
         assert degraded == expected
         assert file.network.stats.by_kind.get("degraded_scan", 0) > 0
 
@@ -163,19 +212,37 @@ class TestDegradedScan:
         file = rs_file(keys=160, capacity=4, group_size=4,
                        parity_count=1)
         assert file.coordinator.n + (file.coordinator.i and 0) >= 0
-        expected = sorted(file.scan(lambda r: r.rid))
+        expected = sorted(file.scan(RidScanMatcher()))
         # One crash per group stays within parity budget.
         crash_bucket(file, 0)
         crash_bucket(file, 5)
-        degraded = sorted(file.scan(lambda r: r.rid))
+        degraded = sorted(file.scan(RidScanMatcher()))
         assert degraded == expected
 
     def test_substring_scan_matches_fault_free(self):
         file = rs_file(keys=100)
-        matcher = (lambda r: r.rid if b"-04" in r.content else None)
+        matcher = RecordsContaining(b"-04")
         expected = sorted(file.scan(matcher))
         crash_bucket(file, 3)
         assert sorted(file.scan(matcher)) == expected
+
+    @pytest.mark.parametrize("name", sorted(SCAN_MATCHERS))
+    def test_answers_and_bills_like_live_bucket(self, name):
+        """A bucket answered from parity runs the same ``match_bucket``
+        as the live bucket did: same hits, same billed reply."""
+        matcher = SCAN_MATCHERS[name]
+        file = rs_file(keys=80, parity_count=1)
+        address = next(
+            address for address, bucket in file.buckets.items()
+            if 40 in bucket.records
+        )
+        healthy, before = scan_with_reply_sizes(file, matcher)
+        crash_bucket(file, address)
+        degraded, after = scan_with_reply_sizes(file, matcher)
+        assert healthy and degraded == healthy
+        assert before[address][1] is False
+        assert after[address][1] is True
+        assert after[address][0] == before[address][0] > HEADER_SIZE
 
 
 class TestPlainLHStarCrashes:
@@ -191,7 +258,7 @@ class TestPlainLHStarCrashes:
         file = lh_file()
         crash_bucket(file, 1)
         with pytest.raises(BucketUnavailableError):
-            file.scan(lambda r: r.rid)
+            file.scan(RidScanMatcher())
 
     def test_reboot_is_rediscovered(self):
         file = lh_file()
@@ -203,7 +270,7 @@ class TestPlainLHStarCrashes:
         # The next suspect round re-probes and clears the death
         # certificate; no records were lost (crash, not disk loss).
         assert file.lookup(target) is not None
-        assert sorted(file.scan(lambda r: r.rid)) == list(range(40))
+        assert sorted(file.scan(RidScanMatcher())) == list(range(40))
 
     def test_splits_and_merges_avoid_dead_addresses(self):
         file = LHStarFile(bucket_capacity=4, retry_policy=FAST,
@@ -267,7 +334,7 @@ class TestCrashFaultModelWorkload:
             file.insert(k, f"v{k}\x00".encode())
         for k in range(120):
             assert file.lookup(k) == f"v{k}\x00".encode(), k
-        assert sorted(file.scan(lambda r: r.rid)) == list(range(120))
+        assert sorted(file.scan(RidScanMatcher())) == list(range(120))
 
     def test_gate_refuses_overbudget_crashes(self):
         file = rs_file(parity_count=1)

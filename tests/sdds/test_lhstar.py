@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.net import Network
 from repro.sdds import LHStarFile
+from repro.sdds.lhstar import RidScanMatcher
 from repro.sdds.records import Record
+from tests.oracle import RecordsContaining
 
 
 def small_file(capacity=4, name="lh"):
@@ -167,17 +169,14 @@ class TestScan:
         file = small_file(capacity=4)
         for k in range(120):
             file.insert(k, b"even\x00" if k % 2 == 0 else b"odd\x00")
-        hits = file.scan(
-            lambda r: r.rid if r.content == b"even\x00" else None
-        )
+        hits = file.scan(RecordsContaining(b"even"))
         assert sorted(hits) == list(range(0, 120, 2))
 
     def test_scan_covers_every_bucket_exactly_once(self):
         file = small_file(capacity=2)
         for k in range(200):
             file.insert(k, b"v\x00")
-        seen = []
-        file.scan(lambda r: seen.append(r.rid))
+        seen = file.scan(RidScanMatcher())
         assert sorted(seen) == list(range(200))
 
     def test_scan_with_stale_client_image(self):
@@ -185,7 +184,7 @@ class TestScan:
         for k in range(150):
             file.insert(k, b"v\x00")
         stale = file.new_client()  # believes there is 1 bucket
-        op = stale.start_scan(lambda r: r.rid)
+        op = stale.start_scan(RidScanMatcher())
         file.network.run()
         hits = stale.take_scan(op)
         assert sorted(hits) == list(range(150))
@@ -195,13 +194,13 @@ class TestScan:
         for k in range(200):
             file.insert(k, b"v\x00")
         before = file.network.stats.snapshot()
-        file.scan(lambda r: None)
+        file.scan(RidScanMatcher())
         delta = file.network.stats.delta(before)
         assert delta.messages == 2 * file.bucket_count
 
     def test_scan_empty_file(self):
         file = small_file()
-        assert file.scan(lambda r: r.rid) == []
+        assert file.scan(RidScanMatcher()) == []
 
 
 class TestMultiFileNetwork:

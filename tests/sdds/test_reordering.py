@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core import EncryptedSearchableStore, SchemeParameters
 from repro.net import JitterLatencyModel, Network
 from repro.sdds import LHStarFile, LHStarRSFile
+from repro.sdds.lhstar import RidScanMatcher
 
 
 def jittered_network(seed=0):
@@ -65,7 +66,7 @@ class TestLHStarUnderJitter:
                           bucket_capacity=3)
         for k in range(120):
             file.insert(k, b"v\x00")
-        hits = file.scan(lambda r: r.rid)
+        hits = file.scan(RidScanMatcher())
         assert sorted(hits) == list(range(120))
 
     def test_rs_recovery_under_jitter(self):

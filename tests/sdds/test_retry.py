@@ -16,6 +16,7 @@ from repro.net import (
     RetryPolicy,
 )
 from repro.sdds import LHStarFile
+from repro.sdds.lhstar import RidScanMatcher
 
 FAST = RetryPolicy(timeout=0.05, backoff=2.0, max_retries=8)
 
@@ -81,8 +82,7 @@ class TestKeyedRetry:
 
 
 class TestScanRetry:
-    def matcher(self, record):
-        return record.rid
+    matcher = RidScanMatcher()
 
     def test_scan_completes_under_loss(self):
         file = faulty_file(seed=3, loss=0.1)
@@ -142,7 +142,7 @@ class TestConvergenceUnderJitter:
         for k in range(50):
             expected = None if k % 2 == 0 else f"r{k}\x00".encode()
             assert file.lookup(k) == expected
-        hits = file.scan(lambda record: record.rid)
+        hits = file.scan(RidScanMatcher())
         assert sorted(hits) == [k for k in range(50) if k % 2]
 
 
@@ -158,7 +158,7 @@ class TestZeroLossEquivalence:
                 file.insert(k, b"v\x00")
             for k in range(40):
                 file.lookup(k)
-            file.scan(lambda record: record.rid)
+            file.scan(RidScanMatcher())
             stats = net.stats
             return (stats.messages, stats.bytes, net.now,
                     stats.retries, stats.dropped)

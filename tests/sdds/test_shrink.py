@@ -4,6 +4,7 @@
 import pytest
 
 from repro.sdds import LHStarFile
+from repro.sdds.lhstar import RidScanMatcher
 from repro.sdds.lhstar_rs import LHStarRSFile
 
 
@@ -60,7 +61,7 @@ class TestShrink:
         file = grown_file()
         for k in range(180):
             file.delete(k)
-        hits = file.scan(lambda r: r.rid)
+        hits = file.scan(RidScanMatcher())
         assert sorted(hits) == list(range(180, 200))
 
     def test_scan_with_stale_image_after_shrink(self):
@@ -72,7 +73,7 @@ class TestShrink:
             stale.take_reply(op)
         for k in range(180):
             file.delete(k)
-        op = stale.start_scan(lambda r: r.rid)
+        op = stale.start_scan(RidScanMatcher())
         file.network.run()
         hits = stale.take_scan(op)
         assert sorted(hits) == list(range(180, 200))
