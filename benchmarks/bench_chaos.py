@@ -140,11 +140,18 @@ def exp_live_availability() -> TableResult:
             report = run_episode(seed, config=config)
             if backend == "simulator":
                 baseline = report
+                messages = report.stats["messages"]
+                retries = report.stats["retries"]
+            else:
+                # Wall-clock timing moves these on real processes from
+                # run to run; a committed table prints only what the
+                # live row holds equal to the simulator row.
+                messages = retries = "-"
             table.add_row(
                 seed, backend,
                 f"{report.ops_applied / config.ops:.1%}",
-                report.stats["messages"],
-                report.stats["retries"],
+                messages,
+                retries,
                 report.nemesis["crashes"],
                 "yes" if report.acked == baseline.acked else "NO",
                 ("yes" if report.searches == baseline.searches
@@ -153,9 +160,11 @@ def exp_live_availability() -> TableResult:
             )
     table.notes.append(
         "The live rows drive the same seeded workload and nemesis "
-        "schedule through real bucket processes over TCP; acked sets "
-        "and post-heal search answers must match the simulator rows "
-        "seed for seed."
+        "schedule through real bucket processes over TCP; "
+        "availability, crashes, acked sets and post-heal search "
+        "answers must match the simulator rows seed for seed.  "
+        "Message and retry counts on real processes move with "
+        "wall-clock timing, so live rows leave them out."
     )
     return table
 
@@ -267,6 +276,9 @@ def test_chaos_live_availability(benchmark, emit):
     for row in table.rows:
         assert row[-1] == "0", row
         assert row[-2] == "yes" and row[-3] == "yes", row
+    for sim, live in zip(table.rows[::2], table.rows[1::2]):
+        # Availability and crashes: live equals simulator too.
+        assert (live[2], live[5]) == (sim[2], sim[5]), (sim, live)
 
 
 def test_chaos_sweep(benchmark, emit):

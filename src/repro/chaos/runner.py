@@ -25,7 +25,8 @@ The simulator and the live backend (``EpisodeConfig.backend``) run
 this one body: coordinator state, bucket dumps and parity tables are
 read through the network's operator verbs (``coordinator_state``,
 ``dump_buckets``, ``dump_parity``), which both backends answer in the
-same shapes.  Only building the network and the crash gate differ.
+same shapes.  Only building the network differs, and when the one
+crash-gate predicate reads its state (at each crash, or between ops).
 
 The episode report (see OBSERVABILITY.md) is JSONL: one ``episode``
 line with config, counters, and violations, followed by the PR-2
@@ -68,6 +69,7 @@ from repro.net.faults import FaultModel, RetryPolicy
 from repro.net.simulator import JitterLatencyModel, Network
 from repro.obs.trace import Span, Tracer, use_tracer
 from repro.sdds.lhstar import HEADER_SIZE
+from repro.sdds.lhstar_rs import gate_state
 
 #: Deterministic corpus pool (the paper's SF-directory flavour).
 NAME_POOL = [
@@ -252,48 +254,6 @@ def _converge(store: EncryptedSearchableStore, network: Network,
         network.run()
 
 
-def _snapshot_gate(store: EncryptedSearchableStore, network: Any,
-                   config: EpisodeConfig,
-                   states: dict[str, dict]) -> Callable[[Any], bool]:
-    """The live backend's crash gate.
-
-    A gate runs inside ``network.run``, where the live backend cannot
-    make a control-plane roundtrip, so it judges from ``states``: the
-    last ``coordinator_state`` the op loop read per file name.  The
-    simulator gates on its node objects instead
-    (``LHStarRSFile.crash_gate``).
-    """
-    group_size = config.group_size
-    parity_count = config.parity_count
-    names = {store.record_file.name, store.index_file.name}
-
-    def gate(node_id: Any) -> bool:
-        if not (isinstance(node_id, tuple) and len(node_id) == 3
-                and node_id[0] == "bucket"
-                and node_id[1] in names):
-            return False
-        name, address = node_id[1], node_id[2]
-        snap = states.get(name)
-        if snap is None:
-            return False
-        if address >= (1 << snap["i"]) + snap["n"]:
-            return False  # never created
-        dead = snap["dead"]
-        if address in dead:
-            return False  # mid-recovery: an independent failure
-        base = (address // group_size) * group_size
-        down = sum(
-            1 for member in range(base, base + group_size)
-            if member != address and (
-                member in dead
-                or network.is_crashed(("bucket", name, member))
-            )
-        )
-        return down + 1 <= parity_count
-
-    return gate
-
-
 def run_episode(
     seed: int,
     config: EpisodeConfig | None = None,
@@ -438,12 +398,12 @@ def _run_episode_traced(
             ).append("rejoin_up")
 
     rejoin_down: list[Any] = []
-    # Every coordinator-state read goes through ``read_state``: the
-    # live crash gate judges from the last snapshot per file name.
+    # Every state read goes through ``read_state``: the live crash
+    # gate judges from the last snapshot per file name.
     states: dict[str, dict] = {}
 
     def read_state(file: Any) -> dict:
-        states[file.name] = snap = chaos_net.coordinator_state(file.name)
+        states[file.name] = snap = gate_state(chaos_net, file.name)
         return snap
 
     def level(file: Any) -> tuple[int, int]:
@@ -465,9 +425,7 @@ def _run_episode_traced(
                 except SDDSError:
                     pass  # refused or drowned out; chaos moves on
             elif kind == "rejoin_down":
-                dump = chaos_net.dump_buckets(file.name)
-                retired = [a for a, info in dump.items()
-                           if info["retired"]]
+                retired = read_state(file)["retired"]
                 if not retired:
                     continue
                 node = file.bucket_id(max(retired))
@@ -482,12 +440,14 @@ def _run_episode_traced(
     files = (chaos.record_file, chaos.index_file)
     for file in files:
         read_state(file)
-    if config.backend == "live":
-        nemesis.gate = _snapshot_gate(chaos, chaos_net, config, states)
-    else:
-        gates = [file.crash_gate() for file in files]
-        nemesis.gate = lambda node_id: any(
-            gate(node_id) for gate in gates)
+    # Live gates judge from the snapshot ``read_state`` took between
+    # ops (see ``LHStarRSFile.crash_gate``).
+    gates = [
+        file.crash_gate(None if config.backend == "simulator"
+                        else lambda name=file.name: states[name])
+        for file in files
+    ]
+    nemesis.gate = lambda node_id: any(gate(node_id) for gate in gates)
     nemesis.attach(chaos_net)
 
     monitors = (

@@ -60,7 +60,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterator
 
 from repro.errors import ReproError, UnknownNodeError
 from repro.net import wire
@@ -730,22 +730,29 @@ class LiveNetwork(Transport):
 
     # -- operator verbs: the Transport's, fanned out to the sites ---------
 
-    def _from_bucket_sites(self, ctrl: str, name: str,
-                           field: str) -> dict:
-        """Merge one control verb's ``field`` reply over every bucket
-        site, in site order (each site answers for what it hosts)."""
-        result: dict = {}
+    def _from_bucket_sites(self, ctrl: str, name: str) -> Iterator[dict]:
+        """One control verb's reply from every bucket site, in site
+        order (each site answers for what it hosts)."""
         for key in list(self._conns):
             if key[0] == "bucket":
-                result.update(self._roundtrip(
-                    key, {"ctrl": ctrl, "name": name})[field])
-        return result
+                yield self._roundtrip(key, {"ctrl": ctrl, "name": name})
 
     def dump_buckets(self, name: str) -> dict[int, dict]:
-        return self._from_bucket_sites("dump", name, "buckets")
+        dump: dict[int, dict] = {}
+        for reply in self._from_bucket_sites("dump", name):
+            dump.update(reply["buckets"])
+            # The hosting site's crash flags are authoritative: a node
+            # it replaced (a recovery spare, a split over a tombstone)
+            # is up, though this process crashed its predecessor.
+            self._crashed -= {("bucket", name, a) for a in reply["buckets"]}
+            self._crashed |= {("bucket", name, a) for a in reply["crashed"]}
+        return dump
 
     def dump_parity(self, name: str) -> dict[tuple, dict]:
-        return self._from_bucket_sites("dump_parity", name, "slots")
+        slots: dict[tuple, dict] = {}
+        for reply in self._from_bucket_sites("dump_parity", name):
+            slots.update(reply["slots"])
+        return slots
 
     def coordinator_state(self, name: str) -> dict:
         reply = self._roundtrip(("coordinator",), {"ctrl": "state",

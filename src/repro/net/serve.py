@@ -42,11 +42,12 @@ and billed as ``crashed_drops``, owned timers freeze, and ``restore``
 re-arms them, with records preserved across the outage.
 
 v2 additions: a per-site seeded :class:`~repro.net.faults.FaultModel`
-on the site's gate, LH*_RS parity hosting (``create_parity`` /
-``create_spare`` control verbs; parity deltas and the whole recovery
-gather run over TCP, billed), and elastic growth: a frame for a
-bucket address beyond the provisioned site count is *parked* and reported in the census so
-the cluster can spawn the missing site and re-deliver (``config``).
+on the site's gate, LH*_RS parity hosting (the ``create_parity``
+control verb; a recovery spare is a pending ``create_bucket``; parity
+deltas and the whole recovery gather run over TCP, billed), and
+elastic growth: a frame for a bucket address beyond the provisioned
+site count is *parked* and reported in the census so the cluster can
+spawn the missing site and re-deliver (``config``).
 
 v3 additions: elasticity in both directions.  Shrinking files are
 hosted (their buckets report ``load``/``underflow`` deltas so the
@@ -150,29 +151,18 @@ class SiteFile(FileView):
 
 class BucketSiteFile(SiteFile):
     """A file on a bucket site: hosts the one data bucket whose
-    address is the site index, created and swapped by control verbs."""
+    address is the site index, put there by the coordinator site's
+    ``create_bucket`` verb or by the bucket's own ``leave`` drain."""
 
-    def _check_local(self, address: int) -> None:
+    def create_bucket(self, address: int, level: int,
+                      pending: bool = False) -> LHStarBucket:
         if address != self.server.index:
             raise ValueError(
                 f"bucket {address} does not live on site "
                 f"{self.server.index}")
-
-    def create_bucket(self, address: int, level: int,
-                      pending: bool = False) -> LHStarBucket:
-        self._check_local(address)
         bucket = super().create_bucket(address, level, pending=pending)
         self.server.flush_buffered(bucket.node_id)
         return bucket
-
-    def spawn_spare(self, address: int, level: int) -> LHStarBucket:
-        """The local swap — asked for by the coordinator site
-        (``create_spare``) or by the bucket itself during a graceful
-        ``leave`` drain; unbilled like the simulator's direct call."""
-        self._check_local(address)
-        spare = super().spawn_spare(address, level)
-        self.server.flush_buffered(spare.node_id)
-        return spare
 
 
 class CoordinatorSiteFile(SiteFile):
@@ -197,10 +187,6 @@ class CoordinatorSiteFile(SiteFile):
         self._create("create_bucket", address, address=address,
                      level=level, pending=pending)
         self.buckets.add(address)
-
-    def spawn_spare(self, address: int, level: int) -> None:
-        self._create("create_spare", address, address=address,
-                     level=level)
 
 
 class ParityBucketSiteFile(ParityBookkeeping, BucketSiteFile):
@@ -561,14 +547,16 @@ class SiteServer:
             return self._ctrl_create_coordinator(payload)
         if ctrl == "create_parity":
             return self._ctrl_create_parity(payload)
-        if ctrl == "create_spare":
-            return self._ctrl_create_spare(payload)
         # The operator verbs are the Transport's own methods, the
         # simulator's code: this site answers for the nodes it hosts.
         if ctrl == "state":
             return network.coordinator_state(payload["name"])
         if ctrl == "dump":
-            return {"buckets": network.dump_buckets(payload["name"])}
+            name = payload["name"]
+            buckets = network.dump_buckets(name)
+            return {"buckets": buckets, "crashed": [
+                address for address in buckets
+                if network.is_crashed(("bucket", name, address))]}
         if ctrl == "dump_parity":
             return {"slots": network.dump_parity(payload["name"])}
         if ctrl == "leave":
@@ -658,18 +646,6 @@ class SiteServer:
         if node_id not in self.network:
             self.network.attach(ParityBucket(shell, group, index))
             self.flush_buffered(node_id)
-        return {}
-
-    def _ctrl_create_spare(self, payload: dict) -> dict:
-        """Replace a dead local bucket with a fresh pending spare
-        under the same network identity (``FileView.spawn_spare``,
-        asked for by the coordinator site).  Records are gone; rank
-        tables persist so the reconstruction can re-install without
-        re-emitting parity."""
-        if self.role != "bucket":
-            raise ValueError("create_spare sent to the coordinator")
-        self._shell_file(payload).spawn_spare(
-            payload["address"], payload["level"])
         return {}
 
     def _ctrl_fault_set(self, payload: dict) -> dict:

@@ -666,7 +666,7 @@ class LHStarBucket(Node):
             {"records": moving},
             size=HEADER_SIZE + sum(r.wire_size for r in moving),
         )
-        self.file.spawn_spare(self.address, self.level)
+        self.file.create_bucket(self.address, self.level, pending=True)
 
 
 class LHStarCoordinator(Node):
@@ -994,9 +994,11 @@ class LHStarCoordinator(Node):
         new_address = self.n + (1 << self.i)
         new_level = self.i + 1
         if splitter in self.dead or new_address in self.dead:
-            # The split pointer reached a dead bucket (or would
-            # revive a dead tombstone): file growth stalls until the
-            # bucket recovers — the next overflow retriggers it.
+            # The split pointer reached a dead bucket (or the split
+            # would target a dead address): file growth stalls until
+            # the bucket recovers — the next overflow retriggers it.
+            # A tombstone at the target, crashed or not, is replaced
+            # by a fresh node (``FileView.create_bucket``).
             return
         obs_emit("lh.split", file=self.file.name, bucket=splitter,
                  new=new_address, level=new_level)
@@ -1565,41 +1567,16 @@ class FileView:
     def create_bucket(
         self, address: int, level: int, pending: bool = False
     ) -> LHStarBucket:
-        existing = self.buckets.get(address)
-        if existing is not None:
-            if not existing.retired:
-                raise ValueError(f"bucket {address} already exists")
-            # The file regrew over a tombstone: revive it in place.
-            existing.retired = False
-            existing.merge_target = None
-            existing.level = level
-            existing.pending = pending
-            return existing
+        """Put a fresh bucket at ``address`` — a split target, a
+        recovery spare or a leave drain's replacement — detaching
+        whatever held the id (a tombstone, a dead or a leaving
+        bucket), so no crash flag, timer or dedup cache carries over."""
         bucket = LHStarBucket(self, address, level, pending=pending)
+        if bucket.node_id in self.network:
+            self.network.detach(bucket.node_id)
         self.buckets[address] = bucket
         self.network.attach(bucket)
         return bucket
-
-    def spawn_spare(self, address: int, level: int) -> LHStarBucket:
-        """Replace a dead bucket's node with a fresh *pending* spare.
-
-        The spare takes over the network identity — in-flight and
-        future messages reach it and are buffered — and waits for the
-        reconstructed records to arrive as a ``recover_install``
-        shipment, exactly like a split target waits for its initial
-        ``split_records``.  The retired / merge-target flags persist
-        across the swap.
-        """
-        old = self.buckets.get(address)
-        spare = LHStarBucket(self, address, level, pending=True)
-        if old is not None:
-            spare.retired = old.retired
-            spare.merge_target = old.merge_target
-        if spare.node_id in self.network:
-            self.network.detach(spare.node_id)
-        self.buckets[address] = spare
-        self.network.attach(spare)
-        return spare
 
     # -- bookkeeping hooks (overridden by LH*_RS) ------------------------------
 

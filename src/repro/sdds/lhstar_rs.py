@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.errors import BucketUnavailableError
 from repro.gf import GF2, Matrix, cauchy_matrix
@@ -575,7 +575,7 @@ class ParityBookkeeping:
     tables live wherever the data bucket is hosted, so
     :class:`LHStarRSFile` on the simulator and the site views of the
     live backend (:mod:`repro.net.serve`) run this one definition;
-    only :meth:`~repro.sdds.lhstar.FileView.spawn_spare` — the one
+    only :meth:`~repro.sdds.lhstar.FileView.create_bucket` — the one
     step of :meth:`begin_recovery` that creates a node — differs by
     role.
     """
@@ -718,8 +718,8 @@ class ParityBookkeeping:
     def begin_recovery(self, address: int, level: int) -> bool:
         """Launch the online reconstruction of a dead bucket.
 
-        Spawns a pending spare under the dead bucket's network
-        identity (:meth:`~repro.sdds.lhstar.FileView.spawn_spare`,
+        Puts a fresh pending spare under the dead bucket's network
+        identity (:meth:`~repro.sdds.lhstar.FileView.create_bucket`,
         unbilled — a local swap, or a control verb to the hosting
         site) and asks the group's first parity bucket, over the
         billed data plane, to gather survivor contents and sibling
@@ -739,7 +739,7 @@ class ParityBookkeeping:
         span.__enter__()
         self._recovery_spans[address] = span
         metric_inc("lh.recover")
-        self.spawn_spare(address, level)
+        self.create_bucket(address, level, pending=True)
         self.network.send(
             self.coordinator_id,
             self.parity_id(group, 0),
@@ -753,6 +753,19 @@ class ParityBookkeeping:
         span = self._recovery_spans.pop(address, None)
         if span is not None:
             span.__exit__(None, None, None)
+
+
+def gate_state(network: Any, name: str) -> dict[str, Any]:
+    """What :meth:`LHStarRSFile.crash_gate` judges file ``name`` by,
+    read through the operator verbs both backends answer: the
+    coordinator's ``i``, ``n`` and ``dead``, plus the ``pending`` and
+    ``retired`` bucket addresses."""
+    state = network.coordinator_state(name)
+    dump = network.dump_buckets(name)
+    for flag in ("pending", "retired"):
+        state[flag] = {address for address, info in dump.items()
+                       if info[flag]}
+    return state
 
 
 class LHStarRSFile(ParityBookkeeping, LHStarFile):
@@ -796,38 +809,44 @@ class LHStarRSFile(ParityBookkeeping, LHStarFile):
                 self.network.attach(parity)
         return bucket
 
-    def crash_gate(self):
+    def crash_gate(
+        self, state: Callable[[], dict[str, Any]] | None = None
+    ) -> Callable[[Hashable], bool]:
         """A veto callable for :class:`~repro.net.faults.CrashFaultModel`.
 
-        Permits a crash only of this file's live data buckets, and
-        only while the group's failure count stays within the parity
-        count — the regime the paper's k-availability guarantee
-        covers.  Buckets that are retired, pending (spares under
-        recovery) or already declared dead are never crashed: killing
-        them would wedge an in-flight recovery rather than model an
-        independent failure.
+        Only a live data bucket inside the file may crash — never a
+        retired tombstone, a pending split target or spare, or a bucket
+        declared dead: killing one would wedge an in-flight split or
+        recovery rather than model an independent failure.  And the
+        group's dead, pending and crashed members plus this crash must
+        stay within the parity count — the regime the paper's
+        k-availability guarantee covers.
+
+        ``state`` returns the :func:`gate_state` to judge by, read at
+        each crash by default.  A gate is asked inside ``network.run``,
+        where the live backend can make no control roundtrip, so the
+        chaos runner passes the state it read between ops instead.
         """
+        read = state or (lambda: gate_state(self.network, self.name))
+
         def gate(node_id: Hashable) -> bool:
             if not (isinstance(node_id, tuple) and len(node_id) == 3
                     and node_id[0] == "bucket"
                     and node_id[1] == self.name):
                 return False
-            address = node_id[2]
-            bucket = self.buckets.get(address)
-            if bucket is None or bucket.retired or bucket.pending:
+            address, snap = node_id[2], read()
+            dead, pending = snap["dead"], snap["pending"]
+            if (address >= (1 << snap["i"]) + snap["n"]
+                    or address in dead or address in pending
+                    or address in snap["retired"]):
                 return False
-            if address in self.coordinator.dead:
-                return False
-            down = 0
-            for member in self.recovery_group(address):
-                if member == address:
-                    continue
-                peer = self.buckets.get(member)
-                if (member in self.coordinator.dead
-                        or (peer is not None and peer.pending)
-                        or self.network.is_crashed(
-                            self.bucket_id(member))):
-                    down += 1
+            base = address - address % self.group_size
+            down = sum(
+                1 for member in range(base, base + self.group_size)
+                if member != address and (
+                    member in dead or member in pending
+                    or self.network.is_crashed(self.bucket_id(member)))
+            )
             return down + 1 <= self.parity_count
 
         return gate

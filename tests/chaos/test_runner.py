@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.nemesis import NemesisProfile
+from repro.chaos.__main__ import build_parser, make_config
+from repro.chaos.nemesis import FaultEvent, NemesisProfile
 from repro.chaos.runner import (
     EpisodeConfig,
     run_episode,
@@ -125,3 +126,33 @@ class TestInjectedViolationIsCaught:
         monitor.observe((1, 0), deleted=False)  # level regressed
         assert monitor.violations
         assert monitor.violations[0].invariant == "monotone-level"
+
+
+class TestRegrowthOverCrashedTombstone:
+    """The small-file elasticity corner, shrunk to three events:
+    ``join`` grows the file, ``merge_pressure`` shrinks it back, and
+    ``rejoin`` crashes the retired tombstone.  The next split regrows
+    over that crashed tombstone; the target must be a fresh node, or
+    the splitter's ``split_records`` shipment is dropped after the
+    records left the splitter and acked rids are lost."""
+
+    EVENTS = [
+        FaultEvent(at=1.375120144847609, action="join",
+                   duration=0.7670885835855467),
+        FaultEvent(at=2.3510649195102795, action="merge_pressure",
+                   duration=0.34019114678009205),
+        FaultEvent(at=2.6248288985954114, action="rejoin",
+                   duration=1.3901775185498042),
+    ]
+
+    def test_no_acked_record_lost(self):
+        config = make_config(build_parser().parse_args(
+            ["--seed", "1", "--elasticity", "--ops", "30",
+             "--records", "12"]))
+        report = run_episode(1, config=config, events=self.EVENTS)
+        assert report.violations == []
+        assert report.ops_failed == 0
+        # The schedule still exercises the corner (the file merged),
+        # and no shipment died at a crashed node.
+        assert report.stats["by_kind"]["merge"] > 0
+        assert report.stats["crashed_drops"] == 0

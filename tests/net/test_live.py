@@ -977,6 +977,28 @@ class TestRetiredTombstoneRaces:
         network.run()
         assert self._locate(network, file, 1002) == [(0, False)]
 
+    def test_split_over_crashed_tombstone_gets_a_fresh_node(
+        self, network_backend
+    ):
+        """Regrowth over crashed tombstones: each split target is a
+        fresh node, so no ``split_records`` shipment dies at a crashed
+        node, and the network reports the regrown ids as up."""
+        network = network_backend.make(sites=EPISODE_SITES)
+        file, retired = self._tombstoned_file(network)
+        file.sync_client_images()
+        for address in retired:
+            network.crash(file.bucket_id(address))
+        for key in range(100, 130):
+            file.insert(key, b"g%d" % key)
+        dump = network.dump_buckets(file.name)
+        for address in retired:
+            assert not dump[address]["retired"]
+            assert not network.is_crashed(file.bucket_id(address))
+        assert network.stats.crashed_drops == 0
+        for key in (10, 11, *range(100, 130)):
+            expected = b"r%d" % key if key < 100 else b"g%d" % key
+            assert file.lookup(key) == expected
+
 
 @live
 class TestCodecCachePersistence:

@@ -27,6 +27,7 @@ from repro.net.faults import RetryExhaustedError
 from repro.obs import Tracer, use_tracer
 from repro.sdds import LHStarFile, LHStarRSFile
 from repro.sdds.lhstar import HEADER_SIZE, RidScanMatcher
+from repro.sdds.lhstar_rs import gate_state
 from tests.oracle import RecordsContaining
 
 FAST = RetryPolicy(timeout=0.05, backoff=2.0, max_retries=3)
@@ -349,6 +350,54 @@ class TestCrashFaultModelWorkload:
         # Non-bucket nodes are never crashed.
         assert gate(file.coordinator_id) is False
         assert gate(file.client_id(0)) is False
+
+    def test_one_gate_predicate_for_both_state_sources(self):
+        """The simulator gate reads the file state at each crash; the
+        live chaos runner's gate judges from a snapshot read between
+        ops.  Both, and the state held by the node objects, give the
+        same verdict for every bucket id."""
+        file = LHStarRSFile(
+            bucket_capacity=4, group_size=4, parity_count=1,
+            shrink=True, merge_threshold=0.6, retry_policy=FAST,
+        )
+        for k in range(60):
+            file.insert(k, b"v\x00")
+        for k in range(0, 60, 2):
+            file.delete(k)
+        coordinator = file.coordinator
+        assert file.state == (3, 4)
+        assert [a for a, b in file.buckets.items() if b.retired] == [
+            12, 13, 14, 15]
+        # Group 1 holds a dead bucket (declared by hand: recovery
+        # would otherwise replace it within the same run).
+        coordinator.dead[5] = (file.buckets[5].level, True)
+        # Group 2 is at its parity limit: one crashed member, k=1.
+        file.network.crash(file.bucket_id(9))
+        # Group 3: a split regrows over tombstone 12 and stops before
+        # the network runs, leaving a pending target.
+        coordinator._split_next()
+        assert file.buckets[12].pending
+        snapshot = gate_state(file.network, file.name)
+        assert set(snapshot) == {"i", "n", "dead", "pending", "retired"}
+        objects = {
+            "i": coordinator.i, "n": coordinator.n,
+            "dead": coordinator.dead,
+            "pending": {a for a, b in file.buckets.items() if b.pending},
+            "retired": {a for a, b in file.buckets.items() if b.retired},
+        }
+        at_crash = file.crash_gate()
+        between_ops = file.crash_gate(lambda: snapshot)
+        from_objects = file.crash_gate(lambda: objects)
+        verdicts = {}
+        for address in range(20):
+            node_id = file.bucket_id(address)
+            verdicts[address] = verdict = from_objects(node_id)
+            assert at_crash(node_id) is verdict, address
+            assert between_ops(node_id) is verdict, address
+        # Only healthy group 0 may lose a bucket, and group 2's
+        # crashed member (its peers are up; the crash fault model
+        # skips nodes already down before it asks the gate).
+        assert [a for a, ok in verdicts.items() if ok] == [0, 1, 2, 3, 9]
 
 
 class TestVerifyRecoveryDiagnostics:

@@ -8,6 +8,23 @@ from repro.sdds.lhstar import RidScanMatcher
 from repro.sdds.lhstar_rs import LHStarRSFile
 
 
+class DropLog:
+    """A network observer that keeps the kind of every dropped
+    message."""
+
+    def __init__(self):
+        self.kinds = []
+
+    def on_send(self, kind, size):
+        pass
+
+    def on_deliver(self, kind, size, latency):
+        pass
+
+    def on_drop(self, kind, size):
+        self.kinds.append(kind)
+
+
 def grown_file(**options):
     file = LHStarFile(bucket_capacity=4, shrink=True, **options)
     for k in range(200):
@@ -83,9 +100,26 @@ class TestShrink:
         for k in range(180):
             file.delete(k)
         shrunk = file.coordinator.bucket_count
+        # Crashed tombstones: nothing suspects them, so a split that
+        # regrows over one must put a fresh node there, or the
+        # splitter's split_records shipment dies as a crashed_drops
+        # and its records are gone.
+        tombstones = [b.node_id for b in file.buckets.values()
+                      if b.retired]
+        assert tombstones
+        file.sync_client_images()
+        for node_id in tombstones:
+            file.network.crash(node_id)
+        drops = DropLog()
+        file.network.observer = drops
         for k in range(1000, 1300):
             file.insert(k, b"w\x00")
         assert file.coordinator.bucket_count > shrunk
+        assert "split_records" not in drops.kinds
+        assert file.network.stats.crashed_drops == 0
+        for node_id in tombstones:
+            assert not file.network.is_crashed(node_id)
+            assert not file.buckets[node_id[2]].retired
         for k in range(1000, 1300):
             assert file.lookup(k) == b"w\x00"
         for k in range(180, 200):
