@@ -50,6 +50,10 @@ from repro.obs.trace import span as obs_span
 from repro.sdds.lhstar import DEFAULT_RETRY_POLICY, LHStarFile
 from repro.sdds.lhstar_rs import LHStarRSFile
 
+#: Clients ``bulk_load`` runs each file's inserts from, and so the
+#: operations it keeps in flight at once.
+BULK_LOAD_CONCURRENCY = 8
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -266,23 +270,22 @@ class EncryptedSearchableStore:
                 )
             self._rids.add(rid)
 
-    def bulk_load(
-        self, records: dict[int, str], concurrency: int = 8
-    ) -> None:
+    def bulk_load(self, records: dict[int, str]) -> None:
         """Load many records with concurrent batches.
 
         Client-side encryption and index building run up front; the
-        record-store and index inserts then enter the network in
-        large concurrent batches instead of one network round per
-        record — the practical way to populate a deployment.
+        record-store and index inserts then run from
+        ``BULK_LOAD_CONCURRENCY`` clients with at most that many
+        operations in flight, instead of one network round per
+        record — the practical way to populate a deployment.  With
+        so few operations in flight, the files split about as they
+        would under one-by-one puts.
         """
         with obs_span("ess.bulk_load", network=self.network,
-                      records=len(records), concurrency=concurrency):
-            self._bulk_load(records, concurrency)
+                      records=len(records)):
+            self._bulk_load(records)
 
-    def _bulk_load(
-        self, records: dict[int, str], concurrency: int
-    ) -> None:
+    def _bulk_load(self, records: dict[int, str]) -> None:
         # Build the fused codec tables up front (a no-op for large
         # chunk domains) so the per-record loop below is pure table
         # lookups from the first record on.
@@ -305,10 +308,10 @@ class EncryptedSearchableStore:
                     ("insert", self.index_key(rid, group, site), stream)
                 )
             self._rids.add(rid)
-        self.record_file.run_concurrent(record_ops,
-                                        concurrency=concurrency)
-        self.index_file.run_concurrent(index_ops,
-                                       concurrency=concurrency)
+        self.record_file.run_concurrent(
+            record_ops, concurrency=BULK_LOAD_CONCURRENCY)
+        self.index_file.run_concurrent(
+            index_ops, concurrency=BULK_LOAD_CONCURRENCY)
 
     def get(self, rid: int) -> str | None:
         """Fetch and decrypt one record by RID."""

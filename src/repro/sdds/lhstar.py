@@ -1756,48 +1756,49 @@ class LHStarFile(FileView):
         operations: list[tuple],
         concurrency: int = 4,
     ) -> list:
-        """Issue many keyed operations concurrently, one network run.
+        """Issue many keyed operations from ``concurrency`` clients,
+        at most ``concurrency`` of them in flight at once.
 
         ``operations`` are ``("insert", key, content)``,
-        ``("lookup", key)`` or ``("delete", key)`` tuples.  They are
-        spread round-robin over a pool of ``concurrency`` clients and
-        *all* enter the network before it runs, so splits, forwards
-        and image adjustments interleave arbitrarily — the situation a
-        real multi-client SDDS faces.  Results return in operation
-        order: None for inserts, content (or None) for lookups, bool
-        for deletes.
+        ``("lookup", key)`` or ``("delete", key)`` tuples.  They run in
+        windows of ``concurrency``: each client of the pool starts one
+        operation, the network runs, and the replies are collected
+        before the next window starts.  Within a window, splits,
+        forwards and image adjustments interleave arbitrarily — the
+        situation a real multi-client SDDS faces — but an overfull
+        bucket sees at most ``concurrency`` inserts before the splits
+        they report land, so a batch-loaded file grows like a
+        put-loaded one.  Results return in operation order: None for
+        inserts, content (or None) for lookups, bool for deletes.
 
-        Ordering between operations in the same batch is unspecified
-        (they are concurrent); callers needing order run batches
-        sequentially.
+        Ordering between operations in the same window is unspecified
+        (they are concurrent).  A batch with an unknown operation kind
+        is refused before any of it is sent.
         """
         if concurrency < 1:
             raise ValueError("concurrency must be positive")
+        for operation in operations:
+            if operation[0] not in ("insert", "lookup", "delete"):
+                raise ValueError(
+                    f"unknown operation kind {operation[0]!r}")
         while len(self.clients) < concurrency + 1:
             self.new_client()
         pool = self.clients[1:concurrency + 1]
-        pending: list[tuple[LHStarClient, int, str]] = []
-        for index, operation in enumerate(operations):
-            client = pool[index % concurrency]
-            kind = operation[0]
-            if kind == "insert":
-                op = client.start_keyed("insert", operation[1],
-                                        operation[2])
-            elif kind in ("lookup", "delete"):
-                op = client.start_keyed(kind, operation[1])
-            else:
-                raise ValueError(f"unknown operation kind {kind!r}")
-            pending.append((client, op, kind))
-        self.network.run()
         results = []
-        for client, op, kind in pending:
-            reply = client.take_reply(op)
-            if kind == "insert":
-                results.append(None)
-            elif kind == "lookup":
-                results.append(reply["content"] if reply["ok"] else None)
-            else:
-                results.append(reply["ok"])
+        for start in range(0, len(operations), concurrency):
+            window = list(zip(pool, operations[start:start + concurrency]))
+            ops = [client.start_keyed(*operation)
+                   for client, operation in window]
+            self.network.run()
+            for (client, operation), op in zip(window, ops):
+                reply = client.take_reply(op)
+                kind = operation[0]
+                if kind == "insert":
+                    results.append(None)
+                elif kind == "lookup":
+                    results.append(reply["content"] if reply["ok"] else None)
+                else:
+                    results.append(reply["ok"])
         return results
 
     def all_records(self) -> list[Record]:

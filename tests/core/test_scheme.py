@@ -10,6 +10,7 @@ from repro.core import (
     QueryTooShortError,
     SchemeParameters,
 )
+from repro.data import generate_directory
 from repro.net import Network
 
 RECORDS = {
@@ -209,6 +210,30 @@ class TestFootprint:
         )
         store.put(7, RECORDS[7])
         assert 7 in store.search("SCHWARZ").matches
+
+
+class TestBulkLoadShape:
+    def test_bulk_load_splits_like_puts(self):
+        """Bulk loading keeps few inserts in flight, so each file
+        reaches the level one-by-one puts of the same records give
+        it, with buckets well filled — not one bucket per record."""
+        directory = generate_directory(1500, seed=2006)
+        records = {e.rid: e.record_text for e in directory}
+        training = [e.name.encode("ascii") for e in directory.entries[:300]]
+        params = SchemeParameters.full(4, n_codes=64, dispersal=2)
+        bulk = EncryptedSearchableStore.with_trained_encoder(
+            params, training, bucket_capacity=128)
+        bulk.bulk_load(records)
+        serial = EncryptedSearchableStore.with_trained_encoder(
+            params, training, bucket_capacity=128)
+        for rid, text in records.items():
+            serial.put(rid, text)
+        for name in ("record_file", "index_file"):
+            loaded = getattr(bulk, name)
+            assert loaded.state == getattr(serial, name).state
+            load = len(loaded.all_records()) / (
+                loaded.bucket_count * loaded.bucket_capacity)
+            assert load >= 0.5
 
 
 NAME_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ "

@@ -5,7 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import JitterLatencyModel, Network
-from repro.sdds import LHStarFile
+from repro.sdds import LHStarFile, Record, client_address
+
+
+class InFlight:
+    """A network observer that records, at every delivery, how many
+    keyed operations the file's clients still await replies for."""
+
+    def __init__(self, file):
+        self.file = file
+        self.counts = []
+
+    def on_send(self, kind, size):
+        pass
+
+    def on_deliver(self, kind, size, latency):
+        self.counts.append(sum(
+            len(client._pending_keyed) for client in self.file.clients
+        ))
+
+    def on_drop(self, kind, size):
+        pass
 
 
 class TestConcurrentBatches:
@@ -63,6 +83,55 @@ class TestConcurrentBatches:
             file.run_concurrent([("lookup", 1)], concurrency=0)
         with pytest.raises(ValueError):
             file.run_concurrent([("bogus", 1)])
+
+    def test_bad_batch_sends_nothing(self):
+        """A batch with an unknown kind is refused whole: the valid
+        insert before it never starts, so no reply strays into a
+        client and nothing lands during a later network run."""
+        file = LHStarFile()
+        file.run_concurrent([("lookup", 0)], concurrency=2)
+        before = file.network.stats.messages
+        with pytest.raises(ValueError):
+            file.run_concurrent([("insert", 1, b"x\x00"), ("bogus", 2)],
+                                concurrency=2)
+        assert file.network.stats.messages == before
+        for client in file.clients:
+            assert not client._pending_keyed
+            assert not client.responses
+        assert file.lookup(1) is None
+
+    @pytest.mark.parametrize("concurrency", [1, 3, 8])
+    def test_at_most_concurrency_in_flight(self, concurrency):
+        file = LHStarFile(bucket_capacity=4)
+        observer = file.network.observer = InFlight(file)
+        ops = [("insert", k, b"v\x00") for k in range(200)]
+        ops += [("lookup", k) for k in range(0, 200, 7)]
+        file.run_concurrent(ops, concurrency=concurrency)
+        assert observer.counts
+        assert max(observer.counts) == concurrency
+        assert file.record_count == 200
+
+    def test_split_records_misfit_is_reshipped(self):
+        """A ``split_records`` shipment that reaches a bucket after it
+        split again carries records that now belong elsewhere: the
+        receiver re-ships each misfit to its home bucket instead of
+        storing it where no lookup would find it."""
+        file = LHStarFile(bucket_capacity=2)
+        for k in range(16):
+            file.insert(k, b"s\x00")
+        i, n = file.state
+        assert i >= 2
+        key = 1001  # odd: never bucket 0's at any level >= 1
+        home = client_address(key, i, n)
+        assert home != 0
+        file.client.send(file.bucket_id(0), "split_records",
+                         {"records": [Record(key, b"misfit\x00")]})
+        file.network.run()
+        dump = file.network.dump_buckets(file.name)
+        holders = [address for address, info in dump.items()
+                   if any(r.rid == key for r in info["records"])]
+        assert holders == [home]
+        assert file.lookup(key) == b"misfit\x00"
 
 
 @settings(max_examples=10)
