@@ -1,15 +1,16 @@
 """Benchmark harness: the paper's experiments as reusable functions.
 
 Every table and figure of the paper's evaluation has a function here
-returning a :class:`~repro.bench.tables.TableResult`; the pytest
-benchmarks under ``benchmarks/`` and the standalone CLI
-(``python -m repro.bench``) both call into this package, so the two
-entry points can never drift apart.
+returning :class:`~repro.bench.tables.TableResult` objects.  One
+command runs them: ``python -m repro.bench --out benchmarks/results``
+writes every committed table, one file per registry entry
+(``repro.bench.__main__.EXPERIMENTS``), and tier-1 checks that the
+directory-free tables it writes equal the committed files.
 
-Dataset size: the paper uses the 282,965-entry SF directory.  The
-pytest benches default to a 20,000-entry synthetic directory to keep
-the suite responsive; ``python -m repro.bench --full`` (or the
-``REPRO_BENCH_RECORDS`` environment variable) runs paper-scale.
+Dataset size: the paper uses the 282,965-entry SF directory.  Every
+committed table is made at a 20,000-entry synthetic directory
+(``experiments.DEFAULT_RECORDS``); ``python -m repro.bench --full``
+runs paper-scale.
 """
 
 from repro.bench.tables import TableResult, render_table

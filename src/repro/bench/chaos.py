@@ -247,47 +247,3 @@ def exp_elasticity_availability() -> TableResult:
         "post-heal level restoration — and must be 0 everywhere."
     )
     return table
-
-
-def test_chaos_elasticity_availability(benchmark, emit):
-    table = benchmark.pedantic(exp_elasticity_availability,
-                               rounds=1, iterations=1)
-    emit(table, "chaos_elasticity_availability")
-    rebalanced = 0
-    for row in table.rows:
-        assert row[-1] == "0", row
-        if row[0] != "off":
-            rebalanced += int(row[4]) + int(row[5])
-    # The membership windows must exercise real machinery: at least
-    # one merge or leave landed across the non-off cells.
-    assert rebalanced > 0, table.rows
-
-
-def test_chaos_live_availability(benchmark, emit):
-    import os
-
-    import pytest
-
-    if os.environ.get("REPRO_LIVE_TESTS") != "1":
-        pytest.skip("live cluster benches need REPRO_LIVE_TESTS=1")
-    table = benchmark.pedantic(exp_live_availability, rounds=1,
-                               iterations=1)
-    emit(table, "chaos_live_availability")
-    for row in table.rows:
-        assert row[-1] == "0", row
-        assert row[-2] == "yes" and row[-3] == "yes", row
-    for sim, live in zip(table.rows[::2], table.rows[1::2]):
-        # Availability and crashes: live equals simulator too.
-        assert (live[2], live[5]) == (sim[2], sim[5]), (sim, live)
-
-
-def test_chaos_sweep(benchmark, emit):
-    table = benchmark.pedantic(exp_chaos_sweep, rounds=1,
-                               iterations=1)
-    emit(table, "chaos_sweep")
-    for row in table.rows:
-        # Correctness is non-negotiable in every cell.
-        assert row[-1] == "0", row
-        # The fault-free corner loses nothing.
-        if row[0] == "off" and row[1] == "off" and row[2] == "off":
-            assert row[3] == "100.0%", row

@@ -186,26 +186,3 @@ def exp_degraded_cost() -> TableResult:
         "— the outage leaves no residue."
     )
     return table
-
-
-def test_crash_sweep(benchmark, emit):
-    table = benchmark.pedantic(exp_crash_sweep, rounds=1, iterations=1)
-    emit(table, "crash_sweep")
-    # Parity rows never lose an operation; the fault-free column is
-    # always perfect.  (Table cells are rendered strings.)
-    for row in table.rows:
-        if row[0] != "0" or row[1] == "-":
-            assert row[2] == "100.0%", row
-
-
-def test_degraded_cost(benchmark, emit):
-    table = benchmark.pedantic(exp_degraded_cost, rounds=1,
-                               iterations=1)
-    emit(table, "crash_degraded_cost")
-    by_phase = {(row[0], row[1][:6]): row for row in table.rows}
-    for parity in ("1", "2"):
-        normal = by_phase[(parity, "normal")]
-        outage = by_phase[(parity, "first ")]
-        post = by_phase[(parity, "after ")]
-        assert outage[3] != normal[3]
-        assert post[2] == normal[2] and post[3] == normal[3]

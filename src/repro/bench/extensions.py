@@ -279,7 +279,7 @@ def exp_index_designs(
 
 
 def exp_warsaw(
-    sample_size: int = 1000,
+    sample_size: int = 500,
     encodings: tuple[int, ...] = (8, 16, 32),
     seed: int = 7,
 ) -> TableResult:

@@ -81,20 +81,3 @@ def exp_fault_sweep() -> TableResult:
         "the 0% row is byte-identical to a reliable network."
     )
     return table
-
-
-def test_fault_sweep(benchmark, emit):
-    table = benchmark.pedantic(exp_fault_sweep, rounds=1, iterations=1)
-    emit(table, "fault_sweep")
-    # Every cell of the sweep must keep perfect recall and an exact
-    # record count — that is the whole point of the retry layer.
-    assert all(row[2] == "100%" for row in table.rows)
-    by_policy = {}
-    for row in table.rows:
-        by_policy.setdefault(row[0], []).append(row)
-    for rows in by_policy.values():
-        messages = [int(r[3].replace(",", "")) for r in rows]
-        retries = [int(r[6].replace(",", "")) for r in rows]
-        assert retries[0] == 0      # no loss -> no retries
-        assert retries[-1] > 0      # heavy loss -> visible recovery
-        assert messages[-1] > messages[0]

@@ -35,30 +35,6 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def to_csv(table: TableResult) -> str:
-    """CSV rendering (headers + rows) for downstream plotting."""
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(table.headers)
-    for row in table.rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
-def slugify(title: str) -> str:
-    """A filesystem-safe slug of a table title."""
-    keep = []
-    for ch in title.lower():
-        if ch.isalnum():
-            keep.append(ch)
-        elif keep and keep[-1] != "-":
-            keep.append("-")
-    return "".join(keep).strip("-")[:80]
-
-
 def render_table(table: TableResult) -> str:
     """Fixed-width text rendering, one experiment per block."""
     widths = [len(h) for h in table.headers]

@@ -9,8 +9,7 @@ base class to catch.  This module roots them all:
 * :class:`ReproError` — base of everything the package raises on
   purpose.
 * :class:`SDDSError` — faults surfaced by the SDDS layer
-  (:mod:`repro.sdds`): retry budgets, unavailable buckets, rejected
-  operations.
+  (:mod:`repro.sdds`): retry budgets and unavailable buckets.
 
 The scheme-level tree (:class:`repro.core.errors.SchemeError` and
 subclasses) also derives from :class:`ReproError`, so
@@ -31,15 +30,6 @@ class ReproError(Exception):
 
 class SDDSError(ReproError):
     """Base class for SDDS-layer (LH*/LH*_RS) failures."""
-
-
-class InsertFailedError(SDDSError, RuntimeError):
-    """A keyed insert was rejected by its home bucket.
-
-    Replaces the historic bare ``RuntimeError("insert of key ...
-    failed")``; the ``RuntimeError`` base is kept for callers that
-    still catch the old type.
-    """
 
 
 class BucketUnavailableError(SDDSError, RuntimeError):

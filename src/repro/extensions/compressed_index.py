@@ -17,7 +17,8 @@ Compared with the chunk scheme: **one** index record per document
 minimum query length beyond what the variants require, but coarser
 leakage — the code stream preserves the document's compressed length
 and local repetition at code granularity, and there is no dispersion
-stage.  ``benchmarks/bench_index_designs.py`` measures the triangle.
+stage.  ``python -m repro.bench index_designs`` measures the triangle
+(``benchmarks/results/index_designs.txt``).
 """
 
 from __future__ import annotations

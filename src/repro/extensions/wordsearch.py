@@ -20,7 +20,8 @@ just using SWP):
 * storage is exactly one cell per word (16 bytes), independent of
   chunk-size choices.
 
-``benchmarks/bench_extensions.py`` measures both schemes side by side.
+``python -m repro.bench wordsearch`` measures both schemes side by side
+(``benchmarks/results/wordsearch.txt``).
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ and index records in these files exactly as the paper prescribes
 is used to store index records and the records themselves").
 """
 
-from repro.errors import BucketUnavailableError, InsertFailedError, SDDSError
+from repro.errors import BucketUnavailableError, SDDSError
 from repro.net.faults import RetryExhaustedError, RetryPolicy
 from repro.sdds.hashing import client_address, forward_address, image_adjust
 from repro.sdds.lhstar import DEFAULT_RETRY_POLICY, LHStarClient, LHStarFile
@@ -46,7 +46,6 @@ __all__ = [
     "RetryPolicy",
     "RetryExhaustedError",
     "SDDSError",
-    "InsertFailedError",
     "BucketUnavailableError",
     "DEFAULT_RETRY_POLICY",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Hashable, Protocol
 
-from repro.errors import BucketUnavailableError, InsertFailedError
+from repro.errors import BucketUnavailableError, SDDSError
 from repro.net.faults import RetryExhaustedError, RetryPolicy
 from repro.net.simulator import Message, Network, Node, Timer, Transport
 from repro.obs.metrics import inc as metric_inc
@@ -1728,9 +1728,7 @@ class LHStarFile(FileView):
     def insert(self, key: int, content: bytes) -> None:
         op = self.client.start_keyed("insert", key, content)
         self.network.run()
-        reply = self.client.take_reply(op)
-        if not reply["ok"]:
-            raise InsertFailedError(f"insert of key {key} failed")
+        self.client.take_reply(op)
 
     def lookup(self, key: int) -> bytes | None:
         op = self.client.start_keyed("lookup", key)
@@ -1790,8 +1788,18 @@ class LHStarFile(FileView):
             ops = [client.start_keyed(*operation)
                    for client, operation in window]
             self.network.run()
-            for (client, operation), op in zip(window, ops):
-                reply = client.take_reply(op)
+            # Take every reply of the window before raising the first
+            # failure, so no client keeps a stray reply.
+            replies = []
+            failure = None
+            for client, op in zip(pool, ops):
+                try:
+                    replies.append(client.take_reply(op))
+                except SDDSError as error:
+                    failure = failure or error
+            if failure is not None:
+                raise failure
+            for (__, operation), reply in zip(window, replies):
                 kind = operation[0]
                 if kind == "insert":
                     results.append(None)

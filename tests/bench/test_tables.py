@@ -1,6 +1,6 @@
 """Table rendering."""
 
-from repro.bench.tables import TableResult, render_table, slugify, to_csv
+from repro.bench.tables import TableResult, render_table
 
 
 class TestRendering:
@@ -36,20 +36,3 @@ class TestRendering:
         lines = table.render().splitlines()
         assert len(lines[-1]) == len(lines[-2])
 
-
-class TestCsv:
-    def test_round_trippable_csv(self):
-        import csv
-        import io
-
-        table = TableResult("T", ["a", "b"])
-        table.add_row("x, with comma", 12345)
-        rows = list(csv.reader(io.StringIO(to_csv(table))))
-        assert rows[0] == ["a", "b"]
-        assert rows[1] == ["x, with comma", "12,345"]
-
-    def test_slugify(self):
-        assert slugify("Table 1: chi^2-values (full)") == \
-            "table-1-chi-2-values-full"
-        assert slugify("___") == ""
-        assert len(slugify("x" * 300)) <= 80

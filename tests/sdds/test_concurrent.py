@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import JitterLatencyModel, Network
-from repro.sdds import LHStarFile, Record, client_address
+from repro.sdds import (
+    BucketUnavailableError,
+    LHStarFile,
+    Record,
+    client_address,
+)
 
 
 class InFlight:
@@ -99,6 +104,20 @@ class TestConcurrentBatches:
             assert not client._pending_keyed
             assert not client.responses
         assert file.lookup(1) is None
+
+    def test_failed_window_leaves_no_stray_reply(self):
+        """One reply of a window raising does not strand the replies
+        of the window's later clients."""
+        file = LHStarFile(bucket_capacity=4)
+        for k in range(16):
+            file.insert(k, b"v\x00")
+        assert file.bucket_count == 4
+        file.network.crash(file.bucket_id(1))
+        with pytest.raises(BucketUnavailableError):
+            file.run_concurrent([("lookup", k) for k in (1, 0, 2, 4)],
+                                concurrency=4)
+        assert [len(client.responses) for client in file.clients] == \
+            [0] * len(file.clients)
 
     @pytest.mark.parametrize("concurrency", [1, 3, 8])
     def test_at_most_concurrency_in_flight(self, concurrency):

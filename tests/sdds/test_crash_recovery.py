@@ -18,7 +18,6 @@ from repro.core.search import (
 )
 from repro.errors import (
     BucketUnavailableError,
-    InsertFailedError,
     ReproError,
     SDDSError,
 )
@@ -298,12 +297,10 @@ class TestErrorHierarchy:
         assert issubclass(SDDSError, ReproError)
         assert issubclass(BucketUnavailableError, SDDSError)
         assert issubclass(RetryExhaustedError, SDDSError)
-        assert issubclass(InsertFailedError, SDDSError)
         # Backwards compatibility: existing handlers that caught
         # RuntimeError keep working.
         assert issubclass(BucketUnavailableError, RuntimeError)
         assert issubclass(RetryExhaustedError, RuntimeError)
-        assert issubclass(InsertFailedError, RuntimeError)
 
     def test_retry_exhaustion_still_raised_on_total_loss(self):
         from repro.net import FaultModel
