@@ -47,11 +47,6 @@ def chi_square_uniform(counts: Counter, categories: int) -> float:
     return chi
 
 
-def alphabet_size(counts: Counter) -> int:
-    """Observed-alphabet category count for raw-text censuses."""
-    return len(counts)
-
-
 def chi_square_p_value(chi: float, categories: int) -> float:
     """P(X² >= chi) under H0: uniform, with ``categories - 1`` degrees
     of freedom.

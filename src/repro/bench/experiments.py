@@ -594,9 +594,9 @@ def exp_elasticity(
     assert all(file.lookup(k) is not None for k in survivors)
     table.notes.append(
         "shrink retires the most recent split's bucket back into its "
-        "partner (tombstones redirect stale clients); regrowth "
-        "revives tombstones in place — all survivors verified "
-        "readable after every phase"
+        "partner (tombstones redirect stale clients); a regrowth "
+        "split over a tombstone attaches a fresh bucket node — all "
+        "survivors verified readable after every phase"
     )
     return table
 

@@ -148,16 +148,6 @@ class FusedCodec:
             return None
         return self._translate[site]
 
-    def table_bytes(self) -> int:
-        """Approximate table residency in bytes (memory envelope)."""
-        if self._translate is not None:
-            return 256 * self.sites
-        if self.piece_width == 1:
-            return self.domain * self.sites
-        # list-of-int rows: count the slot, not the int objects
-        # (values <= 65535 are mostly shared small-int-adjacent).
-        return 8 * self.domain * self.sites
-
 
 def _codec_key(
     prp: FeistelPRP | None,

@@ -414,7 +414,7 @@ class EncryptedSearchableStore:
             # The zero-extension only tiles one chunking exactly; the
             # all-groups threshold would reject true matches.
             plan = replace(plan, required_groups=1)
-        scan = self._scan_round([plan], multiplexed=False)
+        scan = self._scan_round([plan])
         (aggregator,) = scan.aggregators
         candidates = aggregator.candidates()
         if anchor_start:
@@ -442,23 +442,19 @@ class EncryptedSearchableStore:
             matches = set(candidates)
         return scan.results([(pattern, candidates, matches)])[0]
 
-    def _scan_round(
-        self, plans: list, multiplexed: bool = True
-    ) -> _ScanRound:
+    def _scan_round(self, plans: list) -> _ScanRound:
         """Ship ``plans`` to every index site in one scan round and
         aggregate the site reports per plan — the part ``search``,
         ``search_all`` and ``search_batch`` share.
 
-        A multiplexed round reports
-        :class:`~repro.core.search._BatchHit`\\ s, demux-tagged only when
-        it actually ships several patterns; the single-plan form of
-        ``search`` reports bare :class:`~repro.core.search.SiteHit`\\ s.
+        Every report is a :class:`~repro.core.search.SiteHit`; a round
+        of several plans tags each with its plan index, a one-plan
+        round ships untagged hits.
         """
-        if multiplexed:
-            matcher = MultiPlanScanMatcher(plans, self.key_codec)
+        if len(plans) == 1:
+            matcher = PlanScanMatcher(plans[0], self.key_codec)
         else:
-            (plan,) = plans
-            matcher = PlanScanMatcher(plan, self.key_codec)
+            matcher = MultiPlanScanMatcher(plans, self.key_codec)
         before = self.network.stats.snapshot()
         started = self.network.now
         replies = self.index_file.scan(
@@ -472,12 +468,11 @@ class EncryptedSearchableStore:
             HitAggregator(plan, layout.chunk_size, origins)
             for plan in plans
         ]
-        if multiplexed:
-            for reports in replies:
-                for report in reports:
-                    aggregators[report.index].add(report.hit)
-        else:
-            aggregators[0].add_all(replies)
+        routed: list[list] = [[] for _ in plans]
+        for hit in replies:
+            routed[hit.plan or 0].append(hit)
+        for aggregator, hits in zip(aggregators, routed):
+            aggregator.add_all(hits)
         return _ScanRound(self.network, before, started, after_scan,
                           aggregators)
 

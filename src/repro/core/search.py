@@ -115,43 +115,31 @@ class IndexKeyCodec:
 
 @dataclass
 class SiteHit:
-    """One site's report for one record: where each alignment matched."""
+    """One site's report for one record: where each alignment matched.
+
+    ``plan`` is the index of the query plan the hit answers when the
+    scan round ships several plans, ``None`` when it ships one — the
+    reply then needs no demultiplexing tag.
+    """
 
     rid: int
     group: int
     site: int
     positions: dict[int, list[int]] = field(default_factory=dict)
+    plan: int | None = None
 
     @property
     def wire_size(self) -> int:
         """Accounted encoded size of this hit on the simulated wire:
-        an 8-byte RID, one byte each for the group and site ids, and
-        per alignment a 2-byte tag plus 4 bytes per chunk position.
-        The scan-reply accounting in :mod:`repro.sdds.lhstar` bills
-        hits through this protocol."""
-        return 10 + sum(
+        an 8-byte RID, one byte each for the group and site ids, a
+        2-byte plan tag when the hit carries one, and per alignment a
+        2-byte tag plus 4 bytes per chunk position.  The scan-reply
+        accounting in :mod:`repro.sdds.lhstar` bills hits through this
+        protocol."""
+        return (10 if self.plan is None else 12) + sum(
             2 + 4 * len(positions)
             for positions in self.positions.values()
         )
-
-
-@dataclass
-class _BatchHit:
-    """One pattern's site hit inside a multiplexed scan reply.
-
-    ``wire_size`` bills the underlying :class:`SiteHit` plus a 2-byte
-    pattern-demultiplexing tag — but only when the round actually
-    ships several patterns.  A single-pattern batch carries no tag,
-    so its accounting is byte-identical to a single-plan search.
-    """
-
-    index: int
-    hit: SiteHit
-    tagged: bool
-
-    @property
-    def wire_size(self) -> int:
-        return (2 if self.tagged else 0) + self.hit.wire_size
 
 
 def _site_partition(
@@ -269,8 +257,10 @@ class MultiPlanScanMatcher:
     """Scan matcher multiplexing several plans in one round
     (``search_all`` / ``search_batch``).
 
-    Each record with a hit reports a list of :class:`_BatchHit`,
-    demux-tagged only when the round actually ships several plans.
+    Reports one :class:`SiteHit` per (record, plan) with a hit, in
+    haystack order and plan order within a record, each tagged with
+    its plan index when the round ships several plans — so a one-plan
+    matcher answers exactly as :class:`PlanScanMatcher` does.
     """
 
     def __init__(
@@ -285,16 +275,15 @@ class MultiPlanScanMatcher:
     def _automaton(self) -> "ScanAutomaton":
         return plans_automaton(self.plans)
 
-    def match_bucket(self, haystack: "BucketHaystack") -> list[list]:
+    def match_bucket(self, haystack: "BucketHaystack") -> list[SiteHit]:
         compiled = self._automaton
         per_plan = [
             bucket_plan_hits(plan, haystack, self.decode, compiled)
             for plan in self.plans
         ]
-        tagged = len(self.plans) > 1
+        tagged = len(per_plan) > 1
         hits = []
         for key in haystack.rids:
-            reports = []
             decoded = None
             for index, per_record in enumerate(per_plan):
                 positions = per_record.get(key)
@@ -302,14 +291,9 @@ class MultiPlanScanMatcher:
                     if decoded is None:
                         decoded = self.decode(key)
                     rid, group, site = decoded
-                    reports.append(_BatchHit(
-                        index,
-                        SiteHit(rid=rid, group=group, site=site,
-                                positions=positions),
-                        tagged,
-                    ))
-            if reports:
-                hits.append(reports)
+                    hits.append(SiteHit(rid=rid, group=group, site=site,
+                                        positions=positions,
+                                        plan=index if tagged else None))
         return hits
 
 

@@ -95,13 +95,6 @@ class Directory:
     def __iter__(self) -> Iterator[PhonebookEntry]:
         return iter(self.entries)
 
-    def name_texts(self) -> Iterator[str]:
-        """The name fields — the corpus all χ² analyses run over."""
-        return (entry.name for entry in self.entries)
-
-    def record_texts(self) -> Iterator[str]:
-        return (entry.record_text for entry in self.entries)
-
     def records(self) -> list[Record]:
         return [entry.to_record() for entry in self.entries]
 

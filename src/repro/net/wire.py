@@ -43,7 +43,7 @@ from repro.net.simulator import Message
 
 #: Wire format version, first byte of every frame body.  Bump on any
 #: incompatible change to tags, framing or the typed-object registry.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: Channel byte: a protocol :class:`Message` billed to NetworkStats.
 CHANNEL_DATA = 0
@@ -295,7 +295,6 @@ def _build_registry() -> None:
         PlanScanMatcher,
         SearchPlan,
         SiteHit,
-        _BatchHit,
     )
     from repro.net.faults import RetryPolicy
     from repro.net.stats import FIELDS as STATS_FIELDS
@@ -338,9 +337,8 @@ def _build_registry() -> None:
          lambda r: (r.rid, r.content),
          lambda f: Record(rid=f[0], content=f[1])),
         (2, SiteHit,
-         lambda h: (h.rid, h.group, h.site, h.positions),
-         lambda f: SiteHit(rid=f[0], group=f[1], site=f[2],
-                           positions=f[3])),
+         lambda h: (h.rid, h.group, h.site, h.positions, h.plan),
+         lambda f: SiteHit(*_exactly(5, f))),
         (3, IndexKeyCodec,
          lambda c: (c.site_bits, c.group_bits),
          lambda f: IndexKeyCodec(site_bits=f[0], group_bits=f[1])),
@@ -357,9 +355,6 @@ def _build_registry() -> None:
         (7, MultiPlanScanMatcher,
          pack_multi_matcher,
          lambda f: MultiPlanScanMatcher(*_exactly(2, f))),
-        (8, _BatchHit,
-         lambda h: (h.index, h.hit, h.tagged),
-         lambda f: _BatchHit(index=f[0], hit=f[1], tagged=f[2])),
         (12, RetryPolicy,
          lambda p: (p.timeout, p.backoff, p.max_retries, p.jitter,
                     p.seed),
@@ -371,9 +366,10 @@ def _build_registry() -> None:
          lambda m: (),
          lambda f: RidScanMatcher()),
         # Retired ids, never to be reused: 6 (version 1's hit-report
-        # factory); 9-11, 15 and 16 (the §8 designs' SWP trapdoor and
-        # scan matchers, dropped in version 3: those designs run on
-        # the simulator only).
+        # factory); 8 (the per-plan hit wrapper, folded into SiteHit's
+        # plan field in version 4); 9-11, 15 and 16 (the §8 designs'
+        # SWP trapdoor and scan matchers, dropped in version 3: those
+        # designs run on the simulator only).
     ]
     _TYPES = {cls: (type_id, pack, unpack)
               for type_id, cls, pack, unpack in table}

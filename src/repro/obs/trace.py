@@ -44,7 +44,6 @@ holds the layer to ``NetworkStats`` parity with uninstrumented runs.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 from collections import deque
@@ -320,12 +319,6 @@ class Tracer:
             handle.write(json.dumps(span.to_dict()))
             handle.write("\n")
         return len(spans)
-
-    def export_jsonl_string(self) -> str:
-        """The JSONL export as a string (doctests, quick inspection)."""
-        buffer = io.StringIO()
-        self._write(list(self.finished), buffer)
-        return buffer.getvalue()
 
 
 def load_jsonl(source: str | IO[str] | Iterable[str]) -> list[Span]:

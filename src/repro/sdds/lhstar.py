@@ -58,9 +58,9 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 #: splits again.
 MERGE_THRASH_BOUND = 0.8
 
-#: Bucket-side idempotence caches (request id -> cached reply) are
-#: bounded LRU; old entries only matter while their operation can
-#: still be retransmitted, which the retry budget bounds tightly.
+#: Entries a node's :class:`ReplyCache` keeps; old entries only
+#: matter while their operation can still be retransmitted, which the
+#: retry budget bounds tightly.
 DEDUP_CACHE_LIMIT = 4096
 
 #: How many times one operation may exhaust a full retry budget and
@@ -93,6 +93,60 @@ class RidScanMatcher:
 
     def __hash__(self) -> int:
         return hash(RidScanMatcher)
+
+
+class ReplyCache:
+    """A node's idempotence table: request id -> (message kind, reply,
+    billed size) of the reply the node sent.
+
+    The node that *executes* a state-changing operation, a scan or a
+    degraded read remembers its reply and replays it verbatim for a
+    redelivered request (retransmission or network duplicate) instead
+    of executing again — so record counts, parity bookkeeping and scan
+    forwarding stay exact.  Holds at most :data:`DEDUP_CACHE_LIMIT`
+    entries and evicts the oldest first.  ``where`` names the node in
+    its ``lh.dedup_replay`` events.
+    """
+
+    __slots__ = ("_node", "_where", "_replies")
+
+    def __init__(self, node: Node, **where: Any) -> None:
+        self._node = node
+        self._where = where
+        self._replies: OrderedDict[
+            Hashable, tuple[str, dict[str, Any], int]
+        ] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._replies)
+
+    def send(
+        self,
+        request: Hashable,
+        client: Hashable,
+        kind: str,
+        reply: dict[str, Any],
+        size: int,
+    ) -> None:
+        """Remember the reply to ``request``, then send it."""
+        self._replies[request] = (kind, reply, size)
+        while len(self._replies) > DEDUP_CACHE_LIMIT:
+            self._replies.popitem(last=False)
+        self._node.send(client, kind, reply, size=size)
+
+    def replay(self, request: Hashable, message: Message) -> bool:
+        """Resend the reply remembered for ``request`` to the client of
+        ``message``; False when no reply is remembered."""
+        cached = self._replies.get(request)
+        if cached is None:
+            return False
+        payload = message.payload
+        obs_emit("lh.dedup_replay", file=self._node.file.name,
+                 kind=message.kind, **self._where, op=payload["op"])
+        metric_inc("lh.dedup_replay")
+        kind, reply, size = cached
+        self._node.send(payload["client"], kind, reply, size=size)
+        return True
 
 
 @dataclass
@@ -172,17 +226,10 @@ class LHStarBucket(Node):
         # not answered from an incomplete state.
         self.pending = pending
         self._buffered: list[Message] = []
-        # Idempotent delivery under retransmission/duplication: the
-        # bucket that *executes* a state-changing operation remembers
-        # its reply per request id (client, op) and replays it for
-        # redelivered requests instead of re-applying the operation —
-        # so record counts and parity bookkeeping stay exact.
-        self._keyed_replies: OrderedDict[
-            tuple[Hashable, int], tuple[dict[str, Any], int]
-        ] = OrderedDict()
-        self._scan_replies: OrderedDict[
-            tuple[Hashable, int], dict[str, Any]
-        ] = OrderedDict()
+        # Replies to inserts, deletes and scans per request id
+        # (client, op): one per-client counter numbers both, so they
+        # share one table.
+        self.replies = ReplyCache(self, bucket=address)
         # Lazily built concatenated view of the resident records for
         # scans; dropped on any record mutation and rebuilt on the
         # next scan (see repro.sdds.haystack).
@@ -348,29 +395,22 @@ class LHStarBucket(Node):
                 hops=message.hops + 1,
             )
             return
-        if message.kind in ("insert", "delete"):
-            request = (message.payload["client"], message.payload["op"])
-            cached = self._keyed_replies.get(request)
-            if cached is not None:
-                obs_emit("lh.dedup_replay", file=self.file.name,
-                         kind=message.kind, bucket=self.address,
-                         op=message.payload["op"])
-                metric_inc("lh.dedup_replay")
-                reply, size = cached
-                self.send(message.payload["client"], "reply", reply,
-                          size=size)
-                return
+        if message.kind in ("insert", "delete") and self._replay(message):
+            return
         getattr(self, "_do_" + message.kind)(message)
+
+    def _replay(self, message: Message) -> bool:
+        """Replay the remembered reply to a redelivered request."""
+        payload = message.payload
+        return self.replies.replay((payload["client"], payload["op"]),
+                                   message)
 
     def _reply_keyed(
         self, payload: dict[str, Any], reply: dict[str, Any], size: int
     ) -> None:
         """Send a keyed-op reply and remember it for redeliveries."""
-        request = (payload["client"], payload["op"])
-        self._keyed_replies[request] = (reply, size)
-        while len(self._keyed_replies) > DEDUP_CACHE_LIMIT:
-            self._keyed_replies.popitem(last=False)
-        self.send(payload["client"], "reply", reply, size=size)
+        self.replies.send((payload["client"], payload["op"]),
+                          payload["client"], "reply", reply, size)
 
     def _do_insert(self, message: Message) -> None:
         payload = message.payload
@@ -440,27 +480,13 @@ class LHStarBucket(Node):
     # -- scan ---------------------------------------------------------------
 
     def _handle_scan(self, message: Message) -> None:
-        payload = message.payload
-        request = (payload["client"], payload["op"])
-        cached = self._scan_replies.get(request)
-        if cached is not None:
-            # Redelivered scan (retransmission or network duplicate):
-            # replay the reply verbatim.  The children we forwarded to
-            # the first time are listed in it, so the client can chase
-            # any of their missing coverage directly — no re-forward.
-            obs_emit("lh.dedup_replay", file=self.file.name,
-                     kind="scan", bucket=self.address,
-                     op=payload["op"])
-            metric_inc("lh.dedup_replay")
-            self.send(
-                payload["client"],
-                "scan_reply",
-                cached,
-                size=HEADER_SIZE + sum(
-                    _hit_size(hit) for hit in cached["hits"]
-                ),
-            )
+        if self._replay(message):
+            # Redelivered scan: the children we forwarded to the first
+            # time are listed in the replayed reply, so the client can
+            # chase any of their missing coverage directly — no
+            # re-forward.
             return
+        payload = message.payload
         presumed = payload["level"]
         # Deterministic-termination forwarding: cover the buckets the
         # client's image did not know about.
@@ -491,14 +517,12 @@ class LHStarBucket(Node):
             # in the header allowance; lets the client retry precisely.
             "forwarded": children,
         }
-        self._scan_replies[request] = reply
-        while len(self._scan_replies) > DEDUP_CACHE_LIMIT:
-            self._scan_replies.popitem(last=False)
-        self.send(
+        self.replies.send(
+            (payload["client"], payload["op"]),
             payload["client"],
             "scan_reply",
             reply,
-            size=HEADER_SIZE + sum(_hit_size(hit) for hit in hits),
+            HEADER_SIZE + sum(_hit_size(hit) for hit in hits),
         )
 
     # -- crash recovery -------------------------------------------------------
@@ -1824,10 +1848,7 @@ def _hit_size(hit: Any) -> int:
 
     Hit objects that know their encoded size expose a ``wire_size``
     attribute (e.g. :class:`~repro.core.search.SiteHit`); containers
-    are accounted element-wise; bare scalars cost 8 bytes.  Before the
-    ``wire_size`` protocol, every structured hit was billed a flat
-    8 bytes regardless of its positions payload, systematically
-    under-reporting scan bandwidth.
+    are accounted element-wise; bare scalars cost 8 bytes.
     """
     wire = getattr(hit, "wire_size", None)
     if wire is not None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
 from repro.errors import BucketUnavailableError
@@ -38,10 +37,10 @@ from repro.obs.trace import emit as obs_emit
 from repro.obs.trace import span as obs_span
 from repro.sdds.haystack import BucketHaystack
 from repro.sdds.lhstar import (
-    DEDUP_CACHE_LIMIT,
     HEADER_SIZE,
     MAX_ESCALATIONS,
     LHStarFile,
+    ReplyCache,
     _hit_size,
 )
 from repro.sdds.records import RECORD_OVERHEAD, Record
@@ -157,12 +156,10 @@ class ParityBucket(Node):
         self._gathers: dict[int, _ParityGather] = {}
         self._gather_ids = itertools.count()
         # Degraded-read idempotence under client retransmission:
-        # request id -> finished reply, replayed verbatim; plus the
+        # finished replies per request id, replayed verbatim; plus the
         # set of requests whose gather is still in flight (duplicates
         # are absorbed — the reply is already on its way).
-        self._reply_cache: OrderedDict[
-            tuple[Hashable, int, int], tuple[str, dict[str, Any], int]
-        ] = OrderedDict()
+        self.replies = ReplyCache(self, group=group)
         self._inflight: set[tuple[Hashable, int, int]] = set()
 
     def handle(self, message: Message) -> None:
@@ -197,9 +194,6 @@ class ParityBucket(Node):
         slot.rids[offset] = payload["rid"]
         slot.lengths[offset] = payload["length"]
 
-    def slot_view(self, rank: int) -> _ParitySlot | None:
-        return self.slots.get(rank)
-
     # -- degraded reads and recovery gathers ---------------------------------
 
     def _request_id(
@@ -209,14 +203,7 @@ class ParityBucket(Node):
 
     def _handle_degraded(self, message: Message) -> None:
         request = self._request_id(message.payload)
-        cached = self._reply_cache.get(request)
-        if cached is not None:
-            obs_emit("lh.dedup_replay", file=self.file.name,
-                     kind=message.kind, group=self.group,
-                     op=message.payload["op"])
-            metric_inc("lh.dedup_replay")
-            kind, reply, size = cached
-            self.send(message.payload["client"], kind, reply, size=size)
+        if self.replies.replay(request, message):
             return
         if request in self._inflight:
             return  # gather already running; its reply is coming
@@ -510,10 +497,7 @@ class ParityBucket(Node):
     ) -> None:
         request = self._request_id(payload)
         self._inflight.discard(request)
-        self._reply_cache[request] = (kind, reply, size)
-        while len(self._reply_cache) > DEDUP_CACHE_LIMIT:
-            self._reply_cache.popitem(last=False)
-        self.send(payload["client"], kind, reply, size=size)
+        self.replies.send(request, payload["client"], kind, reply, size)
 
     def _finish_lookup(
         self, payload: dict[str, Any], content: bytes | None

@@ -183,6 +183,15 @@ class TestCaches:
             "needles_automaton", "needles_automaton",
             "plans_automaton", "plans_automaton",
         ]
+        # A one-plan multiplexed matcher answers as the plan matcher
+        # does: the same untagged hits, billed the same.
+        from repro.sdds.lhstar import _hit_size
+
+        single, multi = (matcher.match_bucket(hay())
+                         for matcher in matchers[:2])
+        assert single and multi == single
+        assert {hit.plan for hit in multi} == {None}
+        assert list(map(_hit_size, multi)) == list(map(_hit_size, single))
 
     def test_needles_automaton_counts_distinct_needles(self):
         repeated = needles_automaton(

@@ -102,7 +102,7 @@ def count_the_groups_candidates(store, pattern):
     """The candidate set of the rule this one replaced: enough groups
     hit, wherever they hit."""
     plan = store.pipeline.plan_query(store._pattern_bytes(pattern))
-    (aggregator,) = store._scan_round([plan], multiplexed=False).aggregators
+    (aggregator,) = store._scan_round([plan]).aggregators
     return {
         rid for rid in store._rids
         if len(aggregator.group_hits(rid)) >= plan.required_groups

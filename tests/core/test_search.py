@@ -1,15 +1,19 @@
 """Aligned matching and hit aggregation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.search import (
     HitAggregator,
+    MultiPlanScanMatcher,
     PlanScanMatcher,
     SearchPlan,
     SiteHit,
     aligned_find,
 )
 from repro.sdds.haystack import BucketHaystack
+from tests.oracle import reference_match
 
 
 class TestAlignedFind:
@@ -83,6 +87,29 @@ class TestMatchSite:
     def test_request_size_counts_all_needles(self):
         plan = make_plan(sites=2, groups=2, alignments=(0, 1))
         assert plan.request_size() == 8  # 2*2*2 needles of 1 byte
+
+
+class TestMultiPlanReply:
+    def test_two_plans_reply_one_flat_tagged_list(self):
+        """Several plans answer in one flat SiteHit list: haystack
+        order, plan order within a record, each hit tagged with its
+        plan index and billed 2 bytes for the tag."""
+        first = make_plan(sites=1, groups=1, alignments=(0,), required=1)
+        second = replace(first, needles={(0, 0): (bytes([7]),)})
+        matcher = MultiPlanScanMatcher([first, second],
+                                       lambda key: (key, 0, 0))
+        haystack = BucketHaystack.from_segments([
+            (3, bytes([0, 7])), (1, bytes([7])), (2, bytes([9])),
+        ])
+        hits = matcher.match_bucket(haystack)
+        assert hits == [
+            SiteHit(rid=3, group=0, site=0, positions={0: [0]}, plan=0),
+            SiteHit(rid=3, group=0, site=0, positions={0: [1]}, plan=1),
+            SiteHit(rid=1, group=0, site=0, positions={0: [0]}, plan=1),
+        ]
+        assert hits == reference_match(matcher, haystack)
+        assert [hit.wire_size for hit in hits] == [18, 18, 18]
+        assert replace(hits[0], plan=None).wire_size == 16
 
 
 def make_aggregator(plan, chunk_size=4):

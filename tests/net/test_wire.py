@@ -19,7 +19,6 @@ from repro.core.search import (
     PlanScanMatcher,
     SearchPlan,
     SiteHit,
-    _BatchHit,
 )
 from repro.extensions.compressed_index import CompressedScanMatcher
 from repro.extensions.swp import SwpCipher
@@ -196,20 +195,19 @@ class TestTypedObjects:
         assert back.wire_size == record.wire_size
 
     def test_site_hit(self):
-        hit = SiteHit(rid=4, group=1, site=0,
-                      positions={0: [1, 5], 2: [3]})
-        back = roundtrip(hit)
-        assert back == hit
-        assert back.wire_size == hit.wire_size
+        for plan in (None, 2):
+            hit = SiteHit(rid=4, group=1, site=0,
+                          positions={0: [1, 5], 2: [3]}, plan=plan)
+            back = roundtrip(hit)
+            assert back == hit
+            assert back.wire_size == hit.wire_size
 
-    def test_batch_hit(self):
-        hit = _BatchHit(index=2,
-                        hit=SiteHit(rid=1, group=0, site=1,
-                                    positions={0: [0]}),
-                        tagged=True)
-        back = roundtrip(hit)
-        assert back == hit
-        assert back.wire_size == hit.wire_size
+    def test_version_3_site_hit_rejected(self):
+        """Wire version 3 shipped a hit as four fields; the plan tag
+        makes five, and a four-field tuple must not decode."""
+        fields = (1, 0, 1, {0: [0]})
+        with pytest.raises(WireDecodeError, match="expected 5 fields"):
+            decode_value(b"O" + bytes([2]) + encode_value(fields))
 
     def test_index_key_codec(self):
         codec = IndexKeyCodec(site_bits=2, group_bits=3)
@@ -243,9 +241,8 @@ class TestTypedObjects:
         assert back.plans == plans
         # Demux tags (2 billed bytes per hit) iff several plans ship.
         assert {
-            report.tagged
-            for reports in bucket_hits(back, PLAN_RECORDS, per_bucket)
-            for report in reports
+            hit.plan is not None
+            for hit in bucket_hits(back, PLAN_RECORDS, per_bucket)
         } == {tagged}
 
     def test_matcher_with_foreign_decode_refuses(self):
@@ -258,7 +255,7 @@ class TestTypedObjects:
         the LH* file's own matcher and the transport's types."""
         assert sorted(type_id for type_id, _pack, _unpack
                       in _registry().values()) == [
-            1, 2, 3, 4, 5, 7, 8, 12, 13, 14]
+            1, 2, 3, 4, 5, 7, 12, 13, 14]
 
     @pytest.mark.parametrize("value", [
         WordScanMatcher((SwpCipher(b"wire-test").trapdoor("WORLD"),)),
@@ -288,11 +285,13 @@ class TestTypedObjects:
             encode_value(matcher)
         )
 
-    @pytest.mark.parametrize("type_id", [6, 9, 10, 11, 15, 16])
+    @pytest.mark.parametrize("type_id", [6, 8, 9, 10, 11, 15, 16])
     def test_retired_type_id_rejected(self, type_id):
-        """Type 6 was version 1's hit-report factory; 9-11, 15 and 16
-        the §8 designs' SWP trapdoor and scan matchers, dropped in
-        version 3.  Each is gone, not reassigned."""
+        """Type 6 was version 1's hit-report factory; 8 the per-plan
+        hit wrapper, folded into the hit's plan field in version 4;
+        9-11, 15 and 16 the §8 designs' SWP trapdoor and scan
+        matchers, dropped in version 3.  Each is gone, not
+        reassigned."""
         with pytest.raises(WireDecodeError, match=f"type id {type_id}"):
             decode_value(b"O" + bytes([type_id]) + encode_value((True,)))
 
@@ -447,11 +446,12 @@ class TestFraming:
 
     def test_version_1_frame_rejected(self):
         """Version 2 dropped the matchers' flag fields and type 6,
-        version 3 the §8 types: a peer still speaking an older version
-        is refused at the frame."""
-        assert WIRE_VERSION == 3
+        version 3 the §8 types, version 4 type 8 and the four-field
+        hit: a peer still speaking an older version is refused at the
+        frame."""
+        assert WIRE_VERSION == 4
         frame = bytearray(encode_frame(CHANNEL_DATA, 1))
-        for old in (1, 2):
+        for old in (1, 2, 3):
             frame[4] = old
             with pytest.raises(WireDecodeError, match="version"):
                 decode_frame_body(bytes(frame)[4:])

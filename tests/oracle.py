@@ -46,7 +46,6 @@ from repro.core.search import (
     MultiPlanScanMatcher,
     PlanScanMatcher,
     SiteHit,
-    _BatchHit,
     aligned_find,
 )
 from repro.extensions import compressed_index
@@ -145,14 +144,12 @@ def multi_plan_match_bucket(matcher, haystack):
     hits = []
     for key, stream in _records(haystack):
         rid, group, site = matcher.decode(key)
-        reports = [
-            _BatchHit(index, SiteHit(rid=rid, group=group, site=site,
-                                     positions=positions), tagged)
-            for index, plan in enumerate(matcher.plans)
-            if (positions := site_positions(plan, group, site, stream))
-        ]
-        if reports:
-            hits.append(reports)
+        for index, plan in enumerate(matcher.plans):
+            positions = site_positions(plan, group, site, stream)
+            if positions:
+                hits.append(SiteHit(rid=rid, group=group, site=site,
+                                    positions=positions,
+                                    plan=index if tagged else None))
     return hits
 
 

@@ -187,7 +187,10 @@ def test_handle_scan_needs_only_send_from_its_network():
     bucket = file.buckets[0]
     bucket.network = SendOnlyNetwork()
     client = file.client_id(0)
-    for op in (1, 2):                    # second scan: haystack reused
+    # Fresh op ids: the client numbered its four inserts 0-3, and a
+    # bucket keeps one reply table for every request kind.  The
+    # second scan reuses the haystack.
+    for op in (4, 5):
         bucket.handle(Message(
             src=client, dst=bucket.node_id, kind="scan",
             payload={"op": op, "client": client, "level": 0,
