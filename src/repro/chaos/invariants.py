@@ -284,7 +284,7 @@ def check_post_heal_levels(
     """After heal, live buckets carry the level LH* addressing
     dictates for the final ``(i, n)`` — merges dropped the level back
     exactly where membership says it belongs."""
-    from repro.sdds.lhstar import bucket_level
+    from repro.sdds.hashing import bucket_level
 
     i, n = state
     count = (1 << i) + n

@@ -75,7 +75,9 @@ from repro.net import wire
 from repro.net.faults import FaultModel
 from repro.net.simulator import Message, Timer, Transport
 from repro.obs import metrics as obs_metrics
-from repro.sdds.lhstar import FileView, LHStarBucket, LHStarCoordinator
+from repro.sdds.bucket import LHStarBucket
+from repro.sdds.coordinator import LHStarCoordinator
+from repro.sdds.file import FileView
 from repro.sdds.lhstar_rs import ParityBookkeeping, ParityBucket
 
 log = logging.getLogger("repro.net.serve")
