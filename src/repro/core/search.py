@@ -337,15 +337,6 @@ class HitAggregator:
             )
         return common
 
-    def _group_hit(
-        self, sites: dict[int, dict[int, list[int]]]
-    ) -> bool:
-        """Some alignment passes the within-group rule."""
-        return any(
-            self._common(sites, alignment)
-            for alignment in self.plan.alignments
-        )
-
     def candidates(self) -> set[int]:
         """RIDs for which ``required_groups`` groups agree on one
         pattern start."""
@@ -375,15 +366,6 @@ class HitAggregator:
             if best >= required:
                 result.add(rid)
         return result
-
-    def group_hits(self, rid: int) -> list[int]:
-        """Which chunking groups hit for ``rid`` (diagnostics)."""
-        groups = self._reports.get(rid, {})
-        return sorted(
-            group
-            for group, sites in groups.items()
-            if self._group_hit(sites)
-        )
 
     def intersected_positions(
         self, rid: int, group: int, alignment: int

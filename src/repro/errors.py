@@ -41,6 +41,12 @@ class BucketUnavailableError(SDDSError, RuntimeError):
     """
 
 
+class OperationPendingError(ReproError, RuntimeError):
+    """A caller took the result of an operation that is not done (still
+    in flight, never started or already taken): not a fault of the file,
+    so not an :class:`SDDSError`."""
+
+
 class UnknownNodeError(SDDSError, KeyError):
     """A network operation named a node id that is not attached.
 

@@ -7,7 +7,7 @@ an agreement — for every stored chunking offset, padded or dropped
 head chunk, symbol width, dispersal degree and aggregation mode.  The
 properties below check exactly that, against brute-force substring
 search, and that the rule only ever *removes* candidates of the older
-count-the-groups rule (still available as ``group_hits``).
+count-the-groups rule (rebuilt here from ``intersected_positions``).
 """
 
 from contextlib import nullcontext
@@ -103,9 +103,16 @@ def count_the_groups_candidates(store, pattern):
     hit, wherever they hit."""
     plan = store.pipeline.plan_query(store._pattern_bytes(pattern))
     (aggregator,) = store._scan_round([plan]).aggregators
+    def groups_hit(rid):
+        return sum(
+            any(aggregator.intersected_positions(rid, group, alignment)
+                for alignment in plan.alignments)
+            for group in range(plan.group_count)
+        )
+
     return {
         rid for rid in store._rids
-        if len(aggregator.group_hits(rid)) >= plan.required_groups
+        if groups_hit(rid) >= plan.required_groups
     }
 
 

@@ -167,7 +167,8 @@ class TestAggregation:
         agg = make_aggregator(plan)
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [1]}))
         agg.add(SiteHit(rid=1, group=1, site=0, positions={1: [7]}))
-        assert agg.group_hits(1) == [0, 1]
+        assert agg.intersected_positions(1, 0, 0) == {1}
+        assert agg.intersected_positions(1, 1, 1) == {7}
         assert agg.candidates() == set()
 
     def test_padded_head_chunk_shifts_the_origin(self):
@@ -192,10 +193,3 @@ class TestAggregation:
         agg.add(SiteHit(rid=1, group=0, site=0, positions={0: [0]}))
         agg.add(SiteHit(rid=2, group=0, site=0, positions={0: [1]}))
         assert agg.candidates() == {1, 2}
-
-    def test_group_hits_diagnostics(self):
-        plan = make_plan(sites=1, groups=2, alignments=(0,), required=1)
-        agg = make_aggregator(plan)
-        agg.add(SiteHit(rid=1, group=1, site=0, positions={0: [0]}))
-        assert agg.group_hits(1) == [1]
-        assert agg.group_hits(99) == []

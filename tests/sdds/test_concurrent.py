@@ -15,7 +15,7 @@ from repro.sdds import (
 
 class InFlight:
     """A network observer that records, at every delivery, how many
-    keyed operations the file's clients still await replies for."""
+    operations of the file's clients are not done yet."""
 
     def __init__(self, file):
         self.file = file
@@ -26,7 +26,9 @@ class InFlight:
 
     def on_deliver(self, kind, size, latency):
         self.counts.append(sum(
-            len(client._pending_keyed) for client in self.file.clients
+            not operation.done
+            for client in self.file.clients
+            for operation in client.operations.values()
         ))
 
     def on_drop(self, kind, size):
@@ -101,8 +103,7 @@ class TestConcurrentBatches:
                                 concurrency=2)
         assert file.network.stats.messages == before
         for client in file.clients:
-            assert not client._pending_keyed
-            assert not client.responses
+            assert not client.operations
         assert file.lookup(1) is None
 
     def test_failed_window_leaves_no_stray_reply(self):
@@ -116,7 +117,7 @@ class TestConcurrentBatches:
         with pytest.raises(BucketUnavailableError):
             file.run_concurrent([("lookup", k) for k in (1, 0, 2, 4)],
                                 concurrency=4)
-        assert [len(client.responses) for client in file.clients] == \
+        assert [len(client.operations) for client in file.clients] == \
             [0] * len(file.clients)
 
     @pytest.mark.parametrize("concurrency", [1, 3, 8])
