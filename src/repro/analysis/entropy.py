@@ -4,17 +4,15 @@ Section 6 of the paper reasons about the information content of index
 records: "a letter in an English text contains between 2 and 3 bits of
 information ... storing only 2 bits for each byte should be safe",
 then qualifies that with Shannon's ~1-bit-per-letter result for
-contextual prediction.  These estimators make those numbers measurable
-on our corpora and on the scheme's encoded streams.
+contextual prediction.  These estimators measure the per-symbol
+entropy and redundancy of our corpora and of the scheme's encoded
+streams.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
-
-from repro.analysis.ngrams import ngram_counts
 
 
 def shannon_entropy(counts: Counter) -> float:
@@ -27,27 +25,6 @@ def shannon_entropy(counts: Counter) -> float:
         p = count / total
         entropy -= p * math.log2(p)
     return entropy
-
-
-def ngram_entropy(sequences: Iterable[Sequence], n: int) -> float:
-    """Entropy of the n-gram distribution, in bits per n-gram."""
-    return shannon_entropy(ngram_counts(sequences, n))
-
-
-def conditional_entropy_rate(sequences: list[Sequence], n: int) -> float:
-    """H(X_n | X_1..X_{n-1}) — the block-entropy estimate of the
-    per-symbol entropy rate.
-
-    This is Shannon's estimator: entropy of n-grams minus entropy of
-    (n−1)-grams.  For n=1 it degenerates to the unigram entropy.  As n
-    grows the estimate approaches the true rate (~1 bit/letter for
-    English prose per Shannon 1951); names are less predictable.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return ngram_entropy(sequences, 1)
-    return ngram_entropy(sequences, n) - ngram_entropy(sequences, n - 1)
 
 
 def redundancy(counts: Counter, alphabet: int) -> float:

@@ -15,11 +15,7 @@ from repro.analysis.attack import frequency_match_attack
 from repro.analysis.chisq import ngram_chi_square
 from repro.analysis.ngrams import ngram_counts, top_ngrams
 from repro.analysis.randomness import randomness_battery
-from repro.bench.falsepos import (
-    fp_chunk_encoding,
-    fp_symbol_chunked,
-    fp_symbol_encoding,
-)
+from repro.bench.falsepos import fp_chunk_encoding, fp_symbol_chunked
 from repro.bench.tables import TableResult
 from repro.core.chunking import StorageLayout, query_series, record_chunks
 from repro.core.config import SchemeParameters

@@ -6,21 +6,22 @@ containing the name.  Ground truth is raw substring occurrence in the
 record's name text — "we did not count the occurrence of 'ADAMS' in
 'ADAMSON' as a false positive, since the string occurs".
 
-Three measurement modes, matching the paper's three columns:
+Two measurement modes cover the paper's three columns:
 
-* :func:`fp_symbol_encoding` (Table 4 FP1) — every symbol replaced by
-  its Stage-2 bucket code; plain substring search on the code stream.
-* :func:`fp_symbol_chunked` (Table 4 FP2) — the code stream chunked
-  with chunk size 2 in both offsets (incomplete edge chunks deleted,
-  as §7 describes); a search hits when any query series matches
-  chunk-aligned in either chunking.
+* :func:`fp_symbol_chunked` (Table 4) — every symbol replaced by its
+  Stage-2 bucket code.  FP1 is plain substring search on the code
+  stream (``baseline_false_positives``); FP2 chunks the stream with
+  chunk size 2 in both offsets (incomplete edge chunks deleted, as §7
+  describes), and a search hits when any query series matches
+  chunk-aligned in either chunking.  With ``chunk=1`` both counts are
+  FP1.
 * :func:`fp_chunk_encoding` (Table 5) — two-symbol chunks encoded
   directly into one code each, two chunkings; the query's two series
   are matched at chunk granularity.
 
-All three return an :class:`FPOutcome` with the hit/false-positive
-counts plus the χ² statistics of the encoded record streams, which the
-paper prints alongside.
+Both return an :class:`FPOutcome` with the hit/false-positive counts
+plus the χ² statistics of the encoded record streams, which the paper
+prints alongside.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ class FPOutcome:
     baseline_false_positives: int | None = None
 
 
-def _truth_table(
-    names: list[str], queries: list[str]
-) -> list[list[bool]]:
-    """truth[q][r]: does query q occur in record r's name text?"""
-    return [[query in name for name in names] for query in queries]
-
-
 def _chi(streams: list[bytes], n_codes: int) -> tuple[float, float, float]:
     single, __ = ngram_chi_square(streams, 1, symbol_space=n_codes)
     double, __ = ngram_chi_square(streams, 2, symbol_space=n_codes)
@@ -73,40 +67,6 @@ def _queries_of(
         for entry in entries
         if len(entry.last_name) > min_name_length
     ]
-
-
-def fp_symbol_encoding(
-    entries: list[PhonebookEntry],
-    n_codes: int,
-    min_name_length: int = 0,
-    encoder: FrequencyEncoder | None = None,
-) -> FPOutcome:
-    """Table 4, FP1: per-symbol encoding, unchunked substring search."""
-    names = [entry.name for entry in entries]
-    raw = [name.encode("ascii") for name in names]
-    if encoder is None:
-        encoder = FrequencyEncoder.train(raw, 1, n_codes)
-    streams = [encoder.encode_symbols(text) for text in raw]
-    queries = _queries_of(entries, min_name_length)
-    hits = fps = 0
-    for query in queries:
-        needle = encoder.encode_symbols(query.encode("ascii"))
-        for name, stream in zip(names, streams):
-            if needle in stream:
-                if query in name:
-                    hits += 1
-                else:
-                    fps += 1
-    single, double, triple = _chi(streams, n_codes)
-    return FPOutcome(
-        n_codes=n_codes,
-        chi_single=single,
-        chi_double=double,
-        chi_triple=triple,
-        searches=len(queries),
-        true_hits=hits,
-        false_positives=fps,
-    )
 
 
 def fp_symbol_chunked(

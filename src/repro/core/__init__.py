@@ -27,7 +27,6 @@ from repro.core.encoder import FrequencyEncoder, census_chunks
 from repro.core.errors import (
     ConfigurationError,
     QueryTooShortError,
-    RecordNotFoundError,
     SchemeError,
 )
 from repro.core.index import IndexPipeline
@@ -68,5 +67,4 @@ __all__ = [
     "SchemeError",
     "ConfigurationError",
     "QueryTooShortError",
-    "RecordNotFoundError",
 ]

@@ -265,8 +265,3 @@ class FrequencyEncoder:
             ),
             key=lambda row: (-row[1], row[0]),
         )
-
-    def compression_ratio(self) -> float:
-        """Bits out per bits in: code bits / (8 · chunk size)."""
-        code_bits = max(1, (self.n_codes - 1).bit_length())
-        return code_bits / (8 * self.chunk_size)

@@ -18,20 +18,3 @@ class QueryTooShortError(SchemeError):
     search strings of length less than s", and section 2.5 derives the
     stricter minima for the reduced-storage layouts.
     """
-
-
-class RecordNotFoundError(SchemeError, KeyError):
-    """A store operation named a rid with no stored record.
-
-    Raised by owner-side decryption helpers (e.g.
-    ``EncryptedWordStore.decrypt_index_of``) instead of the historic
-    bare ``KeyError``, so callers can catch the scheme family.  The
-    ``KeyError`` base is kept for callers that predate the typed
-    hierarchy.
-    """
-
-    def __str__(self) -> str:
-        # KeyError.__str__ reprs its single argument, which would wrap
-        # the message in quotes; report it verbatim like the rest of
-        # the family.
-        return Exception.__str__(self)

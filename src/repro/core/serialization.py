@@ -4,8 +4,7 @@ A deployment trains the Stage-2 encoder once on a representative
 corpus, then ships the same artifact to every client — otherwise
 searches would not match the stored streams.  These helpers serialise
 the trained state to plain JSON-compatible dicts (and strings), with
-strict validation on load.  (The §8 pair compressor persists in the
-same format, next to its class.)
+strict validation on load.
 
 Scheme parameters serialise too, so a whole configuration can live in
 a config file:

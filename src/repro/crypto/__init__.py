@@ -4,9 +4,8 @@ The paper needs two distinct encryption tools:
 
 1. **Strong encryption for the record store.**  "We strongly encrypt the
    records themselves."  We provide AES (implemented from scratch
-   against FIPS-197, validated by the official test vectors) in CBC and
-   CTR modes with PKCS#7 padding and per-record IVs derived from the
-   record identifier.
+   against FIPS-197, validated by the official test vectors) in CTR
+   mode with a per-record nonce derived from the record identifier.
 
 2. **A deterministic pseudo-random permutation (ECB) on chunk-sized
    domains.**  Stage 1 encrypts each chunk independently with ECB so
@@ -24,24 +23,14 @@ and each dispersal site from one master secret.
 from repro.crypto.aes import AES
 from repro.crypto.feistel import FeistelPRP
 from repro.crypto.keys import KeyHierarchy
-from repro.crypto.modes import (
-    CbcCipher,
-    CtrCipher,
-    EcbCipher,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.crypto.modes import CtrCipher
 from repro.crypto.prf import hkdf_derive, hmac_sha256, prf_int
 
 __all__ = [
     "AES",
     "FeistelPRP",
     "KeyHierarchy",
-    "EcbCipher",
-    "CbcCipher",
     "CtrCipher",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "hmac_sha256",
     "hkdf_derive",
     "prf_int",

@@ -10,10 +10,10 @@ This is the "strong encryption" of the paper's record store, so
 :meth:`AES.encrypt_block` sits on every put and get and runs the round
 as T-tables over four 32-bit column words, built at import from the
 first-principles S-box below (``tests/crypto/reference_aes.py`` keeps
-the step-by-step round as the oracle).  Decryption stays step-by-step:
-no mode on a hot path calls it — CTR decrypts by encrypting.  A plain
-software AES with no constant-time claims, which is fine for a
-simulation study.
+the step-by-step round as the oracle).  Only the forward cipher is
+built: CTR decrypts by encrypting, and the SWP word image is matched,
+never decrypted.  A plain software AES with no constant-time claims,
+which is fine for a simulation study.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     """Generate the S-box from first principles (inverse + affine map)."""
     # Multiplicative inverses, with inv(0) := 0.
     inverse = [0] * 256
@@ -44,7 +44,6 @@ def _build_sbox() -> tuple[list[int], list[int]]:
                 inverse[x] = y
                 break
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for x in range(256):
         b = inverse[x]
         value = 0x63
@@ -52,11 +51,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             rotated = ((b << shift) | (b >> (8 - shift))) & 0xFF
             value ^= rotated
         sbox[x] = value
-        inv_sbox[value] = x
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 _RCON = [0x01]
 while len(_RCON) < 14:
     _RCON.append(_gf_mul(_RCON[-1], 2))
@@ -64,10 +62,6 @@ while len(_RCON) < 14:
 # Precomputed xtime-style multiplication tables for MixColumns.
 _MUL2 = [_gf_mul(x, 2) for x in range(256)]
 _MUL3 = [_gf_mul(x, 3) for x in range(256)]
-_MUL9 = [_gf_mul(x, 9) for x in range(256)]
-_MUL11 = [_gf_mul(x, 11) for x in range(256)]
-_MUL13 = [_gf_mul(x, 13) for x in range(256)]
-_MUL14 = [_gf_mul(x, 14) for x in range(256)]
 
 # Encryption T-tables.  The MixColumns matrix has first column
 # (2, 1, 1, 3), so an S-boxed byte in row 0 contributes the word
@@ -83,11 +77,10 @@ _T3 = [(t >> 8) | ((t & 0xFF) << 24) for t in _T2]
 class AES:
     """A raw AES block cipher over 16-byte blocks.
 
-    >>> key = bytes(range(16))
-    >>> aes = AES(key)
-    >>> block = bytes(16)
-    >>> aes.decrypt_block(aes.encrypt_block(block)) == block
-    True
+    >>> aes = AES(bytes.fromhex("000102030405060708090a0b0c0d0e0f"))
+    >>> aes.encrypt_block(bytes.fromhex(
+    ...     "00112233445566778899aabbccddeeff")).hex()  # FIPS-197 C.1
+    '69c4e0d86a7b0430d8cdb78070b4c55a'
     """
 
     block_size = 16
@@ -169,50 +162,3 @@ class AES:
                 | sbox[columns[c + 3] & 255]
             ) ^ rk[last + c]
         return out.to_bytes(16, "big")
-
-    # The inverse cipher keeps the spec's flat 16-int state in
-    # column-major order: state[r + 4c] is row r, column c.
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES operates on 16-byte blocks")
-        state = list(block)
-        self._add_round_key(state, self._rounds)
-        for r in range(self._rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, r)
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, 0)
-        return bytes(state)
-
-    # -- inverse round primitives -------------------------------------------
-
-    def _add_round_key(self, state: list[int], r: int) -> None:
-        rk = self._round_keys[r]
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _inv_sub_bytes(state: list[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> None:
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c:4 * c + 4]
-            state[4 * c + 0] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[4 * c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[4 * c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[4 * c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]

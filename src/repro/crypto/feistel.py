@@ -148,24 +148,6 @@ class FeistelPRP:
             table.append(image)
         return table
 
-    def encrypt_stream(self, values: list[int]) -> list[int]:
-        """Batch :meth:`encrypt`, via the permutation table when small.
-
-        >>> prp = FeistelPRP(b"k" * 16, domain_size=2 ** 8)
-        >>> prp.encrypt_stream([1, 2, 3]) == [prp.encrypt(v)
-        ...                                   for v in (1, 2, 3)]
-        True
-        """
-        table = self.permutation_table()
-        if table is None:
-            return [self.encrypt(value) for value in values]
-        if values and not 0 <= min(values) <= max(values) < self.domain_size:
-            bad = min(values) if min(values) < 0 else max(values)
-            raise ValueError(
-                f"value {bad} outside domain [0, {self.domain_size})"
-            )
-        return [table[value] for value in values]
-
     # -- public API ---------------------------------------------------------
 
     def encrypt(self, value: int) -> int:

@@ -7,7 +7,7 @@ site learns anything usable about another component:
 * the record-store key (strong AES encryption of whole records);
 * one chunk-PRP key per chunking offset (Stage 1 ECB), so identical
   chunks in *different* chunkings do not correlate across sites;
-* per-record IV/nonce derivation for the record store.
+* per-record nonce derivation for the record store.
 
 Derivation uses HKDF with explicit context labels.
 """

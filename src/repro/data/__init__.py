@@ -19,7 +19,6 @@ Records follow the paper's Figure 4 exactly:
 from repro.data.corpus import (
     NAME_FIELD_WIDTH,
     format_record,
-    last_name_of,
     parse_record,
 )
 from repro.data.phonebook import Directory, PhonebookEntry, generate_directory
@@ -30,6 +29,5 @@ __all__ = [
     "generate_directory",
     "format_record",
     "parse_record",
-    "last_name_of",
     "NAME_FIELD_WIDTH",
 ]

@@ -44,11 +44,6 @@ def parse_record(text: str) -> tuple[str, str]:
     return match.group("name"), match.group("phone")
 
 
-def last_name_of(name: str) -> str:
-    """The surname of a directory entry (phonebooks put it first)."""
-    return name.split(" ", 1)[0]
-
-
 def phone_to_rid(phone: str) -> int:
     """The paper indexes by telephone number; we use its digits."""
     digits = phone.replace("-", "")

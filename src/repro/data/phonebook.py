@@ -21,7 +21,6 @@ from repro.data.corpus import (
     format_record,
     phone_to_rid,
 )
-from repro.sdds.records import Record
 
 #: The paper's directory size.
 SF_DIRECTORY_SIZE = 282_965
@@ -47,9 +46,6 @@ class PhonebookEntry:
     @property
     def record_text(self) -> str:
         return format_record(self.name, self.phone)
-
-    def to_record(self) -> Record:
-        return Record.from_text(self.rid, self.record_text)
 
 
 class Directory:
@@ -94,9 +90,6 @@ class Directory:
 
     def __iter__(self) -> Iterator[PhonebookEntry]:
         return iter(self.entries)
-
-    def records(self) -> list[Record]:
-        return [entry.to_record() for entry in self.entries]
 
     def sample(self, k: int, seed: int = 0) -> "Directory":
         """A deterministic random sub-directory of ``k`` entries."""

@@ -30,13 +30,11 @@ rest of the core (`bytes.find` on code streams).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Iterable
 
 from repro.core.encoder import least_loaded_assignment
 from repro.core.errors import ConfigurationError
-from repro.core.serialization import _FORMAT_VERSION, _check_version
 
 
 class PairCompressor:
@@ -265,58 +263,3 @@ class PairCompressor:
             aligned_find(encoded_record, variant, 2)
             for variant in self.pattern_variants(pattern)
         )
-
-    # -- introspection -----------------------------------------------------------
-
-    def describe(self) -> str:
-        lossy = (
-            f", lossy->{self._output_space()} buckets"
-            if self.lossy_map is not None else ""
-        )
-        return (
-            f"PairCompressor({len(self.single_codes)} singles, "
-            f"{len(self.pair_codes)} pairs{lossy})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# persistence (the format of :mod:`repro.core.serialization`)
-# ---------------------------------------------------------------------------
-
-def compressor_to_json(compressor: PairCompressor) -> str:
-    payload = {
-        "version": _FORMAT_VERSION,
-        "left": sorted(compressor.left),
-        "right": sorted(compressor.right),
-        "pair_codes": [
-            [a, b, code]
-            for (a, b), code in sorted(compressor.pair_codes.items())
-        ],
-        "single_codes": sorted(compressor.single_codes.items()),
-        "n_codes": compressor.n_codes,
-        "lossy_map": (
-            sorted(compressor.lossy_map.items())
-            if compressor.lossy_map is not None else None
-        ),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def compressor_from_json(text: str) -> PairCompressor:
-    data = json.loads(text)
-    _check_version(data)
-    return PairCompressor(
-        left=set(data["left"]),
-        right=set(data["right"]),
-        pair_codes={
-            (a, b): code for a, b, code in data["pair_codes"]
-        },
-        single_codes=dict(
-            (symbol, code) for symbol, code in data["single_codes"]
-        ),
-        n_codes=data["n_codes"],
-        lossy_map=(
-            {code: bucket for code, bucket in data["lossy_map"]}
-            if data["lossy_map"] is not None else None
-        ),
-    )

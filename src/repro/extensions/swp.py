@@ -17,8 +17,9 @@ Wagner, Perrig, *Practical Techniques for Searches on Encrypted Data*
   recognise positions holding ``W`` — ``C_i xor X = (s || t)`` with
   ``t = F_k(s)`` — but learns nothing about other words, and false
   positives occur with probability 2^-m per position.
-* The client, knowing the seed, can always reconstruct ``S_i`` and
-  thereby decrypt every position (scheme III of the SWP paper).
+
+The store reads a document back from its CTR-encrypted record copy,
+so the SWP word image is only ever matched, never decrypted.
 
 Word width is fixed at :data:`WORD_BYTES`; longer words are hashed
 into the slot (the SWP paper's own suggestion), shorter ones padded.
@@ -75,14 +76,12 @@ class Trapdoor:
 
 
 class SwpCipher:
-    """Encrypt/search/decrypt word sequences per SWP scheme III.
+    """Encrypt and search word sequences per SWP scheme III.
 
     >>> swp = SwpCipher(b"master")
     >>> cells = swp.encrypt_words(7, ["HELLO", "WORLD"])
     >>> swp.match(cells[1], swp.trapdoor("WORLD"))
     True
-    >>> swp.decrypt_words(7, cells)
-    ['HELLO', 'WORLD']
     """
 
     def __init__(self, master_key: bytes) -> None:
@@ -221,32 +220,3 @@ class SwpCipher:
                     positions.append(position)
             results.append(positions)
         return results
-
-    def decrypt_word(self, document_id: int, position: int,
-                     cell: bytes) -> bytes:
-        """Recover X (the deterministic word image) and invert it.
-
-        The client rebuilds S_i from the seed, recovers L, recomputes
-        the word key, strips the check part, and block-decrypts.
-        Returns the normalised word slot (padded/hashed form).
-        """
-        s = self._stream_value(document_id, position)
-        left = _xor(cell[:LEFT_BYTES], s)
-        word_key = self._word_specific_key(left)
-        right = _xor(cell[LEFT_BYTES:], self._check(word_key, s))
-        return self._aes.decrypt_block(left + right)
-
-    def decrypt_words(self, document_id: int,
-                      cells: list[bytes]) -> list[str]:
-        """Decrypt a whole document back to its word list.
-
-        Only words that fit the slot un-hashed are recoverable as
-        text (hashed overlong words come back as their digest form) —
-        the SWP paper has the same asymmetry.
-        """
-        words = []
-        for position, cell in enumerate(cells):
-            slot = self.decrypt_word(document_id, position, cell)
-            words.append(slot.rstrip(b"\x00").decode("utf-8",
-                                                     errors="replace"))
-        return words

@@ -30,10 +30,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.errors import ConfigurationError, RecordNotFoundError
+from repro.core.errors import ConfigurationError
 from repro.crypto.keys import KeyHierarchy
 from repro.crypto.modes import CtrCipher
-from repro.extensions.swp import WORD_BYTES, SwpCipher, Trapdoor
+from repro.extensions.swp import SwpCipher, Trapdoor
 from repro.net.simulator import Network
 from repro.net.stats import NetworkStats
 from repro.sdds.haystack import BucketHaystack
@@ -217,15 +217,3 @@ class EncryptedWordStore:
             )
             for word, positions in zip(unique, per_word)
         }
-
-    def decrypt_index_of(self, rid: int) -> list[str]:
-        """Client-side full decryption of a record's word cells
-        (SWP scheme III: the data owner can always decrypt)."""
-        cells_blob = self.index_file.lookup(rid)
-        if cells_blob is None:
-            raise RecordNotFoundError(f"no index record for rid {rid}")
-        cells = [
-            cells_blob[i:i + WORD_BYTES]
-            for i in range(0, len(cells_blob), WORD_BYTES)
-        ]
-        return self._swp.decrypt_words(rid, cells)

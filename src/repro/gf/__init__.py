@@ -10,12 +10,11 @@ binary extension fields.  This package provides:
   operands; multiplication and division are more involved ...
   implemented by small tables").
 * :class:`repro.gf.matrix.Matrix` — dense matrices over a GF2 field
-  with Gauss-Jordan inversion, rank, determinant.
-* Constructors for the matrix families the paper recommends for the
-  dispersion matrix ``E``: :func:`repro.gf.matrix.cauchy_matrix` and
-  :func:`repro.gf.matrix.vandermonde_matrix`, plus
-  :func:`repro.gf.matrix.random_nonsingular_matrix` used in the
-  paper's Table-2 experiment ("a random non-singular matrix").
+  with Gauss-Jordan inversion and rank.
+* :func:`repro.gf.matrix.cauchy_matrix`, the family the paper
+  recommends for the dispersion matrix ``E`` and the one the store
+  uses, plus :func:`repro.gf.matrix.random_nonsingular_matrix` used in
+  the paper's Table-2 experiment ("a random non-singular matrix").
 """
 
 from repro.gf.field import GF2, DEFAULT_POLYNOMIALS
@@ -25,7 +24,6 @@ from repro.gf.matrix import (
     default_cauchy_matrix,
     identity_matrix,
     random_nonsingular_matrix,
-    vandermonde_matrix,
 )
 
 __all__ = [
@@ -35,6 +33,5 @@ __all__ = [
     "identity_matrix",
     "cauchy_matrix",
     "default_cauchy_matrix",
-    "vandermonde_matrix",
     "random_nonsingular_matrix",
 ]

@@ -4,7 +4,7 @@ The paper (section 4) constructs a field Phi = GF(2^g) whose elements are
 bit strings of size ``g``; addition is bitwise XOR and multiplication is
 "implemented by small tables".  This module implements exactly that:
 for each field a generator element is used to build log/antilog tables,
-making multiplication, division and inversion O(1) table lookups.
+making multiplication and inversion O(1) table lookups.
 
 Fields for every 1 <= g <= 16 are supported, which covers every chunk
 geometry the paper discusses (dispersion pieces of 2, 4 or 8 bits,
@@ -14,7 +14,7 @@ very wide chunks).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Default primitive (irreducible, with 2 as a generator where possible)
 #: polynomials for GF(2^g), expressed with the leading term included:
@@ -148,40 +148,11 @@ class GF2:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def div(self, a: int, b: int) -> int:
-        """Field division ``a / b``; raises ZeroDivisionError on b == 0."""
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^g)")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.order - 1]
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on a == 0."""
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^g)")
         return self._exp[self.order - 1 - self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        """Raise ``a`` to the integer power ``e`` (e may be negative)."""
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return 0
-        exponent = (self._log[a] * e) % (self.order - 1)
-        return self._exp[exponent]
-
-    def log(self, a: int) -> int:
-        """Discrete logarithm base :attr:`generator`."""
-        if a == 0:
-            raise ValueError("log of zero is undefined")
-        return self._log[a]
-
-    def exp(self, e: int) -> int:
-        """Generator raised to ``e``."""
-        return self._exp[e % (self.order - 1)]
 
     # -- vector helpers ----------------------------------------------------
 
@@ -191,10 +162,6 @@ class GF2:
         for x, y in zip(xs, ys, strict=True):
             acc ^= self.mul(x, y)
         return acc
-
-    def elements(self) -> Iterator[int]:
-        """Iterate over all field elements, 0 first."""
-        return iter(range(self.order))
 
     def validate(self, a: int) -> int:
         """Return ``a`` if it is a field element, else raise ValueError."""
@@ -208,7 +175,3 @@ class GF2:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GF2(degree={self.degree}, polynomial={self.polynomial:#x})"
-
-    def __reduce__(self):
-        # Support pickling by re-constructing through the cache.
-        return (GF2, (self.degree, self.polynomial))

@@ -5,8 +5,8 @@ row vector ``c`` of ``k`` field elements, by an invertible ``k x k``
 matrix ``E``:  ``d = c . E``.  "A good E seems to be one where all
 coefficients are nonzero ... such matrices exist in abundance, e.g. as
 Cauchy matrices or Vandermonde matrices."  This module provides the
-matrix type, the two constructors, and the random non-singular matrices
-used in the paper's Table-2 experiment.
+matrix type, the Cauchy constructors the store uses, and the random
+non-singular matrices used in the paper's Table-2 experiment.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ class Matrix:
 
     Rows are stored as tuples of ints.  The class supports the small
     set of operations the dispersion codec and the LH*_RS parity
-    calculus need: multiplication, inversion, rank, determinant and
-    row/column access.
+    calculus need: multiplication, inversion, rank and column access.
 
     >>> f = GF2(4)
     >>> m = Matrix(f, [[1, 2], [3, 4]])
@@ -48,16 +47,8 @@ class Matrix:
         self.nrows = len(materialised)
         self.ncols = width
 
-    # -- construction helpers ----------------------------------------------
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows))
 
     # -- algebra -------------------------------------------------------------
 
@@ -88,8 +79,8 @@ class Matrix:
             f.dot(vector, self.column(j)) for j in range(self.ncols)
         )
 
-    def _eliminate(self) -> tuple[list[list[int]], list[list[int]], int, int]:
-        """Gauss-Jordan; returns (reduced, companion-identity, rank, det)."""
+    def _eliminate(self) -> tuple[list[list[int]], int]:
+        """Gauss-Jordan; returns (companion-identity, rank)."""
         f = self.field
         work = [list(row) for row in self.rows]
         companion = [
@@ -97,23 +88,18 @@ class Matrix:
             for i in range(self.nrows)
         ]
         rank = 0
-        det = 1
         for col in range(min(self.nrows, self.ncols)):
             pivot_row = next(
                 (r for r in range(rank, self.nrows) if work[r][col]), None
             )
             if pivot_row is None:
-                det = 0
                 continue
             if pivot_row != rank:
                 work[rank], work[pivot_row] = work[pivot_row], work[rank]
                 companion[rank], companion[pivot_row] = (
                     companion[pivot_row], companion[rank]
                 )
-                # Row swaps negate the determinant; in characteristic 2
-                # negation is the identity, so det is unchanged.
             pivot = work[rank][col]
-            det = f.mul(det, pivot)
             pivot_inv = f.inv(pivot)
             work[rank] = [f.mul(v, pivot_inv) for v in work[rank]]
             companion[rank] = [f.mul(v, pivot_inv) for v in companion[rank]]
@@ -129,15 +115,10 @@ class Matrix:
                         for v, p in zip(companion[r], companion[rank])
                     ]
             rank += 1
-        return work, companion, rank, det
+        return companion, rank
 
     def rank(self) -> int:
-        return self._eliminate()[2]
-
-    def determinant(self) -> int:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return self._eliminate()[3]
+        return self._eliminate()[1]
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -145,7 +126,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        __, companion, rank, __ = self._eliminate()
+        companion, rank = self._eliminate()
         if rank != self.nrows:
             raise ValueError("matrix is singular")
         return Matrix(self.field, companion)
@@ -203,20 +184,6 @@ def default_cauchy_matrix(field: GF2, k: int) -> Matrix:
     xs = list(range(k))
     ys = list(range(k, 2 * k))
     return cauchy_matrix(field, xs, ys)
-
-
-def vandermonde_matrix(field: GF2, points: Sequence[int], ncols: int) -> Matrix:
-    """Vandermonde matrix ``V[i][j] = points[i] ** j``.
-
-    Square Vandermonde matrices on distinct points are invertible;
-    with all points nonzero every coefficient is nonzero too.
-    """
-    if len(set(points)) != len(points):
-        raise ValueError("Vandermonde points must be distinct")
-    return Matrix(
-        field,
-        [[field.pow(p, j) for j in range(ncols)] for p in points],
-    )
 
 
 def random_nonsingular_matrix(

@@ -538,16 +538,6 @@ class LiveNetwork(Transport):
                        (timer.when, next(self._sequence), timer))
         return timer
 
-    def reset_clock(self) -> None:
-        live = [entry for entry in self._timers
-                if not entry[2].cancelled]
-        if live or self._inbox:
-            raise RuntimeError("cannot reset the clock with messages "
-                               "in flight")
-        self._timers.clear()
-        self._t0 = time.monotonic()
-        self.now = 0.0
-
     # -- the event pump --------------------------------------------------
 
     def _mono(self) -> float:

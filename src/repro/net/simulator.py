@@ -749,15 +749,3 @@ class Network(Transport):
             processed += 1
         self.delivered += delivered
         return delivered
-
-    def reset_clock(self) -> None:
-        """Rewind the clock (between benchmark operations)."""
-        live = [
-            entry for entry in self._queue
-            if not (isinstance(entry[2], Timer) and entry[2].cancelled)
-        ]
-        if live:
-            raise RuntimeError("cannot reset the clock with messages "
-                               "in flight")
-        self._queue.clear()
-        self.now = 0.0

@@ -53,7 +53,7 @@ class NetworkStats:
         self.by_kind[kind] += 1
         self.bytes_by_kind[kind] += size
 
-    # snapshot / diff / add / reset go by field, so a counter added
+    # snapshot / diff / add go by field, so a counter added
     # above is carried by all of them (and by the wire codec, which
     # ships :meth:`values`) without being named anywhere else.
 
@@ -84,10 +84,6 @@ class NetworkStats:
         """
         return NetworkStats(*map(sub, _VALUES(self), _VALUES(older)))
 
-    def delta(self, earlier: "NetworkStats") -> "NetworkStats":
-        """Backward-compatible alias of :meth:`diff`."""
-        return self.diff(earlier)
-
     def add(self, delta: "NetworkStats") -> None:
         """Fold ``delta`` into these totals in place (the live client
         merges each site's growth since the last census this way)."""
@@ -97,13 +93,6 @@ class NetworkStats:
                 mine.update(more)
             else:
                 setattr(self, name, mine + more)
-
-    def reset(self) -> None:
-        for name, value in zip(FIELDS, _VALUES(self)):
-            if isinstance(value, Counter):
-                value.clear()
-            else:
-                setattr(self, name, 0)
 
 
 #: The counters of :class:`NetworkStats`, in declaration order.

@@ -121,22 +121,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile (upper edge of the q-bucket)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must lie in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for index, count in enumerate(self.buckets):
-            cumulative += count
-            if cumulative >= rank:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.maximum if self.maximum is not None else 0.0
-        return self.maximum if self.maximum is not None else 0.0
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "type": "histogram",
@@ -181,11 +165,6 @@ class MetricsRegistry:
                 name, bounds=bounds or DEFAULT_BOUNDS
             )
         return histogram
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
 
     # -- dumps --------------------------------------------------------------
 

@@ -281,11 +281,6 @@ class Tracer:
                 SpanEvent(name=name, time=time, attrs=attrs)
             )
 
-    def clear(self) -> None:
-        self.finished.clear()
-        self.orphan_events.clear()
-        self.evicted = 0
-
     # -- views --------------------------------------------------------------
 
     def roots(self) -> list[Span]:

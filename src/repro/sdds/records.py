@@ -20,8 +20,7 @@ class Record:
 
     Content is stored as ``bytes``; the paper's records are 8-bit ASCII
     strings and the encrypted pipeline produces binary data, so bytes
-    is the common denominator.  :meth:`from_text` adds the terminating
-    zero symbol the paper assumes.
+    is the common denominator.
     """
 
     rid: int
@@ -32,15 +31,6 @@ class Record:
             raise ValueError("record identifier must be non-negative")
         if not isinstance(self.content, bytes):
             raise TypeError("record content must be bytes")
-
-    @classmethod
-    def from_text(cls, rid: int, text: str) -> "Record":
-        """Build a record from a flat ASCII string, zero-terminated."""
-        return cls(rid, text.encode("ascii") + b"\x00")
-
-    def text(self) -> str:
-        """Decode the content back to text, stripping the terminator."""
-        return self.content.rstrip(b"\x00").decode("ascii")
 
     @property
     def wire_size(self) -> int:

@@ -5,12 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.entropy import (
-    conditional_entropy_rate,
-    ngram_entropy,
-    redundancy,
-    shannon_entropy,
-)
+from repro.analysis.entropy import redundancy, shannon_entropy
 
 
 class TestShannon:
@@ -31,25 +26,6 @@ class TestShannon:
     def test_bounded_by_log_alphabet(self):
         counts = Counter({"a": 3, "b": 9, "c": 1})
         assert shannon_entropy(counts) <= math.log2(3) + 1e-12
-
-
-class TestNgramEntropy:
-    def test_matches_shannon(self):
-        assert ngram_entropy(["ABAB"], 1) == pytest.approx(1.0)
-
-    def test_conditional_rate_decreases_for_structured_text(self):
-        texts = ["ABABABABAB"] * 20
-        h1 = conditional_entropy_rate(texts, 1)
-        h2 = conditional_entropy_rate(texts, 2)
-        assert h2 < h1  # knowing the previous symbol predicts the next
-
-    def test_conditional_rate_n1(self):
-        texts = ["AB"]
-        assert conditional_entropy_rate(texts, 1) == pytest.approx(1.0)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            conditional_entropy_rate(["AB"], 0)
 
 
 class TestRedundancy:

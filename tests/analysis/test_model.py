@@ -70,10 +70,11 @@ class TestModelVsSimulation:
     def test_real_corpus_exceeds_baseline(self, sample_entries):
         """Name corpora are structured: measured FPs exceed the
         independent-text baseline (the 'Yu'/'Woo' effect)."""
-        from repro.bench.falsepos import fp_symbol_encoding
+        from repro.bench.falsepos import fp_symbol_chunked
         names = [e.name.encode("ascii") for e in sample_entries]
         encoder = FrequencyEncoder.train(names, 1, 8)
-        outcome = fp_symbol_encoding(sample_entries, 8, encoder=encoder)
+        outcome = fp_symbol_chunked(sample_entries, 8, chunk=1,
+                                    encoder=encoder)
         predicted = expected_fp_count(
             encoder,
             [e.last_name.encode("ascii") for e in sample_entries],

@@ -57,14 +57,3 @@ class TestChiSquarePValue:
             chi_square_p_value(1.0, 1)
         with pytest.raises(ValueError):
             chi_square_p_value(-1.0, 4)
-
-
-class TestPickling:
-    def test_gf2_pickles_through_cache(self):
-        import pickle
-
-        from repro.gf import GF2
-
-        field = GF2(8)
-        clone = pickle.loads(pickle.dumps(field))
-        assert clone is field  # cache-backed reconstruction

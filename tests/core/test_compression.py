@@ -37,9 +37,6 @@ class TestTraining:
         ratio = compressor.compression_ratio(name_corpus[:800])
         assert ratio < 0.95
 
-    def test_describe(self, compressor):
-        assert "pairs" in compressor.describe()
-
 
 class TestEncoding:
     def test_deterministic(self, compressor):

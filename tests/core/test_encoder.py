@@ -175,10 +175,6 @@ class TestEncodingForms:
         stream = enc.encode_nonoverlapping(b"ABCD", 0)
         assert len(stream) == 4  # 2 chunks x 2 bytes
 
-    def test_compression_ratio(self, name_corpus):
-        enc = FrequencyEncoder.train(name_corpus[:300], 4, 16)
-        assert enc.compression_ratio() == pytest.approx(4 / 32)
-
     def test_assignment_table_sorted(self, enc):
         table = enc.assignment_table()
         counts = [count for __, count, __ in table]

@@ -10,11 +10,6 @@ from repro.core.serialization import (
     params_from_dict,
     params_to_dict,
 )
-from repro.extensions.compression import (
-    PairCompressor,
-    compressor_from_json,
-    compressor_to_json,
-)
 
 
 class TestParams:
@@ -100,24 +95,3 @@ class TestPropertyRoundTrips:
         except ConfigurationError:
             return  # invalid combination; nothing to round-trip
         assert params_from_dict(params_to_dict(params)) == params
-
-
-class TestCompressor:
-    def test_roundtrip_behaviour(self, name_corpus):
-        compressor = PairCompressor.train(name_corpus[:300],
-                                          max_pairs=32)
-        restored = compressor_from_json(compressor_to_json(compressor))
-        for text in name_corpus[:50]:
-            assert restored.encode(text) == compressor.encode(text)
-            if len(text) >= 6:
-                assert restored.pattern_variants(text[1:6]) == \
-                    compressor.pattern_variants(text[1:6])
-
-    def test_lossy_map_roundtrip(self, name_corpus):
-        compressor = PairCompressor.train(
-            name_corpus[:300], max_pairs=32, lossy_codes=16
-        )
-        restored = compressor_from_json(compressor_to_json(compressor))
-        assert restored.lossy_map == compressor.lossy_map
-        for text in name_corpus[:30]:
-            assert restored.encode(text) == compressor.encode(text)

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.errors import RecordNotFoundError, SchemeError
-from repro.errors import ReproError
 from repro.extensions.swp import WORD_BYTES, SwpCipher
 from repro.extensions.wordsearch import (
     EncryptedWordStore,
@@ -81,23 +79,6 @@ class TestStore:
         for record in store.index_file.all_records():
             assert b"SCHWARZ" not in record.content
             assert b"THOMAS" not in record.content
-
-    def test_owner_can_decrypt_index(self, store):
-        assert store.decrypt_index_of(1) == [
-            "415-409-9999", "SCHWARZ", "THOMAS"
-        ]
-
-    def test_decrypt_index_missing(self, store):
-        """Regression: used to raise a bare ``KeyError``; the typed
-        error keeps that base for legacy callers but joins the
-        ``ReproError`` family."""
-        with pytest.raises(RecordNotFoundError) as excinfo:
-            store.decrypt_index_of(404)
-        assert isinstance(excinfo.value, KeyError)
-        assert isinstance(excinfo.value, SchemeError)
-        assert isinstance(excinfo.value, ReproError)
-        # No KeyError repr-quoting of the message.
-        assert str(excinfo.value) == "no index record for rid 404"
 
     def test_overwrite_replaces_index_wholesale(self, store):
         """put() on a present rid: old words must never match again,

@@ -34,6 +34,11 @@ class ReferenceAES(AES):
         self._add_round_key(state, self._rounds)
         return bytes(state)
 
+    def _add_round_key(self, state: list[int], r: int) -> None:
+        rk = self._round_keys[r]
+        for i in range(16):
+            state[i] ^= rk[i]
+
     @staticmethod
     def _sub_bytes(state: list[int]) -> None:
         for i in range(16):

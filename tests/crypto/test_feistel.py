@@ -103,27 +103,3 @@ class TestPermutationTable:
     def test_wide_domain_has_no_table(self):
         prp = FeistelPRP(KEY, 2 ** 24)
         assert prp.permutation_table() is None
-
-    def test_encrypt_stream_equals_scalar(self):
-        prp = FeistelPRP(KEY, 2 ** 12)
-        values = [(i * 977) % prp.domain_size for i in range(500)]
-        assert prp.encrypt_stream(values) == [
-            prp.encrypt(v) for v in values
-        ]
-
-    def test_encrypt_stream_falls_back_on_wide_domain(self):
-        prp = FeistelPRP(KEY, 2 ** 24)
-        values = [0, 1, 2 ** 20]
-        assert prp.encrypt_stream(values) == [
-            prp.encrypt(v) for v in values
-        ]
-
-    def test_encrypt_stream_validates_range(self):
-        prp = FeistelPRP(KEY, 64)
-        with pytest.raises(ValueError):
-            prp.encrypt_stream([0, -1])
-        with pytest.raises(ValueError):
-            prp.encrypt_stream([0, 64])
-
-    def test_encrypt_stream_empty(self):
-        assert FeistelPRP(KEY, 64).encrypt_stream([]) == []

@@ -1,122 +1,13 @@
-"""Block-cipher modes and padding."""
+"""CTR mode, the record store's strong encryption."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.modes import (
-    CbcCipher,
-    CtrCipher,
-    EcbCipher,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.crypto.modes import CtrCipher
 
 KEY = bytes(range(16))
-IV = bytes(range(16, 32))
 NONCE = bytes(8)
-
-
-class TestPkcs7:
-    def test_pad_to_block(self):
-        assert pkcs7_pad(b"abc", 8) == b"abc" + bytes([5] * 5)
-
-    def test_exact_block_gets_full_pad(self):
-        assert pkcs7_pad(b"x" * 8, 8) == b"x" * 8 + bytes([8] * 8)
-
-    def test_unpad_roundtrip(self):
-        for n in range(0, 33):
-            data = bytes(range(n % 256))[:n]
-            assert pkcs7_unpad(pkcs7_pad(data)) == data
-
-    @pytest.mark.parametrize("bad", [b"", b"x" * 15, b"x" * 17])
-    def test_unpad_rejects_bad_length(self, bad):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(bad)
-
-    def test_unpad_rejects_zero_pad_byte(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"x" * 15 + b"\x00")
-
-    def test_unpad_rejects_inconsistent_bytes(self):
-        block = b"x" * 14 + bytes([1, 2])  # says 2 pad bytes but first is 1
-        with pytest.raises(ValueError):
-            pkcs7_unpad(block)
-
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            pkcs7_pad(b"x", 0)
-
-
-class TestEcb:
-    def test_roundtrip(self):
-        ecb = EcbCipher(KEY)
-        assert ecb.decrypt(ecb.encrypt(b"hello ecb")) == b"hello ecb"
-
-    def test_determinism_leaks_block_equality(self):
-        """The defining ECB property the paper builds on."""
-        ecb = EcbCipher(KEY)
-        ct = ecb.encrypt(b"A" * 16 + b"A" * 16)
-        assert ct[:16] == ct[16:32]
-
-    def test_rejects_ragged_ciphertext(self):
-        with pytest.raises(ValueError):
-            EcbCipher(KEY).decrypt(b"x" * 17)
-
-
-class TestCbcNistVectors:
-    def test_sp800_38a_f2_1_first_block(self):
-        """NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), block 1.
-
-        Our CBC appends PKCS#7 padding, so only the first ciphertext
-        block is comparable to the unpadded vector — and it pins the
-        whole chain (IV handling + AES) exactly.
-        """
-        cbc = CbcCipher(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-        iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-        ciphertext = cbc.encrypt(plaintext, iv)
-        assert ciphertext[:16] == bytes.fromhex(
-            "7649abac8119b246cee98e9b12e9197d"
-        )
-
-    def test_sp800_38a_f2_1_chain(self):
-        """Blocks 1-2 of the same vector (chaining correctness)."""
-        cbc = CbcCipher(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-        iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-        plaintext = bytes.fromhex(
-            "6bc1bee22e409f96e93d7e117393172a"
-            "ae2d8a571e03ac9c9eb76fac45af8e51"
-        )
-        ciphertext = cbc.encrypt(plaintext, iv)
-        assert ciphertext[:32] == bytes.fromhex(
-            "7649abac8119b246cee98e9b12e9197d"
-            "5086cb9b507219ee95db113a917678b2"
-        )
-
-
-class TestCbc:
-    def test_roundtrip(self):
-        cbc = CbcCipher(KEY)
-        msg = b"a longer message spanning blocks" * 3
-        assert cbc.decrypt(cbc.encrypt(msg, IV), IV) == msg
-
-    def test_equal_blocks_hidden(self):
-        cbc = CbcCipher(KEY)
-        ct = cbc.encrypt(b"A" * 32, IV)
-        assert ct[:16] != ct[16:32]
-
-    def test_iv_matters(self):
-        cbc = CbcCipher(KEY)
-        assert cbc.encrypt(b"msg", IV) != cbc.encrypt(b"msg", bytes(16))
-
-    def test_bad_iv_length(self):
-        with pytest.raises(ValueError):
-            CbcCipher(KEY).encrypt(b"msg", b"short")
-
-    def test_empty_ciphertext_rejected(self):
-        with pytest.raises(ValueError):
-            CbcCipher(KEY).decrypt(b"", IV)
 
 
 class TestCtr:
@@ -138,12 +29,6 @@ class TestCtr:
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
             CtrCipher(KEY).encrypt(b"x", b"short")
-
-
-@given(st.binary(max_size=200))
-def test_property_cbc_roundtrip(msg):
-    cbc = CbcCipher(KEY)
-    assert cbc.decrypt(cbc.encrypt(msg, IV), IV) == msg
 
 
 @given(st.binary(max_size=200), st.binary(min_size=8, max_size=8))

@@ -15,10 +15,6 @@ def swp():
 
 
 class TestEncryptDecrypt:
-    def test_roundtrip(self, swp):
-        cells = swp.encrypt_words(7, ["SCHWARZ", "THOMAS"])
-        assert swp.decrypt_words(7, cells) == ["SCHWARZ", "THOMAS"]
-
     def test_cells_fixed_width(self, swp):
         cells = swp.encrypt_words(1, ["A", "LONGERWORD"])
         assert all(len(c) == WORD_BYTES for c in cells)
@@ -36,8 +32,9 @@ class TestEncryptDecrypt:
     def test_overlong_word_hashed(self, swp):
         word = "X" * 40
         cell = swp.encrypt_word(1, 0, word)
-        slot = swp.decrypt_word(1, 0, cell)
-        assert len(slot) == WORD_BYTES  # digest form
+        assert len(cell) == WORD_BYTES  # digest form
+        assert SwpCipher.match(cell, swp.trapdoor(word))
+        assert not SwpCipher.match(cell, swp.trapdoor("X" * 39))
 
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
@@ -97,10 +94,9 @@ class TestSearch:
     ),
     st.integers(0, 2 ** 32),
 )
-def test_property_roundtrip_and_search(words, doc_id):
+def test_property_search(words, doc_id):
     swp = SwpCipher(KEY)
     cells = swp.encrypt_words(doc_id, words)
-    assert swp.decrypt_words(doc_id, cells) == words
     for target in set(words):
         trapdoor = swp.trapdoor(target)
         hits = {i for i, c in enumerate(cells)

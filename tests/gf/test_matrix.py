@@ -13,7 +13,6 @@ from repro.gf import (
     default_cauchy_matrix,
     identity_matrix,
     random_nonsingular_matrix,
-    vandermonde_matrix,
 )
 
 
@@ -39,10 +38,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Matrix(f8, [[256]])
 
-    def test_transpose(self, f8):
-        m = Matrix(f8, [[1, 2, 3], [4, 5, 6]])
-        assert m.transpose().rows == ((1, 4), (2, 5), (3, 6))
-
 
 class TestAlgebra:
     def test_identity_multiplication(self, f8):
@@ -61,9 +56,8 @@ class TestAlgebra:
         row = Matrix(f8, [[5, 9]])
         assert (row @ m).rows[0] == m.mul_vector((5, 9))
 
-    def test_determinant_of_singular(self, f8):
+    def test_singular_has_no_inverse(self, f8):
         m = Matrix(f8, [[1, 2], [1, 2]])
-        assert m.determinant() == 0
         assert not m.is_invertible()
         with pytest.raises(ValueError):
             m.inverse()
@@ -79,13 +73,6 @@ class TestAlgebra:
         m = Matrix(f8, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
         if m.is_invertible():
             assert m @ m.inverse() == identity_matrix(f8, 3)
-
-    def test_determinant_multiplicative(self, f8):
-        a = Matrix(f8, [[3, 1], [7, 2]])
-        b = Matrix(f8, [[5, 6], [1, 9]])
-        assert (a @ b).determinant() == f8.mul(
-            a.determinant(), b.determinant()
-        )
 
 
 class TestFamilies:
@@ -105,14 +92,6 @@ class TestFamilies:
     def test_default_cauchy_too_large(self):
         with pytest.raises(ValueError):
             default_cauchy_matrix(GF2(2), 3)
-
-    def test_vandermonde_invertible_on_distinct_points(self, f8):
-        m = vandermonde_matrix(f8, [1, 2, 3], 3)
-        assert m.is_invertible()
-
-    def test_vandermonde_duplicate_points(self, f8):
-        with pytest.raises(ValueError):
-            vandermonde_matrix(f8, [1, 1], 2)
 
     @pytest.mark.parametrize("g,k", [(2, 2), (2, 4), (4, 3), (8, 4)])
     def test_random_nonsingular(self, g, k):

@@ -160,7 +160,7 @@ class TestClientImages:
         before = file.network.stats.snapshot()
         for k in range(50):
             file.lookup(k)
-        delta = file.network.stats.delta(before)
+        delta = file.network.stats.diff(before)
         assert delta.messages == 100  # request + reply each
 
 
@@ -195,7 +195,7 @@ class TestScan:
             file.insert(k, b"v\x00")
         before = file.network.stats.snapshot()
         file.scan(RidScanMatcher())
-        delta = file.network.stats.delta(before)
+        delta = file.network.stats.diff(before)
         assert delta.messages == 2 * file.bucket_count
 
     def test_scan_empty_file(self):

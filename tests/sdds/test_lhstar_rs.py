@@ -142,7 +142,7 @@ class TestParityTraffic:
         file = LHStarRSFile(group_size=4, parity_count=2)
         before = file.network.stats.snapshot()
         file.insert(1, b"x\x00")
-        delta = file.network.stats.delta(before)
+        delta = file.network.stats.diff(before)
         assert delta.by_kind["parity_delta"] == 2
 
     def test_parity_bucket_count(self):

@@ -6,11 +6,6 @@ from repro.sdds.records import RECORD_OVERHEAD, Record
 
 
 class TestRecord:
-    def test_from_text_roundtrip(self):
-        record = Record.from_text(7, "SCHWARZ THOMAS")
-        assert record.text() == "SCHWARZ THOMAS"
-        assert record.content.endswith(b"\x00")
-
     def test_wire_size(self):
         record = Record(1, b"abc")
         assert record.wire_size == RECORD_OVERHEAD + 3

@@ -92,7 +92,7 @@ class TestScanRetry:
         before = file.network.stats.snapshot()
         hits = file.scan(self.matcher)
         assert sorted(hits) == list(range(60))
-        delta = file.network.stats.delta(before)
+        delta = file.network.stats.diff(before)
         assert delta.retries > 0
 
     def test_retry_is_targeted_not_rebroadcast(self):
@@ -104,7 +104,7 @@ class TestScanRetry:
         buckets = file.live_bucket_count
         before = file.network.stats.snapshot()
         file.scan(self.matcher)
-        delta = file.network.stats.delta(before)
+        delta = file.network.stats.diff(before)
         sent = delta.by_kind["scan"]
         # A full re-broadcast per retry round would cost a multiple of
         # the bucket count; targeted retries stay well under 2x.

@@ -10,7 +10,7 @@ the protocol or the measurement is wrong.
 
 import pytest
 
-from repro.bench.falsepos import fp_symbol_encoding
+from repro.bench.falsepos import fp_symbol_chunked
 from repro.core import (
     EncryptedSearchableStore,
     FrequencyEncoder,
@@ -68,15 +68,15 @@ def test_protocol_reproduces_offline_counts(workload, n_codes):
 
     # And the Table-4 machinery (no terminator) is a lower bound —
     # the terminator's fallback code can only add matches.
-    table4 = fp_symbol_encoding(workload, n_codes, encoder=encoder)
-    assert protocol_fps >= table4.false_positives
+    table4 = fp_symbol_chunked(workload, n_codes, encoder=encoder)
+    assert protocol_fps >= table4.baseline_false_positives
 
 
 def test_protocol_recall_matches_offline(workload):
     """Both measurement paths must report total recall."""
     names = [entry.name.encode("ascii") for entry in workload]
     encoder = FrequencyEncoder.train(names, 1, 8)
-    offline = fp_symbol_encoding(workload, 8, encoder=encoder)
+    offline = fp_symbol_chunked(workload, 8, chunk=1, encoder=encoder)
     assert offline.true_hits >= offline.searches
 
 
