@@ -323,7 +323,6 @@ def check_parity_consistency(network: Any, file: Any) -> list[Violation]:
     """
     if file.rs is None:
         return []
-    group_size = file.group_size
     buckets = network.dump_buckets(file.name)
     slots = network.dump_parity(file.name)
     violations: list[Violation] = []
@@ -331,11 +330,11 @@ def check_parity_consistency(network: Any, file: Any) -> list[Violation]:
         address: info for address, info in buckets.items()
         if not info["retired"] and not info["pending"]
     }
-    for group in sorted({address // group_size for address in live}):
-        base = group * group_size
+    for group in sorted({file.group_of(address) for address in live}):
+        members = file.members(group)
         contents: dict[int, dict[int, bytes]] = {}
-        for offset in range(group_size):
-            info = live.get(base + offset)
+        for offset, address in enumerate(members):
+            info = live.get(address)
             if info is not None:
                 contents[offset] = {
                     record.rid: record.content
@@ -343,7 +342,7 @@ def check_parity_consistency(network: Any, file: Any) -> list[Violation]:
                 }
         # Coverage: every live record owes a parity contribution.
         covered: dict[int, set[int]] = {
-            offset: set() for offset in range(group_size)
+            offset: set() for offset in range(len(members))
         }
         for slot in (slots.get((group, 0)) or {}).values():
             for offset, rid in enumerate(slot["rids"]):
@@ -354,14 +353,14 @@ def check_parity_consistency(network: Any, file: Any) -> list[Violation]:
             if missing:
                 violations.append(Violation(
                     "parity-consistency",
-                    f"{file.name} bucket {base + offset}: rids "
+                    f"{file.name} bucket {members[offset]}: rids "
                     f"{sorted(missing)} have no parity contribution",
                 ))
         # Algebra: each slot reconstructs from the dumps.
         for index in range(file.parity_count):
             row = file.generator.rows[index]
             for rank, slot in (slots.get((group, index)) or {}).items():
-                problem = _slot_problem(slot, contents, base, row)
+                problem = _slot_problem(slot, contents, members, row)
                 if problem is not None:
                     violations.append(Violation(
                         "parity-consistency",
@@ -372,11 +371,12 @@ def check_parity_consistency(network: Any, file: Any) -> list[Violation]:
 
 
 def _slot_problem(
-    slot: dict, contents: dict[int, dict[int, bytes]], base: int,
+    slot: dict, contents: dict[int, dict[int, bytes]], members: list[int],
     row: tuple[int, ...],
 ) -> str | None:
     """Why one dumped parity slot disagrees with its group's dumped
-    records (``contents``: offset -> rid -> content), or ``None``."""
+    records (``contents``: offset -> rid -> content; ``members``: the
+    group's addresses by offset), or ``None``."""
     from repro.sdds.lhstar_rs import _scale, _xor
 
     expected = b""
@@ -386,10 +386,10 @@ def _slot_problem(
         content = contents.get(offset, {}).get(rid)
         if content is None:
             return (f"contributor rid {rid} not held by bucket "
-                    f"{base + offset}")
+                    f"{members[offset]}")
         if slot["lengths"][offset] != len(content):
             return (f"length {slot['lengths'][offset]} recorded for rid "
-                    f"{rid}, bucket {base + offset} holds "
+                    f"{rid}, bucket {members[offset]} holds "
                     f"{len(content)} bytes")
         expected = _xor(expected, _scale(row[offset], content))
     if expected.rstrip(b"\x00") != slot["payload"].rstrip(b"\x00"):

@@ -101,8 +101,8 @@ UNSUPPORTED_SCOPE = {
     "file_family": ("needs node families the live backend does "
                     "not host"),
     "parity_placement": ("the live backend places parity "
-                         "(group, index) on bucket site "
-                         "group*group_size+index, which needs "
+                         "(group, index) on the bucket site of "
+                         "member_address(group, index), which needs "
                          "parity_count <= group_size"),
 }
 
@@ -198,9 +198,9 @@ class LiveNetwork(Transport):
         #: nemesis), advanced inside :meth:`run` on the wall clock
         #: under the simulator's ``Network.schedules`` contract.
         self.schedules: list[Any] = []
-        #: LH*_RS layout per file name (group_size, parity_count),
-        #: learned at attach time; places parity ids on host sites.
-        self._rs_params: dict[str, tuple[int, int]] = {}
+        #: The attached LH*_RS files by name: their layout places
+        #: parity ids on host sites (:func:`repro.net.serve.peer_of`).
+        self._rs_files: dict[str, Any] = {}
         #: Callback to provision sites for bucket addresses beyond the
         #: cluster config (set by :meth:`LiveCluster.connect`).
         self._on_missing_site: Callable[[int], None] | None = None
@@ -284,17 +284,6 @@ class LiveNetwork(Transport):
 
     # -- topology --------------------------------------------------------
 
-    def _peer_of(self, node_id: Hashable) -> tuple | None:
-        """Parity-aware :func:`repro.net.serve.peer_of` using the
-        layouts learned at attach time."""
-        peer = peer_of(node_id)
-        if (peer is None and isinstance(node_id, tuple) and node_id
-                and node_id[0] == "parity" and len(node_id) == 4):
-            rs = self._rs_params.get(node_id[1])
-            if rs is not None:
-                peer = peer_of(node_id, group_size=rs[0])
-        return peer
-
     def _ensure_site(self, needed: int) -> None:
         """Make sure bucket addresses ``< needed`` have a hosting
         site, spawning processes through the cluster when possible."""
@@ -343,8 +332,7 @@ class LiveNetwork(Transport):
         if file.parity_count > file.group_size:
             raise LiveUnsupportedError(
                 UNSUPPORTED_SCOPE["parity_placement"])
-        self._rs_params[file.name] = (file.group_size,
-                                      file.parity_count)
+        self._rs_files[file.name] = file
 
     def attach(self, node: Node) -> Node:
         node_id = node.node_id
@@ -381,7 +369,7 @@ class LiveNetwork(Transport):
                     f"{UNSUPPORTED_SCOPE['node_family']}")
             file = node.file
             self._register_rs(file)
-            site = node.group * file.group_size + node.index
+            site = file.member_address(node.group, node.index)
             self._ensure_site(site + 1)
             self._roundtrip(("bucket", site), {
                 "ctrl": "create_parity",
@@ -430,7 +418,7 @@ class LiveNetwork(Transport):
         the same typed errors for both verbs: ``LiveUnsupportedError``
         for unroutable families (clients live in this process) and
         ``UnknownNodeError`` for a hosted id no site knows."""
-        peer = self._peer_of(node_id)
+        peer = peer_of(node_id, self._rs_files)
         if peer is None:
             raise LiveUnsupportedError(
                 f"only hosted (bucket/coordinator/parity) nodes can "
@@ -509,7 +497,7 @@ class LiveNetwork(Transport):
             self._sent += 1
             self._inbox.append(message)
             return
-        peer = self._peer_of(dst)
+        peer = peer_of(dst, self._rs_files)
         if peer is None:
             raise LiveUnsupportedError(
                 f"cannot route to node family of {dst!r}")

@@ -69,7 +69,7 @@ import asyncio
 import json
 import logging
 import sys
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Mapping
 
 from repro.net import wire
 from repro.net.faults import FaultModel
@@ -116,15 +116,16 @@ class ClusterConfig:
 
 
 def peer_of(node_id: Hashable,
-            group_size: int | None = None) -> tuple | None:
+            files: Mapping[str, Any] | None = None) -> tuple | None:
     """The hosting-process key of a protocol node id, or ``None``
     for client nodes (which live in the connecting process).
 
     Parity ids ``("parity", name, group, index)`` are placed on the
-    bucket site ``group * group_size + index`` — deterministic, stable
-    under file growth, and distinct per parity bucket as long as
-    ``parity_count <= group_size`` (enforced at attach time).  Without
-    ``group_size`` the placement is unknown and ``None`` is returned.
+    bucket site ``member_address(group, index)`` of file ``name``'s
+    LH*_RS view in ``files`` — deterministic, stable under file
+    growth, and distinct per parity bucket as long as ``parity_count
+    <= group_size`` (enforced at attach time).  Without such a view
+    the placement is unknown and ``None`` is returned.
     """
     if not isinstance(node_id, tuple) or not node_id:
         return None
@@ -132,9 +133,10 @@ def peer_of(node_id: Hashable,
         return ("bucket", node_id[2])
     if node_id[0] == "coordinator":
         return ("coordinator",)
-    if (node_id[0] == "parity" and len(node_id) == 4
-            and group_size is not None):
-        return ("bucket", node_id[2] * group_size + node_id[3])
+    if node_id[0] == "parity" and len(node_id) == 4 and files:
+        file = files.get(node_id[1])
+        if file is not None and file.rs is not None:
+            return ("bucket", file.member_address(node_id[2], node_id[3]))
     return None
 
 
@@ -215,7 +217,7 @@ class ParityCoordinatorSiteFile(ParityBookkeeping, CoordinatorSiteFile):
         self._parity_groups.add(group)
         for index in range(self.parity_count):
             self._create("create_parity",
-                         group * self.group_size + index,
+                         self.member_address(group, index),
                          group=group, index=index)
 
 
@@ -350,21 +352,6 @@ class SiteServer:
 
     # -- routing ---------------------------------------------------------
 
-    def _peer_of(self, dst: Hashable) -> tuple | None:
-        """Parity-aware :func:`peer_of`: resolve parity ids with the
-        file's registered group size."""
-        peer = peer_of(dst)
-        if (peer is None and isinstance(dst, tuple) and dst
-                and dst[0] == "parity" and len(dst) == 4):
-            peer = peer_of(dst, group_size=self._group_size(dst[1]))
-        return peer
-
-    def _group_size(self, name: str) -> int | None:
-        """LH*_RS group size of file ``name`` (learned from
-        ``create_*`` payloads), which places parity ids on sites."""
-        shell = self.files.get(name)
-        return shell.rs["group_size"] if shell and shell.rs else None
-
     def route(self, message: Message) -> None:
         """Ship one locally sent data message toward its host."""
         if self.delay_extra > 0:
@@ -396,7 +383,7 @@ class SiteServer:
             writer.write(wire.encode_frame(
                 wire.CHANNEL_DATA, wire.message_to_wire(message)))
             return
-        peer = self._peer_of(dst)
+        peer = peer_of(dst, self.files)
         if peer is None:
             log.error("unroutable destination %r for kind %r", dst,
                       message.kind)
@@ -462,21 +449,14 @@ class SiteServer:
         the node has not been created yet)."""
         if not isinstance(node_id, tuple) or not node_id:
             return False
-        if self.role == "bucket":
-            if (node_id[0] == "bucket" and len(node_id) == 3
-                    and node_id[2] == self.index):
-                return True
-            if node_id[0] == "parity" and len(node_id) == 4:
-                group_size = self._group_size(node_id[1])
-                if group_size is None:
-                    # Placement is deterministic and the sender knew
-                    # the layout; a parity frame arriving here is ours
-                    # — buffer until ``create_parity`` lands.
-                    return True
-                return (node_id[2] * group_size + node_id[3]
-                        == self.index)
-            return False
-        return node_id[0] == "coordinator"
+        peer = peer_of(node_id, self.files)
+        if self.role == "coordinator":
+            return peer == ("coordinator",)
+        # Placement is deterministic and the sender knew the layout; a
+        # parity frame arriving before this site learned it is ours —
+        # buffer until ``create_parity`` lands.
+        return peer == ("bucket", self.index) or (
+            peer is None and node_id[0] == "parity" and len(node_id) == 4)
 
     # -- delivery --------------------------------------------------------
 
@@ -640,7 +620,7 @@ class SiteServer:
         if shell.rs is None:
             raise ValueError("create_parity for a plain LH* file")
         group, index = payload["group"], payload["index"]
-        if group * shell.group_size + index != self.index:
+        if shell.member_address(group, index) != self.index:
             raise ValueError(
                 f"parity ({group}, {index}) does not live on site "
                 f"{self.index}")

@@ -215,12 +215,11 @@ class LHStarClient(Node):
         operation.address = address
         delay = (policy.delay(operation.attempt) if operation.attempt
                  else policy.timeout)
-        info = self.dead.get(address)
-        if info is None:
+        if address not in self.dead:
             operation.mode = "normal"
             self._send_keyed(op, operation)
-        elif not info[1]:
-            # No parity to serve or rebuild the bucket.  Ask the
+        elif not self._degradable(address):
+            # No parity can serve or rebuild the bucket.  Ask the
             # coordinator to re-probe a few times — the node may have
             # rebooted since it was declared dead — then fail with a
             # typed error instead of burning retry budgets forever.
@@ -229,10 +228,8 @@ class LHStarClient(Node):
                 operation.mode = "suspected"
                 self._suspect(address, operation.kind)
             else:
-                operation.error = BucketUnavailableError(
-                    f"{operation.kind} of key {operation.key}: bucket "
-                    f"{address} is down and the file has no parity to "
-                    "serve or recover it")
+                operation.error = self._unavailable(
+                    f"{operation.kind} of key {operation.key}", address)
             return
         elif operation.kind == "lookup":
             # Ask the parity layer to serve the lookup for a dead bucket.
@@ -263,6 +260,28 @@ class LHStarClient(Node):
         operation.timer = self.network.schedule(
             delay, lambda: self._keyed_timeout(op), owner=self.node_id
         )
+
+    def _degradable(self, address: int) -> bool:
+        """Whether the parity layer can serve dead ``address``: the
+        coordinator declared it recoverable, and its group has lost no
+        more members than the file's erasure budget."""
+        return self.dead[address][1] and self.file.within_budget(
+            self.file.degraded_dead_set(address, self.dead))
+
+    def _unavailable(self, what: str, address: int) -> BucketUnavailableError:
+        """The typed failure of ``what`` on a dead ``address`` that
+        :meth:`_degradable` refused: the file has no parity, or the
+        address's group has lost more members than its parity."""
+        file = self.file
+        if file.rs is None:
+            reason = "the file has no parity to serve or recover it"
+        else:
+            reason = (
+                f"its group {file.group_of(address)} has lost buckets "
+                f"{file.degraded_dead_set(address, self.dead)}, more "
+                f"than its {file.parity_count} parity buckets can rebuild")
+        return BucketUnavailableError(
+            f"{what}: bucket {address} is down and {reason}")
 
     def _suspect(self, address: int, kind: str) -> None:
         """Ask the coordinator whether ``address`` is alive; its
@@ -366,12 +385,10 @@ class LHStarClient(Node):
         """(Re)request one bucket's missing coverage, routing around
         a known-dead address through the parity layer."""
         operation = self.operations[op]
-        info = self.dead.get(address)
-        if info is None:
+        if address not in self.dead:
             self._send_scan(op, address, operation.expected[address])
             return
-        level, recoverable = info
-        if not recoverable:
+        if not self._degradable(address):
             # The bucket's key range is gone until a reboot: re-probe
             # through the coordinator a few times, then fail the scan
             # with a diagnosis instead of spinning on retries.
@@ -379,13 +396,12 @@ class LHStarClient(Node):
                 operation.escalations += 1
                 self._suspect(address, "scan")
                 return
-            operation.error = BucketUnavailableError(
-                f"scan cannot complete: bucket {address} is down and the "
-                "file has no parity to reconstruct its records")
+            operation.error = self._unavailable(
+                "scan cannot complete", address)
             if operation.timer is not None:
                 operation.timer.cancel()
             return
-        self._scan_cover_dead(op, address, level)
+        self._scan_cover_dead(op, address, self.dead[address][0])
 
     def _scan_cover_dead(
         self, op: int, address: int, true_level: int

@@ -17,9 +17,16 @@ old and new content, scaled by the generator coefficient).  Parity
 traffic therefore shows up in the simulator's message counters, exactly
 like a real deployment.
 
-Recovery (:meth:`LHStarRSFile.recover_buckets`) solves the linear
-system for up to ``k`` erased buckets per group and returns the
-reconstructed records; :meth:`LHStarRSFile.verify_recovery` checks the
+:class:`ParityBookkeeping` owns the group layout (:meth:`group_of`,
+:meth:`offset_of`, :meth:`member_address`, :meth:`members`) and the
+erasure budget (:meth:`within_budget`); every other module asks it
+instead of doing its own arithmetic.  One function, :func:`decode`,
+solves the erasure system for up to ``k`` erased buckets of a group.
+A parity bucket feeds it what its message gather collected (online
+recovery, degraded reads and scans); the offline helpers
+:meth:`LHStarRSFile.recover_buckets` and
+:meth:`LHStarRSFile.degraded_lookup` feed it what they read
+in-process.  :meth:`LHStarRSFile.verify_recovery` checks the
 reconstruction bit-for-bit against the live buckets.
 """
 
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.errors import BucketUnavailableError
 from repro.gf import GF2, Matrix, cauchy_matrix
@@ -83,6 +90,57 @@ def generator_matrix(m: int, k: int) -> Matrix:
     return cauchy_matrix(
         _FIELD, xs=list(range(m, m + k)), ys=list(range(m))
     )
+
+
+def decode(
+    generator: Matrix,
+    erased: list[int],
+    ranks: Iterable[int],
+    meta: dict[int, tuple[Sequence[int | None], Sequence[int]]],
+    contents: dict[int, dict[int, bytes]],
+    payloads: dict[int, dict[int, bytes]],
+) -> dict[int, dict[int, bytes]]:
+    """Solve one group's erasure system: the lost contents of the
+    sorted ``erased`` offsets, rank by rank.
+
+    ``meta`` gives each rank's parity metadata (rids and lengths per
+    offset), ``contents`` the survivors' record contents (offset ->
+    rank -> bytes; an absent record is the zero codeword) and
+    ``payloads`` the payloads of parity buckets ``0 .. len(erased)-1``
+    (index -> rank -> bytes) — any that many rows of a Cauchy
+    generator give an invertible system.  Returns offset -> rank ->
+    content, truncated to its recorded length, for every erased offset
+    holding a record at that rank.
+    """
+    rows = range(len(erased))
+    solver = Matrix(
+        _FIELD,
+        [[generator.rows[p][offset] for offset in erased] for p in rows],
+    ).inverse()
+    decoded: dict[int, dict[int, bytes]] = {offset: {} for offset in erased}
+    for rank in ranks:
+        rids, lengths = meta[rank]
+        # Right-hand side: parity payload minus surviving contributions.
+        rhs: list[bytes] = []
+        for p in rows:
+            acc = payloads.get(p, {}).get(rank, b"")
+            for offset, entries in contents.items():
+                content = entries.get(rank, b"")
+                if content:
+                    acc = _xor(
+                        acc, _scale(generator.rows[p][offset], content))
+            rhs.append(acc)
+        width = max(len(b) for b in rhs)
+        rhs = [b + bytes(width - len(b)) for b in rhs]
+        for column, offset in enumerate(erased):
+            if rids[offset] is None:
+                continue
+            content = bytes(width)
+            for p in rows:
+                content = _xor(
+                    content, _scale(solver.rows[column][p], rhs[p]))
+            decoded[offset][rank] = content[:lengths[offset]]
+    return decoded
 
 
 class _ParitySlot:
@@ -219,22 +277,21 @@ class ParityBucket(Node):
         the erasure system needs.  Nothing here reads another node's
         record store directly.
         """
+        if not self.file.within_budget(payload["dead"]):
+            # Clients and the coordinator check the budget before they
+            # ask; a request past it is a protocol bug.
+            raise ValueError(
+                f"group {self.group}: erasures {payload['dead']} "
+                f"exceed parity count {self.file.parity_count}"
+            )
         dead_offsets = sorted({
             self.file.offset_of(a) for a in payload["dead"]
         })
-        if len(dead_offsets) > self.file.parity_count:
-            raise ValueError(
-                f"group {self.group}: {len(dead_offsets)} erasures "
-                f"exceed parity count {self.file.parity_count}"
-            )
         target_offset = self.file.offset_of(payload["address"])
         if kind == "degraded_lookup":
             key = payload["key"]
-            rank = next(
-                (r for r, slot in self.slots.items()
-                 if slot.rids[target_offset] == key),
-                None,
-            )
+            rank = next((r for r, slot in self.slots.items()
+                         if slot.rids[target_offset] == key), None)
             if rank is None:
                 # The parity metadata knows every live record of the
                 # group: no rank means the key does not exist there.
@@ -246,24 +303,22 @@ class ParityBucket(Node):
                 r for r, slot in self.slots.items()
                 if slot.rids[target_offset] is not None
             )
-            if not ranks:
-                self._complete_empty(kind, payload)
-                return
         meta = {
             r: (tuple(self.slots[r].rids), tuple(self.slots[r].lengths))
             for r in ranks
         }
         gather = _ParityGather(kind, payload, dead_offsets,
                                target_offset, ranks, meta)
+        if not ranks:
+            self._complete(gather)  # the dead bucket held no records
+            return
         gid = next(self._gather_ids)
         gather.payloads[self.index] = {
             r: self.slots[r].payload for r in ranks
         }
-        group_base = self.group * self.file.group_size
-        for offset in range(self.file.group_size):
+        for offset, address in enumerate(self.file.members(self.group)):
             if offset in dead_offsets:
                 continue
-            address = group_base + offset
             entries = {
                 r: meta[r][0][offset] for r in ranks
                 if meta[r][0][offset] is not None
@@ -322,12 +377,12 @@ class ParityBucket(Node):
                      group=self.group, kind=gather.kind)
             metric_inc("lh.gather_abandoned")
             return
-        group_base = self.group * self.file.group_size
         for offset in sorted(gather.waiting_offsets):
             self.send(
                 self.file.coordinator_id,
                 "suspect",
-                {"address": group_base + offset,
+                {"address": self.file.member_address(self.group,
+                                                     offset),
                  "client": self.node_id},
                 size=HEADER_SIZE,
             )
@@ -357,8 +412,7 @@ class ParityBucket(Node):
             if kind == "bucket_down":
                 dead = set(request["dead"]) | {address}
                 dead.update(payload.get("group_dead", {}))
-                erased = {self.file.offset_of(a) for a in dead}
-                if len(erased) > self.file.parity_count:
+                if not self.file.within_budget(dead):
                     # More erasures than the code can solve: drop the
                     # gather; the requester's own retries will surface
                     # a typed error once escalation runs out.
@@ -413,80 +467,26 @@ class ParityBucket(Node):
             gather.payloads[payload["index"]] = payload["payloads"]
         gather.expected -= 1
         if gather.expected == 0:
-            del self._gathers[payload["gather"]]
-            if gather.timer is not None:
-                gather.timer.cancel()
+            self._drop_gather(payload["gather"], gather)
             self._complete(gather)
 
-    def _solve(self, gather: _ParityGather) -> dict[int, bytes]:
-        """Solve the erasure system from the gathered survivor and
-        parity data: rank -> reconstructed content of the target
-        offset (same Cauchy algebra as the offline helper)."""
-        generator = self.file.generator
-        dead = gather.dead_offsets
-        nerased = len(dead)
-        system = Matrix(
-            _FIELD,
-            [
-                [generator.rows[p][offset] for offset in dead]
-                for p in range(nerased)
-            ],
-        )
-        solver = system.inverse()
-        column = dead.index(gather.target_offset)
-        recovered: dict[int, bytes] = {}
-        for rank in gather.ranks:
-            rids, lengths = gather.meta[rank]
-            if rids[gather.target_offset] is None:
-                continue
-            rhs: list[bytes] = []
-            for p in range(nerased):
-                acc = gather.payloads.get(p, {}).get(rank, b"")
-                for offset, entries in gather.contents.items():
-                    content = entries.get(rank, b"")
-                    if content:
-                        acc = _xor(
-                            acc,
-                            _scale(generator.rows[p][offset], content),
-                        )
-                rhs.append(acc)
-            width = max((len(b) for b in rhs), default=0)
-            rhs = [b + bytes(width - len(b)) for b in rhs]
-            content = bytes(width)
-            for p in range(nerased):
-                content = _xor(
-                    content, _scale(solver.rows[column][p], rhs[p])
-                )
-            recovered[rank] = content[:lengths[gather.target_offset]]
-        return recovered
-
     def _complete(self, gather: _ParityGather) -> None:
-        recovered = self._solve(gather)
+        recovered = decode(
+            self.file.generator, gather.dead_offsets, gather.ranks,
+            gather.meta, gather.contents, gather.payloads,
+        )[gather.target_offset]
         request = gather.request
         if gather.kind == "degraded_lookup":
-            content = recovered.get(gather.ranks[0])
-            self._finish_lookup(request, content)
-        elif gather.kind == "degraded_scan":
-            records = [
-                Record(gather.meta[rank][0][gather.target_offset],
-                       content)
-                for rank, content in sorted(recovered.items())
-            ]
+            self._finish_lookup(request, recovered.get(gather.ranks[0]))
+            return
+        records = [
+            Record(gather.meta[rank][0][gather.target_offset], content)
+            for rank, content in sorted(recovered.items())
+        ]
+        if gather.kind == "degraded_scan":
             self._finish_scan(request, records)
         else:
-            records = [
-                Record(gather.meta[rank][0][gather.target_offset],
-                       content)
-                for rank, content in sorted(recovered.items())
-            ]
             self._install(request, records)
-
-    def _complete_empty(self, kind: str, payload: dict[str, Any]) -> None:
-        """The dead bucket held no records: short-circuit."""
-        if kind == "degraded_scan":
-            self._finish_scan(payload, [])
-        else:
-            self._install(payload, [])
 
     def _reply(
         self,
@@ -544,10 +544,10 @@ class ParityBucket(Node):
 class ParityBookkeeping:
     """The parity side of a :class:`~repro.sdds.lhstar.FileView`.
 
-    A mixin over any file view: the group layout and its Cauchy
-    generator, the per-bucket rank tables, the Δ-record traffic behind
-    the four bookkeeping hooks, and the crash-recovery hooks.  Rank
-    tables live wherever the data bucket is hosted, so
+    A mixin over any file view: the group layout, the erasure budget
+    and the Cauchy generator, the per-bucket rank tables, the Δ-record
+    traffic behind the four bookkeeping hooks, and the crash-recovery
+    hooks.  Rank tables live wherever the data bucket is hosted, so
     :class:`LHStarRSFile` on the simulator and the site views of the
     live backend (:mod:`repro.net.serve`) run this one definition;
     only :meth:`~repro.sdds.lhstar.FileView.create_bucket` — the one
@@ -586,11 +586,30 @@ class ParityBookkeeping:
     def parity_id(self, group: int, index: int) -> Hashable:
         return ("parity", self.name, group, index)
 
+    # -- group geometry: the only arithmetic on ``group_size`` ----------------
+
     def group_of(self, address: int) -> int:
         return address // self.group_size
 
     def offset_of(self, address: int) -> int:
         return address % self.group_size
+
+    def member_address(self, group: int, offset: int) -> int:
+        """The data bucket address at ``offset`` of ``group``; parity
+        ``(group, index)`` is hosted with member ``index`` on the live
+        backend."""
+        return group * self.group_size + offset
+
+    def members(self, group: int) -> list[int]:
+        """The data bucket addresses of ``group``, by offset."""
+        return [self.member_address(group, offset)
+                for offset in range(self.group_size)]
+
+    def within_budget(self, erased: Iterable[int]) -> bool:
+        """Whether a group can lose the members at addresses
+        ``erased`` together and still rebuild them: the code solves
+        for at most ``parity_count`` erasures."""
+        return len(set(erased)) <= self.parity_count
 
     # -- rank management ---------------------------------------------------------
 
@@ -681,11 +700,8 @@ class ParityBookkeeping:
     # -- online crash recovery (FileView hooks) ---------------------------------
 
     def recovery_group(self, address: int) -> list[int]:
-        base = self.group_of(address) * self.group_size
-        return [
-            base + offset for offset in range(self.group_size)
-            if (base + offset) in self.buckets
-        ]
+        return [member for member in self.members(self.group_of(address))
+                if member in self.buckets]
 
     def degraded_read_target(self, address: int) -> Hashable:
         return self.parity_id(self.group_of(address), 0)
@@ -704,7 +720,7 @@ class ParityBookkeeping:
         """
         coordinator = self.network.nodes[self.coordinator_id]
         dead = self.degraded_dead_set(address, coordinator.dead)
-        if len(dead) > self.parity_count:
+        if not self.within_budget(dead):
             obs_emit("lh.recover_refused", file=self.name,
                      bucket=address, dead=dead)
             return False
@@ -815,14 +831,12 @@ class LHStarRSFile(ParityBookkeeping, LHStarFile):
                     or address in dead or address in pending
                     or address in snap["retired"]):
                 return False
-            base = address - address % self.group_size
-            down = sum(
-                1 for member in range(base, base + self.group_size)
-                if member != address and (
-                    member in dead or member in pending
-                    or self.network.is_crashed(self.bucket_id(member)))
+            return self.within_budget(
+                member for member in self.members(self.group_of(address))
+                if member == address or member in dead
+                or member in pending
+                or self.network.is_crashed(self.bucket_id(member))
             )
-            return down + 1 <= self.parity_count
 
         return gate
 
@@ -843,81 +857,27 @@ class LHStarRSFile(ParityBookkeeping, LHStarFile):
         groups = {self.group_of(a) for a in addresses}
         if len(groups) != 1:
             raise ValueError("can only recover one group at a time")
-        if len(addresses) > self.parity_count:
+        group = groups.pop()
+        if not self.within_budget(addresses):
             raise ValueError(
-                f"{len(addresses)} failures exceed parity count "
-                f"{self.parity_count}"
+                f"group {group}: erasures {sorted(set(addresses))} "
+                f"exceed parity count {self.parity_count}"
             )
         if len(set(addresses)) != len(addresses):
             raise ValueError("duplicate addresses in recovery set")
-        group = groups.pop()
-        erased_offsets = sorted(self.offset_of(a) for a in addresses)
-        offset_to_address = {
-            self.offset_of(a): a for a in addresses
-        }
-        surviving = {
-            offset: self.buckets.get(group * self.group_size + offset)
-            for offset in range(self.group_size)
-            if offset not in erased_offsets
-        }
-        parities = [
-            self.parity_buckets[(group, index)]
-            for index in range(self.parity_count)
-        ]
+        slots = self.parity_buckets[(group, 0)].slots
         # Ranks present anywhere in the group, as recorded by parity 0.
-        all_ranks = set(parities[0].slots)
-        # Use the first len(erased) parity buckets: any such subset of a
-        # Cauchy-coded system is solvable.
-        use = erased_offsets
-        nerased = len(use)
-        # Coefficient matrix: rows = chosen parity buckets, cols = erased
-        # data offsets.
-        system = Matrix(
-            _FIELD,
-            [
-                [self.generator.rows[p][offset] for offset in use]
-                for p in range(nerased)
-            ],
-        )
-        solver = system.inverse()
-        recovered: dict[int, dict[int, bytes]] = {
-            address: {} for address in addresses
+        decoded = self._decode_in_process(
+            group, sorted(self.offset_of(a) for a in addresses),
+            sorted(slots))
+        return {
+            address: {
+                slots[rank].rids[self.offset_of(address)]: content
+                for rank, content
+                in decoded[self.offset_of(address)].items()
+            }
+            for address in addresses
         }
-        for rank in sorted(all_ranks):
-            slot0 = parities[0].slots[rank]
-            # Right-hand side: parity payload minus surviving contributions.
-            rhs: list[bytes] = []
-            for p in range(nerased):
-                slot = parities[p].slots.get(rank)
-                acc = slot.payload if slot else b""
-                for offset, bucket in surviving.items():
-                    rid = slot0.rids[offset]
-                    if rid is None or bucket is None:
-                        continue
-                    record = bucket.records.get(rid)
-                    if record is None:
-                        continue
-                    acc = _xor(
-                        acc,
-                        _scale(self.generator.rows[p][offset],
-                               record.content),
-                    )
-                rhs.append(acc)
-            width = max((len(b) for b in rhs), default=0)
-            rhs = [b + bytes(width - len(b)) for b in rhs]
-            for column, offset in enumerate(use):
-                rid = slot0.rids[offset]
-                if rid is None:
-                    continue
-                content = bytes(width)
-                for p in range(nerased):
-                    content = _xor(
-                        content,
-                        _scale(solver.rows[column][p], rhs[p]),
-                    )
-                length = slot0.lengths[offset]
-                recovered[offset_to_address[offset]][rid] = content[:length]
-        return recovered
 
     def degraded_lookup(self, rid: int) -> bytes | None:
         """Read one record *as if its data bucket were unavailable*.
@@ -936,34 +896,38 @@ class LHStarRSFile(ParityBookkeeping, LHStarFile):
         parity0 = self.parity_buckets.get((group, 0))
         if parity0 is None:
             return None
-        rank = next(
-            (
-                r for r, slot in parity0.slots.items()
-                if slot.rids[offset] == rid
-            ),
-            None,
-        )
+        rank = next((r for r, slot in parity0.slots.items()
+                     if slot.rids[offset] == rid), None)
         if rank is None:
             return None
-        slot = parity0.slots[rank]
-        acc = slot.payload
-        for other in range(self.group_size):
-            if other == offset:
+        return self._decode_in_process(group, [offset], [rank])[offset][rank]
+
+    def _decode_in_process(
+        self, group: int, erased: list[int], ranks: list[int]
+    ) -> dict[int, dict[int, bytes]]:
+        """:func:`decode` the ``erased`` offsets of ``group`` at
+        ``ranks`` from what this process holds: parity 0's metadata,
+        the surviving buckets' records and the parity payloads."""
+        parities = [self.parity_buckets[(group, p)]
+                    for p in range(len(erased))]
+        slots = parities[0].slots
+        meta = {r: (slots[r].rids, slots[r].lengths) for r in ranks}
+        contents: dict[int, dict[int, bytes]] = {}
+        for offset, address in enumerate(self.members(group)):
+            bucket = self.buckets.get(address)
+            if offset in erased or bucket is None:
                 continue
-            other_rid = slot.rids[other]
-            if other_rid is None:
-                continue
-            bucket = self.buckets.get(group * self.group_size + other)
-            if bucket is None:
-                return None
-            record = bucket.records.get(other_rid)
-            if record is None:
-                return None
-            acc = _xor(acc, _scale(self.generator.rows[0][other],
-                                   record.content))
-        coefficient = self.generator.rows[0][offset]
-        content = _scale(_FIELD.inv(coefficient), acc)
-        return content[:slot.lengths[offset]]
+            contents[offset] = {
+                r: bucket.records[meta[r][0][offset]].content
+                for r in ranks if meta[r][0][offset] in bucket.records
+            }
+        payloads = {
+            p: {r: parity.slots[r].payload
+                for r in ranks if r in parity.slots}
+            for p, parity in enumerate(parities)
+        }
+        return decode(self.generator, erased, ranks, meta, contents,
+                      payloads)
 
     def verify_recovery(self, addresses: list[int]) -> bool:
         """Check that recovery reproduces the live buckets exactly.

@@ -98,6 +98,42 @@ class TestClusterConfig:
         assert peer_of(("coordinator", "f")) == ("coordinator",)
         assert peer_of(("client", "f", 0)) is None
         assert peer_of("opaque") is None
+        # Parity ids: the client's attached file and every socket-free
+        # site agree with the file's member_address, and so do the
+        # sites' ownership test and create_parity's site check.
+        from repro.net.serve import SiteServer
+        from repro.sdds import LHStarRSFile
+
+        for group_size, parity_count in [(2, 1), (2, 2), (3, 2),
+                                         (4, 1), (4, 4), (5, 3)]:
+            file = LHStarRSFile(name="p", group_size=group_size,
+                                parity_count=parity_count)
+            params = file.params()
+            assert peer_of(file.parity_id(0, 0)) is None
+            servers = [
+                SiteServer("bucket", site,
+                           ClusterConfig("127.0.0.1", 9000, [9001] * 16))
+                for site in range(16)
+            ]
+            for server in servers:
+                server._shell_file(params)
+            for group in range(16 // group_size):
+                for index in range(parity_count):
+                    node_id = file.parity_id(group, index)
+                    home = ("bucket", file.member_address(group, index))
+                    assert peer_of(node_id, {"p": file}) == home
+                    payload = {"group": group, "index": index, **params}
+                    for server in servers:
+                        assert peer_of(node_id, server.files) == home
+                        mine = ("bucket", server.index) == home
+                        assert server._locally_owned(node_id) is mine
+                        if mine:
+                            server._ctrl_create_parity(payload)
+                            assert node_id in server.network
+                        else:
+                            with pytest.raises(ValueError,
+                                               match="does not live"):
+                                server._ctrl_create_parity(payload)
 
 
 class TestSiteHandlerFailures:
